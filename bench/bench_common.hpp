@@ -146,7 +146,9 @@ inline run_result run_heuristic(const std::string& protocol, std::size_t size,
     out.messages = truth.messages.size();
     const double budget = budget_seconds();
     try {
-        const auto segmenter = segmentation::make_segmenter(segmenter_name);
+        // Segment on as many lanes as score_pipeline's pipeline uses.
+        const auto segmenter =
+            segmentation::make_segmenter(segmenter_name, core::pipeline_options{}.threads);
         const stopwatch watch;
         std::vector<obs::manifest_stage> seg_stages;
         segmentation::message_segments segments = [&] {

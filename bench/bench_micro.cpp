@@ -219,6 +219,28 @@ void BM_SegmenterNetzobPairwise(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmenterNetzobPairwise)->Arg(48)->Arg(128)->Arg(300);
 
+// One int16 lane batch: eight partners of the same length per iteration
+// (items = pairs, so items_per_second compares with the scalar sibling).
+void BM_SegmenterNetzobPairwiseLanes(benchmark::State& state) {
+    rng rand(10);
+    const auto len = static_cast<std::size_t>(state.range(0));
+    const byte_vector a = rand.bytes(len);
+    std::vector<byte_vector> owned;
+    for (int k = 0; k < 8; ++k) {
+        owned.push_back(rand.bytes(len));
+    }
+    const std::vector<byte_view> partners(owned.begin(), owned.end());
+    std::vector<int> scores(partners.size());
+    const segmentation::netzob_segmenter seg;
+    for (auto _ : state) {
+        seg.pairwise_scores(a, partners, scores);
+        benchmark::DoNotOptimize(scores.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(partners.size()));
+}
+BENCHMARK(BM_SegmenterNetzobPairwiseLanes)->Arg(48)->Arg(128)->Arg(300);
+
 void BM_SegmenterNetzobSmallTrace(benchmark::State& state) {
     const protocols::trace t =
         protocols::generate_trace("NTP", static_cast<std::size_t>(state.range(0)), 11);

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <limits>
+#include <numeric>
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ftc::segmentation {
 
@@ -63,6 +66,16 @@ std::vector<column_summary> summarize(const profile& p) {
 /// Alignment op emitted by the profile-profile traceback.
 enum class align_op : std::uint8_t { both, gap_a, gap_b };
 
+/// Eight int16 DP cells, one per partner of a lane batch. A generic vector
+/// type needs no target switch: GCC lowers its operators to SSE2
+/// pcmpeqw/paddw/pmaxsw on plain x86-64 and to NEON on AArch64.
+using lanes = std::int16_t __attribute__((vector_size(16)));
+constexpr std::size_t kLanes = sizeof(lanes) / sizeof(std::int16_t);
+
+lanes splat(std::int64_t v) {
+    return lanes{} + static_cast<std::int16_t>(v);
+}
+
 }  // namespace
 
 int netzob_segmenter::pairwise_score(byte_view a, byte_view b) const {
@@ -86,6 +99,67 @@ int netzob_segmenter::pairwise_score(byte_view a, byte_view b) const {
         std::swap(prev, curr);
     }
     return prev[m];
+}
+
+void netzob_segmenter::pairwise_scores(byte_view a, std::span<const byte_view> partners,
+                                       std::span<int> out) const {
+    expects(out.size() >= partners.size(), "netzob: pairwise_scores output too short");
+    // Every DP cell within (|a|, M) lies in [-c(|a| + M), c(|a| + M)]: a
+    // path there takes at most |a| + M steps of magnitude <= c.
+    const std::int64_t c = std::max({std::abs(std::int64_t{options_.match_score}),
+                                     std::abs(std::int64_t{options_.mismatch_score}),
+                                     std::abs(std::int64_t{options_.gap_score})});
+    const lanes match = splat(options_.match_score);
+    const lanes mismatch = splat(options_.mismatch_score);
+    const lanes gap = splat(options_.gap_score);
+    std::vector<lanes> column;  // partner bytes per DP column
+    std::vector<lanes> row;     // one DP row over columns 0..M
+    for (std::size_t first = 0; first < partners.size(); first += kLanes) {
+        const std::span<const byte_view> batch =
+            partners.subspan(first, std::min(kLanes, partners.size() - first));
+        std::size_t width = 0;
+        for (const byte_view b : batch) {
+            width = std::max(width, b.size());
+        }
+        if (c * static_cast<std::int64_t>(a.size() + width) >
+            std::numeric_limits<std::int16_t>::max()) {
+            for (std::size_t k = 0; k < batch.size(); ++k) {
+                out[first + k] = pairwise_score(a, batch[k]);
+            }
+            continue;
+        }
+        // Columns past a partner's length hold padding; its score is read
+        // at its own length, which no padding cell can reach.
+        column.assign(width, lanes{});
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            for (std::size_t j = 0; j < batch[k].size(); ++j) {
+                column[j][k] = static_cast<std::int16_t>(batch[k][j]);
+            }
+        }
+        row.resize(width + 1);
+        for (std::size_t j = 0; j <= width; ++j) {
+            row[j] = splat(static_cast<std::int64_t>(j) * options_.gap_score);
+        }
+        for (std::size_t i = 1; i <= a.size(); ++i) {
+            const lanes ai = splat(a[i - 1]);
+            lanes diag = row[0];
+            lanes left = splat(static_cast<std::int64_t>(i) * options_.gap_score);
+            row[0] = left;
+            for (std::size_t j = 1; j <= width; ++j) {
+                const lanes up = row[j];
+                const lanes d = diag + (ai == column[j - 1] ? match : mismatch);
+                const lanes u = up + gap;
+                const lanes du = d > u ? d : u;
+                const lanes l = left + gap;
+                left = du > l ? du : l;
+                row[j] = left;
+                diag = up;
+            }
+        }
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            out[first + k] = row[batch[k].size()][k];
+        }
+    }
 }
 
 namespace {
@@ -172,7 +246,10 @@ profile merge_profiles(const profile& a, const profile& b, const std::vector<ali
     out.message_indices.insert(out.message_indices.end(), b.message_indices.begin(),
                                b.message_indices.end());
     const std::size_t width = ops.size();
-    ensures(width <= max_width, "netzob: profile width exceeds cap");
+    if (width > max_width) {
+        throw parse_error(message("netzob: aligned profile is ", width,
+                                  " columns wide, over max_profile_width ", max_width));
+    }
     out.rows.reserve(a.rows.size() + b.rows.size());
     for (const aligned_row& row : a.rows) {
         aligned_row expanded;
@@ -214,6 +291,13 @@ message_segments netzob_segmenter::run(const std::vector<byte_vector>& messages,
     const std::size_t n = messages.size();
     expects(n > 0, "netzob: empty trace");
 
+    for (std::size_t m = 0; m < n; ++m) {
+        if (messages[m].size() > options_.max_profile_width) {
+            throw parse_error(message("netzob: message ", m, " is ", messages[m].size(),
+                                      " bytes, over max_profile_width ",
+                                      options_.max_profile_width));
+        }
+    }
     if (n == 1) {
         message_segments single(1);
         if (!messages[0].empty()) {
@@ -223,21 +307,41 @@ message_segments netzob_segmenter::run(const std::vector<byte_vector>& messages,
     }
 
     // Stage 1: pairwise NW similarity -> normalized distance matrix.
-    // This is the quadratic stage that blows up on long messages.
+    // This is the quadratic stage that blows up on long messages. Each
+    // message scores its later partners in stable length order, so a lane
+    // batch holds partners of similar length; every cell is written by
+    // one row only.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+        return messages[x].size() < messages[y].size();
+    });
     std::vector<double> dist(n * n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        dl.check("Netzob pairwise alignment");
-        const byte_view a{messages[i]};
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const byte_view b{messages[j]};
-            const int score = pairwise_score(a, b);
-            const double best = static_cast<double>(options_.match_score) *
-                                static_cast<double>(std::max(a.size(), b.size()));
-            const double d = best > 0.0 ? 1.0 - static_cast<double>(score) / best : 0.0;
-            dist[i * n + j] = d;
-            dist[j * n + i] = d;
+    util::parallel_for(n - 1, 1, options_.threads, [&](std::size_t begin, std::size_t end) {
+        std::vector<byte_view> partners;
+        std::vector<int> scores;
+        for (std::size_t p = begin; p < end; ++p) {
+            dl.check("Netzob pairwise alignment");
+            const std::size_t i = order[p];
+            const byte_view a{messages[i]};
+            partners.clear();
+            for (std::size_t q = p + 1; q < n; ++q) {
+                partners.emplace_back(messages[order[q]]);
+            }
+            scores.resize(partners.size());
+            pairwise_scores(a, partners, scores);
+            for (std::size_t k = 0; k < partners.size(); ++k) {
+                const std::size_t j = order[p + 1 + k];
+                const byte_view b = partners[k];
+                const int score = scores[k];
+                const double best = static_cast<double>(options_.match_score) *
+                                    static_cast<double>(std::max(a.size(), b.size()));
+                const double d = best > 0.0 ? 1.0 - static_cast<double>(score) / best : 0.0;
+                dist[i * n + j] = d;
+                dist[j * n + i] = d;
+            }
         }
-    }
+    });
 
     // Stage 2: UPGMA guide tree, executed as an agglomeration order over
     // active profiles (average linkage).
@@ -253,27 +357,37 @@ message_segments netzob_segmenter::run(const std::vector<byte_vector>& messages,
         profiles[i].rows.push_back(std::move(row));
     }
 
+    // Each row's nearest partner: the first active j > i at the row
+    // minimum. The first row holding the global minimum then names the
+    // pair a row-major scan of the matrix would find.
+    std::vector<std::size_t> nearest(n, n);
+    std::vector<double> nearest_dist(n, std::numeric_limits<double>::infinity());
+    const auto rescan = [&](std::size_t i) {
+        nearest[i] = n;
+        nearest_dist[i] = std::numeric_limits<double>::infinity();
+        for (std::size_t j = i + 1; j < n; ++j) {
+            if (active[j] && dist[i * n + j] < nearest_dist[i]) {
+                nearest_dist[i] = dist[i * n + j];
+                nearest[i] = j;
+            }
+        }
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        rescan(i);
+    }
+
     for (std::size_t merges = 0; merges + 1 < n; ++merges) {
         dl.check("Netzob progressive alignment");
         // Find the closest active pair.
         double best = std::numeric_limits<double>::max();
         std::size_t bi = 0;
-        std::size_t bj = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (!active[i]) {
-                continue;
-            }
-            for (std::size_t j = i + 1; j < n; ++j) {
-                if (!active[j]) {
-                    continue;
-                }
-                if (dist[i * n + j] < best) {
-                    best = dist[i * n + j];
-                    bi = i;
-                    bj = j;
-                }
+            if (active[i] && nearest_dist[i] < best) {
+                best = nearest_dist[i];
+                bi = i;
             }
         }
+        const std::size_t bj = nearest[bi];
         // Align and merge bj into bi.
         const std::vector<column_summary> sa = summarize(profiles[bi]);
         const std::vector<column_summary> sb = summarize(profiles[bj]);
@@ -296,6 +410,22 @@ message_segments netzob_segmenter::run(const std::vector<byte_vector>& messages,
             dist[k * n + bi] = merged;
         }
         cluster_size[bi] += cluster_size[bj];
+        // Row bi changed throughout, bj left every row, and a row k < bi
+        // changed only at (k, bi); rows past bj did not change.
+        for (std::size_t k = 0; k < bj; ++k) {
+            if (!active[k]) {
+                continue;
+            }
+            if (k == bi || nearest[k] == bi || nearest[k] == bj) {
+                rescan(k);
+            } else if (k < bi) {
+                const double d = dist[k * n + bi];
+                if (d < nearest_dist[k] || (d == nearest_dist[k] && bi < nearest[k])) {
+                    nearest_dist[k] = d;
+                    nearest[k] = bi;
+                }
+            }
+        }
     }
 
     // The single remaining active profile holds the full alignment.

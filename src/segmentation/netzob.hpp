@@ -15,7 +15,16 @@
 /// messages" that makes Netzob fail on the larger DHCP and SMB traces in
 /// the paper's Table II. Implementations poll the deadline and throw
 /// ftc::budget_exceeded_error, which the benches report as "fails".
+///
+/// Stage 1 visits the messages in stable length order and scores each one
+/// against its later, longer partners eight at a time, one int16 lane per
+/// partner, fanned out over `threads` lanes; the guide tree keeps each
+/// row's nearest partner instead of rescanning the matrix per merge. Both
+/// reproduce the scalar pairwise loop and the row-major closest-pair scan
+/// bit for bit, at any thread count (DESIGN.md §3.8).
 #pragma once
+
+#include <span>
 
 #include "segmentation/segment.hpp"
 
@@ -29,9 +38,13 @@ struct netzob_options {
     /// Columns whose dominant value covers at least this fraction of
     /// non-gap rows count as static.
     double static_threshold = 1.0;
-    /// Hard cap on profile width (defensive; alignment of related messages
-    /// stays far below it).
+    /// Cap on profile width. A longer message, or a merge that would
+    /// produce a wider alignment, is malformed input (ftc::parse_error).
     std::size_t max_profile_width = 8192;
+    /// Lanes of the pairwise stage (util/thread_pool.hpp conventions:
+    /// 0 = hardware, 1 = serial). The segmentation is identical at any
+    /// setting.
+    std::size_t threads = 1;
 };
 
 /// Multiple-sequence-alignment segmenter.
@@ -48,6 +61,13 @@ public:
     /// Needleman-Wunsch similarity score of two byte strings — exposed for
     /// tests.
     int pairwise_score(byte_view a, byte_view b) const;
+
+    /// Batch form of pairwise_score: out[k] = pairwise_score(a, partners[k])
+    /// bit for bit. Scores eight partners per int16 lane batch while the
+    /// batch fits the int16 range, and by pairwise_score otherwise. Throws
+    /// ftc::precondition_error when \p out is shorter than \p partners.
+    void pairwise_scores(byte_view a, std::span<const byte_view> partners,
+                         std::span<int> out) const;
 
 private:
     netzob_options options_;

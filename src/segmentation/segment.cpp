@@ -123,7 +123,7 @@ lenient_segmentation segment_lenient(const segmenter& seg,
     return retried;
 }
 
-std::unique_ptr<segmenter> make_segmenter(std::string_view name) {
+std::unique_ptr<segmenter> make_segmenter(std::string_view name, std::size_t threads) {
     if (name == "NEMESYS") {
         return std::make_unique<nemesys_segmenter>();
     }
@@ -131,7 +131,9 @@ std::unique_ptr<segmenter> make_segmenter(std::string_view name) {
         return std::make_unique<csp_segmenter>();
     }
     if (name == "Netzob") {
-        return std::make_unique<netzob_segmenter>();
+        netzob_options options;
+        options.threads = threads;
+        return std::make_unique<netzob_segmenter>(options);
     }
     throw precondition_error(message("unknown segmenter: ", std::string{name}));
 }

@@ -62,7 +62,10 @@ message_segments segments_from_annotations(const protocols::trace& input);
 std::vector<byte_vector> message_bytes(const protocols::trace& input);
 
 /// Factory: "NEMESYS", "CSP" or "Netzob". Throws on unknown names.
-std::unique_ptr<segmenter> make_segmenter(std::string_view name);
+/// \p threads sets Netzob's pairwise-stage lanes (util/thread_pool.hpp
+/// conventions); NEMESYS and CSP ignore it. The segmentation is identical
+/// at any setting.
+std::unique_ptr<segmenter> make_segmenter(std::string_view name, std::size_t threads = 1);
 
 /// Result of segment_lenient: segmentation of the surviving messages plus
 /// the mapping back to the caller's message indices.

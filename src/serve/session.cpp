@@ -278,7 +278,8 @@ void session_manager::run_session(const pending_job& job) {
             throw parse_error("not enough messages to analyze");
         }
 
-        const auto segmenter = segmentation::make_segmenter(options_.segmenter);
+        const auto segmenter =
+            segmentation::make_segmenter(options_.segmenter, options_.pipeline_threads);
 
         // Checkpointing is always on in serve: the journal entry plus the
         // stage snapshots are what make kill -9 cost at most one stage.

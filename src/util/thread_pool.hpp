@@ -3,12 +3,14 @@
 /// blocked parallel_for over an index range.
 ///
 /// The pipeline's hot paths (pairwise dissimilarity matrix, k-NN
-/// extraction, the epsilon auto-configuration sweep) are pure fan-outs over
-/// independent work items: every item writes to memory locations no other
-/// item touches and no floating-point reduction is reordered. Parallel
-/// execution therefore produces results *bitwise identical* to the serial
-/// path at any thread count — clustering output stays reproducible, which
-/// tests/test_dissim_parallel_determinism.cpp proves end to end.
+/// extraction, the epsilon auto-configuration sweep, Netzob's pairwise
+/// alignment stage) are pure fan-outs over independent work items: every
+/// item writes to memory locations no other item touches and no
+/// floating-point reduction is reordered. Parallel execution therefore
+/// produces results *bitwise identical* to the serial path at any thread
+/// count — clustering output stays reproducible, which
+/// tests/test_dissim_parallel_determinism.cpp and, for Netzob,
+/// tests/test_segmentation_netzob.cpp prove.
 ///
 /// Conventions shared by every `threads` parameter in ftclust:
 ///   0  -> one lane per hardware thread (hardware_threads()),

@@ -23,9 +23,10 @@
 ///       to a tiled triangular layout, and only when even the degraded
 ///       footprint cannot fit exits with code 3, a partial-progress report
 ///       and manifest status "memory-exceeded".
-///       --threads bounds the worker count of the
-///       dissimilarity/auto-configuration stages (0 = all hardware
-///       threads, 1 = serial); the result is identical either way.
+///       --threads bounds the worker count of Netzob's pairwise
+///       alignment and of the dissimilarity/auto-configuration stages
+///       (0 = all hardware threads, 1 = serial); the result is identical
+///       either way.
 ///       --neighborhood picks the epsilon-neighborhood engine: dense
 ///       builds the full pairwise matrix, sparse builds capped per-point
 ///       neighbor lists with length-bound bucket pruning, auto (the
@@ -432,7 +433,7 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
         return 1;
     }
 
-    const auto segmenter = segmentation::make_segmenter(segmenter_name);
+    const auto segmenter = segmentation::make_segmenter(segmenter_name, opt.threads);
 
     // Messages surviving ingestion + segmentation quarantine — whether
     // restored from the checkpoint or produced by a fresh segmentation.
@@ -722,7 +723,7 @@ int cmd_evaluate(int argc, char** argv) {
             return core::analyze_segments(messages,
                                           segmentation::segments_from_annotations(truth), opt);
         }
-        const auto segmenter = segmentation::make_segmenter(segmenter_name);
+        const auto segmenter = segmentation::make_segmenter(segmenter_name, opt.threads);
         return core::analyze(messages, *segmenter, opt);
     }();
 
