@@ -226,21 +226,32 @@ bool oversized(const cluster_labels& labels, std::size_t n, double fraction) {
 auto_cluster_result auto_cluster(const dissim::neighborhood_source& source,
                                  const autoconf_options& options, double oversize_fraction,
                                  std::size_t max_reconfigurations) {
+    expects(source.size() >= 3, "auto_cluster: need at least 3 unique segments");
+    // One k-NN batch serves the first configuration, every
+    // re-configuration and the undersize guard.
+    const std::size_t k_max = knn_k_max(source.size());
+    autoconf_options opts = options;
+    std::vector<std::vector<double>> curves;
+    if (!knn_shape_ok(options.precomputed_knn, k_max, source.size())) {
+        curves = source.kth_nn_many(k_max, options.threads);
+        opts.precomputed_knn = &curves;
+    }
     auto_cluster_result out;
-    out.config = auto_configure(source, options);
-    out.labels = dbscan(source, {out.config.epsilon, out.config.min_samples});
+    out.config = auto_configure(source, opts);
+    out.labels = dbscan(source, {out.config.epsilon, out.config.min_samples}, opts.threads);
 
     // Undersize guard: a micro-knee (near-duplicate values) can yield an
     // epsilon so small that no density core forms at all. Walk *up* through
     // the remaining knees — and finally the median 2-NN distance — until
     // DBSCAN produces at least one cluster.
-    if (out.labels.cluster_count == 0 && source.size() >= 3) {
+    if (out.labels.cluster_count == 0) {
         std::vector<double> escalation = out.config.knees;
         // Median min_samples-NN distance: at that epsilon half the points
-        // reach min_samples neighbours, so density cores must exist
-        // (min_samples <= knn_k_max(n), so a pipeline-built sparse source
-        // serves this from its lists without extra kernel work).
-        std::vector<double> knnm = source.kth_nn(out.config.min_samples, options.threads);
+        // reach min_samples neighbours, so density cores must exist. For
+        // n >= 3, min_samples == k_max: the last batched curve.
+        expects(out.config.min_samples <= k_max,
+                "auto_cluster: min_samples beyond the k-NN batch");
+        std::vector<double> knnm = (*opts.precomputed_knn)[out.config.min_samples - 1];
         std::sort(knnm.begin(), knnm.end());
         escalation.push_back(knnm[knnm.size() / 2]);
         std::sort(escalation.begin(), escalation.end());
@@ -248,7 +259,8 @@ auto_cluster_result auto_cluster(const dissim::neighborhood_source& source,
             if (eps <= out.config.epsilon || out.reconfigurations >= max_reconfigurations) {
                 continue;
             }
-            const cluster_labels retry = dbscan(source, {eps, out.config.min_samples});
+            const cluster_labels retry =
+                dbscan(source, {eps, out.config.min_samples}, opts.threads);
             ++out.reconfigurations;
             if (retry.cluster_count > 0) {
                 out.config.epsilon = eps;
@@ -265,12 +277,12 @@ auto_cluster_result auto_cluster(const dissim::neighborhood_source& source,
     // separate the data or the walk bottoms out.
     while (out.reconfigurations < max_reconfigurations &&
            oversized(out.labels, source.size(), oversize_fraction)) {
-        const autoconf_result retry =
-            auto_configure_trimmed(source, out.config.epsilon, options);
+        const autoconf_result retry = auto_configure_trimmed(source, out.config.epsilon, opts);
         if (retry.epsilon >= out.config.epsilon || retry.epsilon <= 0.0) {
             break;  // no progress possible
         }
-        cluster_labels retry_labels = dbscan(source, {retry.epsilon, retry.min_samples});
+        cluster_labels retry_labels =
+            dbscan(source, {retry.epsilon, retry.min_samples}, opts.threads);
         if (retry_labels.cluster_count == 0) {
             break;  // an oversized clustering beats no clustering at all
         }

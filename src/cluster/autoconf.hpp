@@ -6,7 +6,8 @@
 /// each unique segment and its k-th nearest neighbour, smooth it, and pick
 /// the k whose curve has the sharpest knee (the largest single-step rise in
 /// distance). Kneedle on that smoothed ECDF yields the rightmost knee,
-/// which becomes epsilon. min_samples is round(ln n).
+/// which becomes epsilon. min_samples is round(ln n). auto_cluster extracts
+/// the k-NN curves once per call and reuses them for every re-configuration.
 #pragma once
 
 #include <vector>
@@ -26,10 +27,11 @@ struct autoconf_options {
     double smoothing_lambda = 25.0;
     /// Fallback epsilon when no knee can be detected (degenerate inputs).
     double fallback_epsilon = 0.1;
-    /// Worker threads for the k-candidate sweep and k-NN extraction
-    /// (0 = hardware concurrency, 1 = serial). Every candidate is evaluated
-    /// independently, so the selected epsilon is identical at any setting.
-    /// core::analyze overrides this with pipeline_options::threads.
+    /// Worker threads for the k-candidate sweep, the k-NN extraction and
+    /// DBSCAN's range preparation (0 = hardware concurrency, 1 = serial).
+    /// Every candidate is evaluated independently, so the selected epsilon
+    /// is identical at any setting. core::analyze overrides this with
+    /// pipeline_options::threads.
     std::size_t threads = 1;
     /// Precomputed per-element k-NN curves — the output shape of
     /// neighborhood_source::kth_nn_many(knn_k_max(n)): curve [k-1] holds
@@ -38,8 +40,8 @@ struct autoconf_options {
     /// of re-querying the source; a checkpointed resume (ftc::ckpt) and
     /// the fresh computation are bitwise the same values (kth_nn_many is
     /// deterministic), so the selected epsilon is unchanged either way.
-    /// Null, or a shape mismatch, falls back to the source query. Not
-    /// owned; must outlive the call.
+    /// Null, or a shape mismatch, falls back to the source query (made
+    /// once per auto_cluster call). Not owned; must outlive the call.
     const std::vector<std::vector<double>>* precomputed_knn = nullptr;
 };
 
@@ -95,6 +97,8 @@ inline autoconf_result auto_configure_trimmed(const dissim::dissimilarity_matrix
 /// segments, re-configure on the ECDF trimmed to the current knee and
 /// cluster again — walking down to the "next smaller knee" (Sec. III-E)
 /// until the guard is satisfied or \p max_reconfigurations is exhausted.
+/// Every step reads one k-NN batch: options.precomputed_knn when shaped
+/// right, else one kth_nn_many(knn_k_max(n)) made here.
 struct auto_cluster_result {
     cluster_labels labels;
     autoconf_result config;

@@ -1,7 +1,5 @@
 #include "cluster/dbscan.hpp"
 
-#include <deque>
-
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
 #include "util/check.hpp"
@@ -28,16 +26,33 @@ std::vector<std::vector<std::size_t>> cluster_labels::members() const {
     return out;
 }
 
-cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_params& params) {
+cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_params& params,
+                      std::size_t threads) {
     expects(params.epsilon >= 0.0, "dbscan: epsilon must be non-negative");
     expects(params.min_samples >= 1, "dbscan: min_samples must be at least 1");
 
     obs::span sp("cluster.dbscan");
     const std::size_t n = source.size();
     sp.count("n", n);
+    // All range work of the run happens here, on the lanes; the BFS below
+    // only reads.
+    source.prepare_within(params.epsilon, threads);
     cluster_labels result;
     result.labels.assign(n, kNoise);
     std::vector<bool> visited(n, false);
+    // A point enters the queue at most once over the whole run: a later
+    // copy would find it labelled and visited and do nothing, and the
+    // queue empties between clusters.
+    std::vector<bool> queued(n, false);
+    std::vector<std::uint32_t> queue;
+    const auto enqueue = [&](const std::vector<std::uint32_t>& ids) {
+        for (const std::uint32_t id : ids) {
+            if (!queued[id]) {
+                queued[id] = true;
+                queue.push_back(id);
+            }
+        }
+    };
 
     // neighbors_within returns ids ascending, self included — the exact set
     // and order the historical matrix row scan produced, so the BFS below
@@ -56,10 +71,10 @@ cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_pa
         }
         const int cluster_id = next_cluster++;
         result.labels[i] = cluster_id;
-        std::deque<std::size_t> queue(seeds.begin(), seeds.end());
-        while (!queue.empty()) {
-            const std::size_t q = queue.front();
-            queue.pop_front();
+        queue.clear();
+        enqueue(seeds);
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            const std::size_t q = queue[head];
             if (result.labels[q] == kNoise) {
                 result.labels[q] = cluster_id;  // border or newly reached point
             }
@@ -70,12 +85,7 @@ cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_pa
             const std::vector<std::uint32_t> q_neighbours =
                 source.neighbors_within(q, params.epsilon);
             if (q_neighbours.size() >= params.min_samples) {
-                // q is a core point: expand the cluster through it.
-                for (std::size_t nb : q_neighbours) {
-                    if (!visited[nb] || result.labels[nb] == kNoise) {
-                        queue.push_back(nb);
-                    }
-                }
+                enqueue(q_neighbours);  // q is a core point: expand through it
             }
         }
     }

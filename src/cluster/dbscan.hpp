@@ -10,7 +10,9 @@
 /// dissim::neighborhood_source — the dense matrix adapter and the sparse
 /// engine produce identical labels (the neighbor sets are identical by the
 /// source contract, and the BFS expansion order is a function of those
-/// sets alone).
+/// sets alone). Each run first lets the source prepare its range queries
+/// at epsilon on the caller's lanes (the sparse engine scans there); the
+/// expansion then only reads, and queues each point at most once.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +46,11 @@ struct cluster_labels {
 
 /// Run DBSCAN. Density core: a point with at least min_samples points
 /// (itself included) within epsilon. Border points join the first core
-/// point that reaches them; unreached points are noise.
-cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_params& params);
+/// point that reaches them; unreached points are noise. The source's
+/// prepare_within(epsilon, threads) runs first; the expansion itself is
+/// serial, so the labels do not depend on \p threads.
+cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_params& params,
+                      std::size_t threads = 1);
 
 /// Convenience adapter: run against a dense/triangular matrix directly.
 inline cluster_labels dbscan(const dissim::dissimilarity_matrix& matrix,

@@ -5,15 +5,17 @@
 /// DBSCAN, the epsilon auto-configuration and the refinement pass never need
 /// the full pairwise matrix — they consume three queries: "who is within
 /// epsilon of i", "the k-th-nearest-neighbour curve", and "the dissimilarities
-/// of i to these partners, where they may lie below a ceiling".
+/// of i to these partners, where they may lie below a ceiling". DBSCAN
+/// announces its epsilon first (prepare_within), so a source can do all of
+/// a run's range work up front and serve the range queries as pure reads.
 /// neighborhood_source names exactly that contract so the clustering layer
 /// can run against either backing store:
 ///
 ///  - matrix_neighborhood wraps the existing dense/triangular
 ///    dissimilarity_matrix (every query answered from stored cells), or
 ///  - sparse_neighborhood (sparse.hpp) answers them from capped per-point
-///    neighbor lists plus bucket-pruned on-demand scans, never materializing
-///    the O(n²) matrix.
+///    neighbor lists plus bucket-pruned scans, never materializing the
+///    O(n²) matrix.
 ///
 /// Contract (every implementation, verified by tests/test_dissim_sparse.cpp):
 ///  - dissimilarities(i, js, ceiling, out) writes, for every partner whose
@@ -24,7 +26,8 @@
 ///  - neighbors_within(i, eps) returns every j (including i itself, distance
 ///    zero) whose matrix cell is <= eps, ids ascending — the exact
 ///    neighbor set DBSCAN's row scan produces, in the same order, so the
-///    BFS expansion and therefore the labels are identical.
+///    BFS expansion and therefore the labels are identical. The answer
+///    does not depend on whether or at which epsilon prepare_within ran.
 ///  - kth_nn / kth_nn_many return the same doubles the matrix extraction
 ///    yields, for every k up to knn_cap(); beyond the cap they throw
 ///    knn_cap_error (typed, so the caller can distinguish "this source
@@ -93,10 +96,9 @@ const char* neighborhood_mode_name(neighborhood_mode mode);
 neighborhood_mode parse_neighborhood_mode(std::string_view text);
 
 /// The epsilon-neighborhood queries the clustering layer consumes (contract
-/// in the file comment). Query methods are logically const. Sparse range
-/// queries fill a per-point cache behind the interface, so neighbors_within
-/// must not be called on one source from multiple threads concurrently
-/// (DBSCAN is serial); the other queries are safe to share.
+/// in the file comment). Every query is a pure read and safe to call from
+/// several threads at once. prepare_within is the one call that writes
+/// behind the interface; it must not overlap any other call on the source.
 class neighborhood_source {
 public:
     virtual ~neighborhood_source() = default;
@@ -115,6 +117,12 @@ public:
     /// Every j (including i itself) with d(i, j) <= epsilon, ids ascending.
     virtual std::vector<std::uint32_t> neighbors_within(std::size_t i,
                                                         double epsilon) const = 0;
+
+    /// Do the range work neighbors_within needs at every epsilon up to
+    /// \p epsilon, on \p threads lanes (0 = hardware concurrency), so that
+    /// those queries only read. Logically const: no answer changes.
+    /// cluster::dbscan calls it once per run.
+    virtual void prepare_within(double epsilon, std::size_t threads = 1) const = 0;
 
     /// Largest k kth_nn/kth_nn_many can serve (requests are clamped to
     /// size()-1 first, so a cap >= size()-1 means unlimited).
@@ -147,6 +155,9 @@ public:
 
     std::vector<std::uint32_t> neighbors_within(std::size_t i,
                                                 double epsilon) const override;
+
+    /// Every range query reads stored cells; nothing to prepare.
+    void prepare_within(double /*epsilon*/, std::size_t /*threads*/ = 1) const override {}
 
     /// A matrix row holds every neighbor, so any clamped k is servable.
     std::size_t knn_cap() const override { return matrix_.size(); }

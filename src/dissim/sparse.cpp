@@ -84,10 +84,17 @@ struct scan_batcher {
     }
 };
 
-/// Ascending (d, id) — the storage order of capped lists and range caches.
+/// Ascending (d, id) — the storage order of capped lists.
 bool neighbor_less(const neighbor& a, const neighbor& b) {
     return a.d < b.d || (a.d == b.d && a.id < b.id);
 }
+
+/// Ascending id — the storage order of prepared arrays.
+bool id_less(const neighbor& a, const neighbor& b) {
+    return a.id < b.id;
+}
+
+constexpr const char* kCacheCharge = "dissim.sparse.cache";
 
 /// Max-heap comparator over the candidate heap (largest kept distance on
 /// top — the prune ceiling). Plain distance order: replacement is strict
@@ -307,21 +314,25 @@ void sparse_neighborhood::build_lists(const sparse_build_options& opts,
 void sparse_neighborhood::seed_caches() {
     cache_.assign(n_, {});
     for (std::size_t i = 0; i < n_; ++i) {
-        range_cache& rc = cache_[i];
-        if (n_ < 2 || capped_.lists[i].size() == n_ - 1) {
-            // The list IS the full neighbor set — complete at any epsilon.
-            rc.complete_through = std::numeric_limits<double>::infinity();
-        } else if (!capped_.lists[i].empty()) {
-            // A truncated list is complete strictly below its largest
-            // stored distance: neighbors tied with the cut-off value may
-            // have been dropped by the cap, so the largest value itself is
-            // already suspect. nextafter toward −1 keeps zero-distance
-            // cut-offs honest (the threshold goes negative, forcing a
-            // rescan even at epsilon = 0).
-            rc.complete_through =
-                std::nextafter(static_cast<double>(capped_.lists[i].back().d), -1.0);
-        }
+        cache_[i].complete_through = list_complete_through(i);
     }
+}
+
+double sparse_neighborhood::list_complete_through(std::size_t i) const {
+    const std::vector<neighbor>& list = capped_.lists[i];
+    if (n_ < 2 || list.size() == n_ - 1) {
+        // The list IS the full neighbor set — complete at any epsilon.
+        return std::numeric_limits<double>::infinity();
+    }
+    if (list.empty()) {
+        return -1.0;
+    }
+    // A truncated list is complete strictly below its largest stored
+    // distance: neighbors tied with the cut-off value may have been dropped
+    // by the cap, so the largest value itself is already suspect. nextafter
+    // toward −1 keeps zero-distance cut-offs honest (the threshold goes
+    // negative, forcing a scan even at epsilon = 0).
+    return std::nextafter(static_cast<double>(list.back().d), -1.0);
 }
 
 void sparse_neighborhood::charge_storage() {
@@ -379,41 +390,14 @@ void sparse_neighborhood::dissimilarities(std::size_t i, std::span<const std::si
     }
 }
 
-std::vector<std::uint32_t> sparse_neighborhood::neighbors_within(std::size_t i,
-                                                                 double epsilon) const {
-    expects(i < n_, "neighbors_within: point index out of range");
-    range_cache& rc = cache_[i];
-    if (epsilon > rc.complete_through) {
-        rescan(i, epsilon);
-    } else {
-        obs::counter_add("dissim.sparse.cache_hits_total", 1.0);
-    }
-    const std::vector<neighbor>& items = rc.rescanned ? rc.items : capped_.lists[i];
-    std::vector<std::uint32_t> out;
-    out.reserve(items.size() + 1);
-    out.push_back(static_cast<std::uint32_t>(i));
-    for (const neighbor& nb : items) {
-        if (static_cast<double>(nb.d) > epsilon) {
-            break;  // items ascend by (d, id); the prefix is the answer
-        }
-        out.push_back(nb.id);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-void sparse_neighborhood::rescan(std::size_t i, double epsilon) const {
-    // Bucket-pruned full range scan at this epsilon; replaces the cache
-    // with a strictly more complete one (complete_through only grows).
-    range_cache& rc = cache_[i];
-    kernel::stats st;
-    kernel::stats* stp = obs::current() != nullptr ? &st : nullptr;
+template <typename Skip>
+std::uint64_t sparse_neighborhood::scan_within(std::size_t i, double epsilon, Skip&& skip,
+                                               std::vector<neighbor>& found,
+                                               kernel::stats* stp) const {
     std::uint64_t scored = 0;
-    std::vector<neighbor> found;
     scan_batcher batch;
     batch.a = byte_view{values_[i]};
     batch.stp = stp;
-    const std::uint32_t self = static_cast<std::uint32_t>(i);
     const auto consider = [&](std::uint32_t id, float f) {
         if (static_cast<double>(f) <= epsilon) {
             found.push_back({id, f});
@@ -427,7 +411,7 @@ void sparse_neighborhood::rescan(std::size_t i, double epsilon) const {
         }
         for (std::uint32_t pos = bucket_begin_[b]; pos < bucket_begin_[b + 1]; ++pos) {
             const std::uint32_t j = by_length_[pos];
-            if (j == self) {
+            if (j == i || skip(j)) {
                 continue;
             }
             batch.add(j, byte_view{values_[j]}, consider);
@@ -436,21 +420,169 @@ void sparse_neighborhood::rescan(std::size_t i, double epsilon) const {
         batch.finish_bucket(consider);
         return true;
     });
-    std::sort(found.begin(), found.end(), neighbor_less);
-    cache_bytes_ -= rc.items.capacity() * sizeof(neighbor);
-    rc.items = std::move(found);
-    rc.items.shrink_to_fit();
-    rc.rescanned = true;
-    rc.complete_through = epsilon;
-    cache_bytes_ += rc.items.capacity() * sizeof(neighbor);
-    cache_charge_ = mem::charge(cache_bytes_, "dissim.sparse.cache");
-    pairs_scored_.fetch_add(scored, std::memory_order_relaxed);
-    if (stp != nullptr) {
-        publish_kernel_stats(st);
-        obs::counter_add("dissim.sparse.range_rescans_total", 1.0);
-        obs::counter_add("dissim.sparse.pairs_scored_total",
-                         static_cast<double>(scored));
+    return scored;
+}
+
+std::vector<std::uint32_t> sparse_neighborhood::neighbors_within(std::size_t i,
+                                                                 double epsilon) const {
+    expects(i < n_, "neighbors_within: point index out of range");
+    const std::uint32_t self = static_cast<std::uint32_t>(i);
+    const range_cache& rc = cache_[i];
+    std::vector<std::uint32_t> out;
+    if (epsilon <= rc.complete_through) {
+        obs::counter_add("dissim.sparse.cache_hits_total", 1.0);
     }
+    if (rc.prepared && epsilon <= rc.complete_through) {
+        // Merge the two id-ordered arrays around i itself. Every mirrored
+        // id lies below i: only lower-id partners mirror a pair into it.
+        out.reserve(rc.own.size() + rc.mirrored.size() + 1);
+        const auto keep = [&](const neighbor& nb) {
+            if (static_cast<double>(nb.d) <= epsilon) {
+                out.push_back(nb.id);
+            }
+        };
+        std::size_t a = 0;
+        for (const neighbor& nb : rc.mirrored) {
+            for (; a < rc.own.size() && rc.own[a].id < nb.id; ++a) {
+                keep(rc.own[a]);
+            }
+            keep(nb);
+        }
+        for (; a < rc.own.size() && rc.own[a].id < self; ++a) {
+            keep(rc.own[a]);
+        }
+        out.push_back(self);
+        for (; a < rc.own.size(); ++a) {
+            keep(rc.own[a]);
+        }
+        return out;
+    }
+    out.push_back(self);
+    if (epsilon <= rc.complete_through) {
+        // The phase-1 list ascends by (d, id): its prefix is the answer.
+        for (const neighbor& nb : capped_.lists[i]) {
+            if (static_cast<double>(nb.d) > epsilon) {
+                break;
+            }
+            out.push_back(nb.id);
+        }
+    } else {
+        // No prepare covers this epsilon: scan locally and keep nothing.
+        kernel::stats st;
+        kernel::stats* stp = obs::current() != nullptr ? &st : nullptr;
+        std::vector<neighbor> found;
+        const std::uint64_t scored =
+            scan_within(i, epsilon, [](std::uint32_t) { return false; }, found, stp);
+        pairs_scored_.fetch_add(scored, std::memory_order_relaxed);
+        if (stp != nullptr) {
+            publish_kernel_stats(st);
+            obs::counter_add("dissim.sparse.pairs_scored_total", static_cast<double>(scored));
+        }
+        for (const neighbor& nb : found) {
+            out.push_back(nb.id);
+        }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+std::uint64_t sparse_neighborhood::drop_caches(std::span<const std::uint32_t> points) const {
+    std::uint64_t freed = 0;
+    for (const std::uint32_t i : points) {
+        range_cache& rc = cache_[i];
+        freed += (rc.own.capacity() + rc.mirrored.capacity()) * sizeof(neighbor);
+        rc = range_cache{list_complete_through(i), false, {}, {}};
+    }
+    return freed;
+}
+
+void sparse_neighborhood::prepare_within(double epsilon, std::size_t threads) const {
+    std::vector<std::uint32_t> todo;
+    std::vector<std::uint8_t> in_todo(n_, 0);
+    for (std::size_t i = 0; i < n_; ++i) {
+        if (epsilon > cache_[i].complete_through) {
+            todo.push_back(static_cast<std::uint32_t>(i));
+            in_todo[i] = 1;
+        }
+    }
+    if (todo.empty()) {
+        return;
+    }
+    obs::span sp("dissim.sparse.prepare");
+    sp.count("points", todo.size());
+    // The old arrays go (and stop counting) before any new one exists. The
+    // charge is resized on this thread: the governor is per thread.
+    cache_charge_.resize(cache_charge_.bytes() - drop_caches(todo), kCacheCharge);
+    const std::uint64_t base = cache_charge_.bytes();
+    const std::uint64_t scored_before = pairs_scored();
+    try {
+        // Each unordered pair is scored once: a point skips a partner that
+        // is scanned too and has the lower id, because the length bound is
+        // symmetric — that partner's walk visits this point's bucket — and
+        // the kernel is symmetric bit for bit.
+        const std::size_t lanes = util::resolve_threads(threads);
+        const std::size_t grain = std::max<std::size_t>(1, todo.size() / (8 * lanes));
+        util::parallel_for(todo.size(), grain, lanes, [&](std::size_t begin, std::size_t end) {
+            kernel::stats st;
+            kernel::stats* stp = obs::current() != nullptr ? &st : nullptr;
+            std::uint64_t scored = 0;
+            std::vector<neighbor> found;
+            for (std::size_t t = begin; t < end; ++t) {
+                const std::uint32_t i = todo[t];
+                found.clear();
+                scored += scan_within(
+                    i, epsilon, [&](std::uint32_t j) { return j < i && in_todo[j] != 0; },
+                    found, stp);
+                std::sort(found.begin(), found.end(), id_less);
+                cache_[i].own.assign(found.begin(), found.end());
+            }
+            pairs_scored_.fetch_add(scored, std::memory_order_relaxed);
+            if (stp != nullptr) {
+                publish_kernel_stats(st);
+                obs::counter_add("dissim.sparse.range_rescans_total",
+                                 static_cast<double>(end - begin));
+                obs::counter_add("dissim.sparse.pairs_scored_total",
+                                 static_cast<double>(scored));
+            }
+        });
+        std::uint64_t bytes = 0;
+        for (const std::uint32_t i : todo) {
+            bytes += cache_[i].own.capacity() * sizeof(neighbor);
+        }
+        cache_charge_.resize(base + bytes, kCacheCharge);
+        // Mirror each pair whose partner was scanned too, sized exactly
+        // before allocating; ascending owners fill every array in id order.
+        std::vector<std::uint32_t> mirrors(n_, 0);
+        for (const std::uint32_t i : todo) {
+            for (const neighbor& nb : cache_[i].own) {
+                if (in_todo[nb.id] != 0) {
+                    ++mirrors[nb.id];
+                    bytes += sizeof(neighbor);
+                }
+            }
+        }
+        cache_charge_.resize(base + bytes, kCacheCharge);
+        for (const std::uint32_t i : todo) {
+            cache_[i].mirrored.reserve(mirrors[i]);
+        }
+        for (const std::uint32_t i : todo) {
+            for (const neighbor& nb : cache_[i].own) {
+                if (in_todo[nb.id] != 0) {
+                    cache_[nb.id].mirrored.push_back({i, nb.d});
+                }
+            }
+        }
+    } catch (...) {
+        // Back to the phase-1 lists: nothing of a failed prepare stays.
+        drop_caches(todo);
+        cache_charge_.resize(base, kCacheCharge);
+        throw;
+    }
+    for (const std::uint32_t i : todo) {
+        cache_[i].prepared = true;
+        cache_[i].complete_through = epsilon;
+    }
+    sp.count("pairs_scored", pairs_scored() - scored_before);
 }
 
 std::vector<double> sparse_neighborhood::kth_nn(std::size_t k,

@@ -5,7 +5,7 @@
 /// Instead of materializing all n·(n−1)/2 pairwise cells, the sparse engine
 /// keeps, per unique segment, a short sorted list of its nearest neighbors
 /// (capped at the autoconf k horizon) and answers everything else with
-/// bucket-pruned on-demand scans:
+/// bucket-pruned scans:
 ///
 ///  - **Length buckets.** Representatives are grouped by byte length. For
 ///    lengths m <= n the sliding-Canberra dissimilarity is bounded below by
@@ -19,11 +19,16 @@
 ///    ceiling as the candidate heap fills. This serves every
 ///    kth_nn/kth_nn_many request up to the cap bitwise identically to the
 ///    matrix path.
-///  - **Phase 2: cached range queries.** neighbors_within(i, eps) is exact
-///    at ANY epsilon: served from the phase-1 list while eps lies below the
-///    list's completeness radius, re-scanned (bucket-pruned, at eps) and
-///    cached otherwise. DBSCAN's epsilon walk re-uses the caches across
-///    re-clustering sweeps.
+///  - **Phase 2: prepared range queries.** prepare_within(eps, threads)
+///    scans, across lanes, every point whose cache is incomplete at eps and
+///    scores each unordered pair once: a point skips a lower-id partner
+///    that is scanned too, and receives that pair in a `mirrored` array
+///    filled after the lanes join. Both arrays are exactly sized and id
+///    ordered, so neighbors_within(i, eps) merges and filters them — a
+///    pure read. Below a point's completeness radius its phase-1 list
+///    answers without any prepare; an unprepared epsilon beyond it is
+///    answered by a local bucket scan that caches nothing. DBSCAN prepares
+///    once per run, and the caches carry over across re-clustering sweeps.
 ///  - **Row queries.** dissimilarities(i, js, ceiling) skips every partner
 ///    whose length lower bound is already >= ceiling and scores the rest
 ///    in kernel batches at f32 storage precision, keeping nothing: the
@@ -49,6 +54,10 @@
 #include "util/stopwatch.hpp"
 
 namespace ftc::dissim {
+
+namespace kernel {
+struct stats;
+}  // namespace kernel
 
 /// Construction knobs of sparse_neighborhood.
 struct sparse_build_options {
@@ -82,6 +91,7 @@ public:
                          std::span<double> out) const override;
     std::vector<std::uint32_t> neighbors_within(std::size_t i,
                                                 double epsilon) const override;
+    void prepare_within(double epsilon, std::size_t threads = 1) const override;
     std::size_t knn_cap() const override { return capped_.cap; }
     std::vector<double> kth_nn(std::size_t k, std::size_t threads = 1) const override;
     std::vector<std::vector<double>> kth_nn_many(std::size_t k_max,
@@ -90,8 +100,8 @@ public:
     /// The phase-1 lists — what ftc::ckpt persists as the neighbors section.
     const capped_neighbors& capped() const { return capped_; }
 
-    /// Kernel pairs actually scored so far (phase 1 + rescans + row
-    /// queries); the bench's pair-reduction numerator.
+    /// Kernel pairs actually scored so far (phase 1, prepares, local range
+    /// scans and row queries); the bench's pair-reduction numerator.
     std::uint64_t pairs_scored() const {
         return pairs_scored_.load(std::memory_order_relaxed);
     }
@@ -107,21 +117,34 @@ public:
     static float length_lower_bound(std::size_t len_a, std::size_t len_b);
 
 private:
-    /// Range-query cache of one point: `items` (d, id)-ascending, the point
-    /// itself excluded. Exact for every epsilon <= complete_through. Until
-    /// the first rescan the phase-1 list itself is the cache (rescanned ==
-    /// false) with completeness just below its largest stored distance.
+    /// Range-query cache of one point, exact for every epsilon <=
+    /// complete_through; the point itself is never stored. Until a prepare
+    /// covers the point, the phase-1 list is the cache (prepared == false)
+    /// with completeness just below its largest stored distance. A prepare
+    /// at epsilon fills both arrays, ids ascending, with every partner at
+    /// d <= epsilon: `own` the pairs this point scored, `mirrored` those a
+    /// lower-id point of the same prepare scored.
     struct range_cache {
         double complete_through = -1.0;
-        bool rescanned = false;
-        std::vector<neighbor> items;
+        bool prepared = false;
+        std::vector<neighbor> own;
+        std::vector<neighbor> mirrored;
     };
 
     void build_buckets();
     void build_lists(const sparse_build_options& opts, const deadline& dl);
     void seed_caches();
+    double list_complete_through(std::size_t i) const;
     void charge_storage();
-    void rescan(std::size_t i, double epsilon) const;
+    /// Return \p points to their phase-1 lists; the bytes freed.
+    std::uint64_t drop_caches(std::span<const std::uint32_t> points) const;
+
+    /// Score i against every partner in the buckets whose length bound is
+    /// <= epsilon, except where skip(j); append each pair at d <= epsilon
+    /// to \p found. Returns the number of pairs scored.
+    template <typename Skip>
+    std::uint64_t scan_within(std::size_t i, double epsilon, Skip&& skip,
+                              std::vector<neighbor>& found, kernel::stats* stp) const;
 
     template <typename Visit>
     std::pair<std::uint64_t, std::uint64_t> walk_buckets(std::size_t home,
@@ -144,8 +167,7 @@ private:
     mutable std::atomic<std::uint64_t> pairs_scored_{0};
 
     mem::charge lists_charge_;
-    mutable std::uint64_t cache_bytes_ = 0;
-    mutable mem::charge cache_charge_;
+    mutable mem::charge cache_charge_;  ///< own + mirrored arrays
 };
 
 }  // namespace ftc::dissim

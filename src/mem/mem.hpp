@@ -188,6 +188,22 @@ public:
         std::swap(armed_, other.armed_);
     }
 
+    /// Grow or shrink the charge to \p bytes in place. Only the difference
+    /// is charged or released, so the tracked total never holds the old
+    /// and the new amount at once (assigning a fresh charge would). A
+    /// growth that trips the budget throws and leaves the charge as it was;
+    /// a shrink never throws.
+    void resize(std::uint64_t bytes, const char* what) {
+        const std::uint64_t held = this->bytes();
+        if (bytes > held) {
+            on_charge(bytes - held, what);
+        } else {
+            on_release(held - bytes);
+        }
+        bytes_ = bytes;
+        armed_ = true;
+    }
+
     /// Release early (idempotent).
     void release() noexcept {
         if (armed_) {

@@ -238,7 +238,7 @@ help_registry& helps() {
             {"ckpt.stages_restored_total", "Pipeline stages restored from a checkpoint"},
             {"ckpt.tiles_spilled_total", "Triangular-matrix tiles spilled to the checkpoint"},
             {"cluster.dbscan_runs_total", "DBSCAN executions including epsilon re-runs"},
-            {"cluster.knn_reused_total", "Epsilon re-runs served from the cached k-NN"},
+            {"cluster.knn_reused_total", "Auto-configurations served from an extracted k-NN batch"},
             {"cluster.reconfigurations_total", "Auto-reconfigurations of DBSCAN parameters"},
             {"cluster.refine_merges_total", "Cluster merges during refinement"},
             {"cluster.refine_splits_total", "Cluster splits during refinement"},
@@ -250,11 +250,11 @@ help_registry& helps() {
             {"dissim.kernel.windows_total", "Candidate alignment windows considered"},
             {"dissim.kernel.windows_pruned_total", "Alignment windows skipped by pruning"},
             {"dissim.sparse.builds_total", "Sparse epsilon-neighborhood builds"},
-            {"dissim.sparse.pairs_scored_total", "Segment pairs scored by the sparse builder"},
+            {"dissim.sparse.pairs_scored_total", "Segment pairs scored by sparse list builds and range scans"},
             {"dissim.sparse.pairs_skipped_total", "Segment pairs skipped by the length lower bound"},
             {"dissim.sparse.buckets_pruned_total", "Length buckets pruned wholesale by the bound"},
-            {"dissim.sparse.range_rescans_total", "Range queries widened past the capped lists"},
-            {"dissim.sparse.cache_hits_total", "Sparse range queries served from a cached list"},
+            {"dissim.sparse.range_rescans_total", "Points scanned by DBSCAN range preparation"},
+            {"dissim.sparse.cache_hits_total", "Sparse range queries served without a scan"},
             {"dissim.sparse.ondemand_pairs_total", "Pair dissimilarities scored by row queries"},
             {"mem.tracked_bytes", "Live bytes on the ftc::mem tracked heap"},
             {"mem.tracked_bytes_peak", "High-water mark of the tracked heap"},

@@ -3,23 +3,30 @@
 // adapter over the same values, at any thread count, any cap covering the
 // request, and whether lists were freshly built or adopted from a
 // checkpoint; row queries may leave a partner unscored (+inf) only where
-// its cell lies at or above the ceiling. Also covers the satellite contract
-// of cluster::autoconf over capped lists: identical parameters when the cap
-// covers k_max, a typed knn_cap_error when it does not.
+// its cell lies at or above the ceiling. Range queries agree whether or not
+// (and at how many lanes, and after which earlier epsilons) prepare_within
+// ran, prepared sources serve concurrent readers, and their arrays are
+// charged once. Also covers the satellite contract of cluster::autoconf
+// over capped lists: identical parameters when the cap covers k_max, a
+// typed knn_cap_error when it does not.
 #include "dissim/sparse.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "cluster/autoconf.hpp"
 #include "dissim/matrix.hpp"
+#include "neighborhood_test_util.hpp"
 
 namespace ftc::dissim {
 namespace {
@@ -247,7 +254,8 @@ TEST(SparseNeighborhood, AdoptedListsServeIdenticalQueries) {
 TEST(SparseNeighborhood, RangeQueriesBeyondTheCapRescanExactly) {
     // A tiny cap forces the range path off the capped lists for any
     // realistic epsilon; answers must still match dense exactly, and a
-    // repeated query (served from the rescan cache) must not drift.
+    // repeated query (a second local scan, nothing prepared) must not
+    // drift.
     const auto values = random_corpus(80, 83);
     const dissimilarity_matrix matrix(values);
     const matrix_neighborhood dense(matrix);
@@ -258,6 +266,134 @@ TEST(SparseNeighborhood, RangeQueriesBeyondTheCapRescanExactly) {
             EXPECT_EQ(first, dense.neighbors_within(i, eps));
             EXPECT_EQ(sparse.neighbors_within(i, eps), first);
         }
+    }
+}
+
+/// Every point's range answer at \p eps.
+std::vector<std::vector<std::uint32_t>> all_within(const neighborhood_source& source,
+                                                   double eps) {
+    std::vector<std::vector<std::uint32_t>> out;
+    for (std::size_t i = 0; i < source.size(); ++i) {
+        out.push_back(source.neighbors_within(i, eps));
+    }
+    return out;
+}
+
+TEST(SparsePrepare, RandomPopulationsMatchTheMatrixAlongAnEpsilonWalk) {
+    // Sources prepared at 1, 2 and 4 lanes walk epsilon up and back down,
+    // so later prepares replace caches earlier ones left; a source that is
+    // never prepared answers from its lists and local scans. Every answer
+    // must be the matrix's, also one double past the prepared epsilon
+    // (points prepared there scan locally, the rest read; one lane count
+    // suffices, the arrays are identical).
+    for (const auto& [n, seed] : neighborhood_test::kPopulations) {
+        const auto values = neighborhood_test::population(n, seed);
+        const dissimilarity_matrix matrix(values);
+        const matrix_neighborhood dense(matrix);
+        for (const std::size_t cap : {std::size_t{2}, cluster::knn_k_max(n)}) {
+            const std::size_t lanes[] = {1, 2, 4};
+            std::vector<std::unique_ptr<sparse_neighborhood>> prepared;
+            for (std::size_t k = 0; k < std::size(lanes); ++k) {
+                prepared.push_back(std::make_unique<sparse_neighborhood>(
+                    values, sparse_build_options{.knn_cap = cap, .threads = 1}));
+            }
+            std::uint64_t prepare_pairs[std::size(lanes)] = {};
+            const sparse_neighborhood unprepared = make_sparse(values, cap);
+            double last = -1.0;
+            for (const double eps : neighborhood_test::epsilon_walk(matrix, cap)) {
+                SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed
+                                                << " cap=" << cap << " eps=" << eps);
+                const double past = std::nextafter(eps, 2.0);
+                const auto expected = all_within(dense, eps);
+                for (std::size_t k = 0; k < std::size(lanes); ++k) {
+                    const std::uint64_t before = prepared[k]->pairs_scored();
+                    prepared[k]->prepare_within(eps, lanes[k]);
+                    prepare_pairs[k] += prepared[k]->pairs_scored() - before;
+                    ASSERT_EQ(all_within(*prepared[k], eps), expected) << lanes[k];
+                }
+                ASSERT_EQ(all_within(*prepared[0], past), all_within(dense, past));
+                if (eps > last) {  // stateless: the way down would repeat it
+                    ASSERT_EQ(all_within(unprepared, eps), expected);
+                }
+                last = eps;
+            }
+            for (const std::uint64_t pairs : prepare_pairs) {
+                EXPECT_EQ(pairs, prepare_pairs[0]);  // the same work at any lane count
+            }
+        }
+    }
+}
+
+TEST(SparsePrepare, ScoresEachUnorderedPairOnce) {
+    // At epsilon 1 no bucket is pruned, and with a cap of 2 no list is
+    // complete there, so the prepare scans every point: exactly one score
+    // per unordered pair, at any lane count.
+    const auto values = neighborhood_test::population(200, 5);
+    const std::uint64_t pairs = values.size() * (values.size() - 1) / 2;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        const sparse_neighborhood sparse = make_sparse(values, 2);
+        const std::uint64_t before = sparse.pairs_scored();
+        sparse.prepare_within(1.0, threads);
+        EXPECT_EQ(sparse.pairs_scored() - before, pairs) << threads;
+        sparse.prepare_within(0.5, threads);  // every list already complete
+        EXPECT_EQ(sparse.pairs_scored() - before, pairs) << threads;
+    }
+}
+
+TEST(SparsePrepare, ConcurrentReadersOfOnePreparedSource) {
+    // Four threads query one prepared source at once, both at the prepared
+    // epsilon (pure reads) and past it (local scans that keep nothing).
+    const auto values = neighborhood_test::population(200, 9);
+    const dissimilarity_matrix matrix(values);
+    const matrix_neighborhood dense(matrix);
+    const sparse_neighborhood sparse = make_sparse(values, 2);
+    const double eps = 0.35;
+    const double wider = 0.5;
+    sparse.prepare_within(eps, 2);
+    const auto expected = all_within(dense, eps);
+    const auto expected_wider = all_within(dense, wider);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+        readers.emplace_back([&] {
+            for (int round = 0; round < 3; ++round) {
+                mismatches += all_within(sparse, eps) != expected;
+                mismatches += all_within(sparse, wider) != expected_wider;
+            }
+        });
+    }
+    for (std::thread& reader : readers) {
+        reader.join();
+    }
+    EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(SparsePrepare, ArraysAreChargedOnceUnderAGovernor) {
+    // At epsilon 1 every pair is in range, so the prepared arrays hold
+    // n·(n−1) neighbors. DBSCAN must finish with the matrix's labels under
+    // a limit a quarter above that footprint — counting the whole cache
+    // twice, or the own arrays twice while the mirrored ones are charged,
+    // would cross it — and fail with the typed error below the single
+    // count, because the charge is made on the calling thread, whose
+    // governor applies. A failed prepare leaves nothing charged behind.
+    const auto values = neighborhood_test::population(200, 7);
+    const dissimilarity_matrix matrix(values);
+    const cluster::dbscan_params params{1.0, 3};
+    const cluster::cluster_labels expected = cluster::dbscan(matrix, params);
+    const std::uint64_t arrays = values.size() * (values.size() - 1) * sizeof(neighbor);
+    for (const std::size_t threads : {1u, 2u}) {
+        const sparse_neighborhood sparse = make_sparse(values, 2);
+        const std::uint64_t base = mem::current_bytes();
+        {
+            const mem::governor g(base + arrays / 2);
+            EXPECT_THROW(cluster::dbscan(sparse, params, threads), memory_budget_exceeded_error);
+        }
+        EXPECT_EQ(mem::current_bytes(), base);
+        {
+            const mem::governor g(base + arrays + arrays / 4);
+            EXPECT_EQ(cluster::dbscan(sparse, params, threads).labels, expected.labels);
+        }
+        EXPECT_EQ(mem::current_bytes(), base + arrays);
     }
 }
 

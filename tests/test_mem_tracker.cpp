@@ -92,6 +92,28 @@ TEST(MemCharge, ReleaseIsIdempotent) {
     EXPECT_EQ(current_bytes(), base.bytes);
 }
 
+TEST(MemCharge, ResizeChargesOnlyTheDifference) {
+    const baseline base;
+    charge c;
+    c.resize(100, "test");
+    EXPECT_EQ(current_bytes(), base.bytes + 100);
+    mem::reset_peak();
+    // Growing to 150 under a 160-byte headroom fits; reassigning a fresh
+    // 150-byte charge would briefly hold 250 and trip the governor.
+    {
+        const governor g(base.bytes + 160);
+        EXPECT_NO_THROW(c.resize(150, "test"));
+        EXPECT_THROW(c = charge(150, "test"), memory_budget_exceeded_error);
+        EXPECT_THROW(c.resize(200, "test"), memory_budget_exceeded_error);
+    }
+    EXPECT_EQ(c.bytes(), 150u);
+    EXPECT_EQ(peak_bytes(), base.bytes + 150);
+    c.resize(30, "test");
+    EXPECT_EQ(current_bytes(), base.bytes + 30);
+    c.release();
+    EXPECT_EQ(current_bytes(), base.bytes);
+}
+
 TEST(MemVector, AllocationsAreTracked) {
     const baseline base;
     {
