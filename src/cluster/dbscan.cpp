@@ -42,21 +42,21 @@ cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_pa
     std::vector<bool> visited(n, false);
     // A point enters the queue at most once over the whole run: a later
     // copy would find it labelled and visited and do nothing, and the
-    // queue empties between clusters.
-    std::vector<bool> queued(n, false);
+    // queue empties between clusters. expand_within appends only the
+    // neighbours whose queued bit is clear, ids ascending — the order the
+    // historical row scan enqueued them in — and the bits are set here.
+    std::vector<std::uint64_t> queued((n + 63) / 64, 0);
     std::vector<std::uint32_t> queue;
-    const auto enqueue = [&](const std::vector<std::uint32_t>& ids) {
-        for (const std::uint32_t id : ids) {
-            if (!queued[id]) {
-                queued[id] = true;
-                queue.push_back(id);
-            }
+    const auto expand = [&](std::size_t p) {
+        const std::size_t before = queue.size();
+        const std::size_t count =
+            source.expand_within(p, params.epsilon, params.min_samples, queued, queue);
+        for (std::size_t k = before; k < queue.size(); ++k) {
+            queued[queue[k] / 64] |= std::uint64_t{1} << (queue[k] % 64);
         }
+        return count >= params.min_samples;
     };
 
-    // neighbors_within returns ids ascending, self included — the exact set
-    // and order the historical matrix row scan produced, so the BFS below
-    // behaves identically for every conforming source.
     int next_cluster = 0;
     obs::progress_stage("cluster.dbscan", n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -65,14 +65,12 @@ cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_pa
             continue;
         }
         visited[i] = true;
-        const std::vector<std::uint32_t> seeds = source.neighbors_within(i, params.epsilon);
-        if (seeds.size() < params.min_samples) {
+        queue.clear();
+        if (!expand(i)) {
             continue;  // stays noise unless later reached as a border point
         }
         const int cluster_id = next_cluster++;
         result.labels[i] = cluster_id;
-        queue.clear();
-        enqueue(seeds);
         for (std::size_t head = 0; head < queue.size(); ++head) {
             const std::size_t q = queue[head];
             if (result.labels[q] == kNoise) {
@@ -82,11 +80,7 @@ cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_pa
                 continue;
             }
             visited[q] = true;
-            const std::vector<std::uint32_t> q_neighbours =
-                source.neighbors_within(q, params.epsilon);
-            if (q_neighbours.size() >= params.min_samples) {
-                enqueue(q_neighbours);  // q is a core point: expand through it
-            }
+            expand(q);  // a core point queues its fresh neighbours
         }
     }
     result.cluster_count = static_cast<std::size_t>(next_cluster);

@@ -11,8 +11,11 @@
 /// engine produce identical labels (the neighbor sets are identical by the
 /// source contract, and the BFS expansion order is a function of those
 /// sets alone). Each run first lets the source prepare its range queries
-/// at epsilon on the caller's lanes (the sparse engine scans there); the
-/// expansion then only reads, and queues each point at most once.
+/// at epsilon on the caller's lanes: the sparse engine scans there, the
+/// matrix adapter marks each row's neighbours as bits. The expansion then
+/// only reads and queues each point at most once: expand_within hands it a
+/// point's neighbour count and its not-yet-queued neighbours, which the
+/// matrix adapter reads word by word from the bit rows.
 #pragma once
 
 #include <cstddef>

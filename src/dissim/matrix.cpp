@@ -283,20 +283,27 @@ void dissimilarity_matrix::build_dense(std::span<const byte_vector> values,
     });
     // The fan-out writes only the upper triangle (a strided mirror store
     // per pair would miss the cache across the whole matrix); mirror once
-    // here in 64×64 blocks so reads and writes both stay resident. Pure
-    // copies of already-final cells — deterministic at any thread count.
+    // here in 64×64 blocks so reads and writes both stay resident. Block
+    // row ib reads upper cells of rows [ib, ie) and writes lower cells of
+    // columns [ib, ie) only, so the block rows fan out over the lanes with
+    // disjoint writes. Pure copies of already-final cells — deterministic
+    // at any thread count.
     constexpr std::size_t kMirrorBlock = 64;
-    for (std::size_t ib = 0; ib < n_; ib += kMirrorBlock) {
-        const std::size_t ie = std::min(ib + kMirrorBlock, n_);
-        for (std::size_t jb = ib; jb < n_; jb += kMirrorBlock) {
-            const std::size_t je = std::min(jb + kMirrorBlock, n_);
-            for (std::size_t i = ib; i < ie; ++i) {
-                for (std::size_t j = std::max(jb, i + 1); j < je; ++j) {
-                    data_[j * n_ + i] = data_[i * n_ + j];
+    const std::size_t blocks = (n_ + kMirrorBlock - 1) / kMirrorBlock;
+    util::parallel_for(blocks, 1, lanes, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t b = begin; b < end; ++b) {
+            const std::size_t ib = b * kMirrorBlock;
+            const std::size_t ie = std::min(ib + kMirrorBlock, n_);
+            for (std::size_t jb = ib; jb < n_; jb += kMirrorBlock) {
+                const std::size_t je = std::min(jb + kMirrorBlock, n_);
+                for (std::size_t i = ib; i < ie; ++i) {
+                    for (std::size_t j = std::max(jb, i + 1); j < je; ++j) {
+                        data_[j * n_ + i] = data_[i * n_ + j];
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 void dissimilarity_matrix::build_triangular(std::span<const byte_vector> values,
@@ -410,6 +417,16 @@ std::span<const float> dissimilarity_matrix::data() const {
     expects(layout_ == layout::dense,
             "data: raw row-major storage exists only in the dense layout");
     return {data_.data(), data_.size()};
+}
+
+const float* dissimilarity_matrix::row(std::size_t i, float* scratch) const {
+    if (layout_ == layout::dense) {
+        return data_.data() + i * n_;
+    }
+    gather_row(i, scratch);
+    std::copy_backward(scratch + i, scratch + n_ - 1, scratch + n_);
+    scratch[i] = 0.0f;
+    return scratch;
 }
 
 void dissimilarity_matrix::gather_row(std::size_t i, float* out) const {

@@ -181,6 +181,11 @@ public:
         return i < j ? data_[tri_cell(i, j)] : data_[tri_cell(j, i)];
     }
 
+    /// Row \p i's size() cells in column order, diagonal included: a view
+    /// of the dense storage, or the triangular cells gathered into
+    /// \p scratch (size() floats), which is then returned.
+    const float* row(std::size_t i, float* scratch) const;
+
     /// For every element, the dissimilarity to its k-th nearest neighbour
     /// (k >= 1; k is clamped to n-1). Result has size() entries. Rows are
     /// independent, so \p threads lanes may extract them concurrently.

@@ -12,12 +12,16 @@
 /// can run against either backing store:
 ///
 ///  - matrix_neighborhood wraps the existing dense/triangular
-///    dissimilarity_matrix (every query answered from stored cells), or
+///    dissimilarity_matrix. Its prepare marks each row's cells within
+///    epsilon as a bit row on the caller's lanes, re-testing only the set
+///    bits when epsilon shrinks, so DBSCAN's expansion reads words
+///    instead of rows; every other query reads stored cells.
 ///  - sparse_neighborhood (sparse.hpp) answers them from capped per-point
 ///    neighbor lists plus bucket-pruned scans, never materializing the
 ///    O(n²) matrix.
 ///
-/// Contract (every implementation, verified by tests/test_dissim_sparse.cpp):
+/// Contract (every implementation, verified by tests/test_dissim_sparse.cpp;
+/// expand_within by tests/test_cluster_dbscan.cpp):
 ///  - dissimilarities(i, js, ceiling, out) writes, for every partner whose
 ///    value could lie below ceiling, the value the matrix cell would hold:
 ///    the kernel result narrowed to f32 storage precision and widened back,
@@ -28,6 +32,11 @@
 ///    neighbor set DBSCAN's row scan produces, in the same order, so the
 ///    BFS expansion and therefore the labels are identical. The answer
 ///    does not depend on whether or at which epsilon prepare_within ran.
+///  - expand_within(i, eps, min_count, skip, fresh) returns
+///    |neighbors_within(i, eps)| and, when that is >= min_count, appends
+///    the ids of that set missing from the skip bitset to fresh, ascending
+///    — exactly what the default built on neighbors_within does, whether
+///    or at which epsilon prepare_within ran.
 ///  - kth_nn / kth_nn_many return the same doubles the matrix extraction
 ///    yields, for every k up to knn_cap(); beyond the cap they throw
 ///    knn_cap_error (typed, so the caller can distinguish "this source
@@ -40,6 +49,7 @@
 #include <vector>
 
 #include "dissim/matrix.hpp"
+#include "mem/mem.hpp"
 #include "util/error.hpp"
 
 namespace ftc::dissim {
@@ -118,7 +128,16 @@ public:
     virtual std::vector<std::uint32_t> neighbors_within(std::size_t i,
                                                         double epsilon) const = 0;
 
-    /// Do the range work neighbors_within needs at every epsilon up to
+    /// DBSCAN's expansion step: returns |neighbors_within(i, epsilon)|
+    /// and, when it is >= \p min_count, appends every id of that set whose
+    /// bit in \p skip (one bit per point, (size() + 63) / 64 words) is
+    /// clear to \p fresh, ids ascending. The default filters
+    /// neighbors_within; a source may answer from prepared state instead.
+    virtual std::size_t expand_within(std::size_t i, double epsilon, std::size_t min_count,
+                                      std::span<const std::uint64_t> skip,
+                                      std::vector<std::uint32_t>& fresh) const;
+
+    /// Do the range work neighbors_within and expand_within need at
     /// \p epsilon, on \p threads lanes (0 = hardware concurrency), so that
     /// those queries only read. Logically const: no answer changes.
     /// cluster::dbscan calls it once per run.
@@ -141,8 +160,9 @@ public:
 };
 
 /// neighborhood_source over a prebuilt dense/triangular matrix: every query
-/// forwards to the stored cells. Does not own the matrix; it must outlive
-/// the adapter.
+/// forwards to the stored cells, except expand_within at the prepared
+/// epsilon, which reads the bit rows. Does not own the matrix; it must
+/// outlive the adapter.
 class matrix_neighborhood final : public neighborhood_source {
 public:
     explicit matrix_neighborhood(const dissimilarity_matrix& matrix) : matrix_(matrix) {}
@@ -153,11 +173,23 @@ public:
     void dissimilarities(std::size_t i, std::span<const std::size_t> js, double ceiling,
                          std::span<double> out) const override;
 
+    /// The row scan, from the cells whatever was prepared.
     std::vector<std::uint32_t> neighbors_within(std::size_t i,
                                                 double epsilon) const override;
 
-    /// Every range query reads stored cells; nothing to prepare.
-    void prepare_within(double /*epsilon*/, std::size_t /*threads*/ = 1) const override {}
+    /// At the prepared epsilon: the row's popcount for the core test, then
+    /// row & ~skip word by word. Otherwise the default.
+    std::size_t expand_within(std::size_t i, double epsilon, std::size_t min_count,
+                              std::span<const std::uint64_t> skip,
+                              std::vector<std::uint32_t>& fresh) const override;
+
+    /// Mark every row's cells <= epsilon as bits, one lane per row range.
+    /// Below the prepared epsilon only the set bits are re-tested (the
+    /// neighbor sets shrink); above it the rows are scanned again; at it
+    /// nothing happens. The rows are allocated once, tracked; when they
+    /// would exceed the memory budget nothing is prepared and expand_within
+    /// keeps the default.
+    void prepare_within(double epsilon, std::size_t threads = 1) const override;
 
     /// A matrix row holds every neighbor, so any clamped k is servable.
     std::size_t knn_cap() const override { return matrix_.size(); }
@@ -173,6 +205,15 @@ public:
 
 private:
     const dissimilarity_matrix& matrix_;
+    /// (size() + 63) / 64 words per bit row.
+    std::size_t words_ = (matrix_.size() + 63) / 64;
+    /// Row i's words at [i * words_, (i + 1) * words_): bit j set iff
+    /// at(i, j) <= prepared_epsilon_; bits past size() stay clear.
+    mutable mem::vector<std::uint64_t> bits_;
+    /// Set bits per row, i itself included.
+    mutable mem::vector<std::uint32_t> counts_;
+    mutable bool prepared_ = false;
+    mutable double prepared_epsilon_ = 0.0;
 };
 
 }  // namespace ftc::dissim

@@ -248,8 +248,10 @@ struct tracking_allocator {
     }
 
     void deallocate(T* p, std::size_t n) noexcept {
-        ::operator delete(p);
+        // Released before the delete: GCC 12 reports the container's size
+        // arithmetic as a use after free when it sinks it past the delete.
         on_release(static_cast<std::uint64_t>(n) * sizeof(T));
+        ::operator delete(p);
     }
 
     template <typename U>

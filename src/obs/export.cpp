@@ -249,6 +249,9 @@ help_registry& helps() {
             {"dissim.kernel.equal_fast_path_total", "Kernel calls served by the equal-length fast path"},
             {"dissim.kernel.windows_total", "Candidate alignment windows considered"},
             {"dissim.kernel.windows_pruned_total", "Alignment windows skipped by pruning"},
+            {"dissim.matrix.cells_scanned_total", "Matrix cells compared by DBSCAN range preparation row scans"},
+            {"dissim.matrix.bits_retested_total", "Neighbor bits re-tested when DBSCAN's epsilon shrank"},
+            {"dissim.matrix.prepare_skipped_total", "Matrix range preparations skipped for the memory budget"},
             {"dissim.sparse.builds_total", "Sparse epsilon-neighborhood builds"},
             {"dissim.sparse.pairs_scored_total", "Segment pairs scored by sparse list builds and range scans"},
             {"dissim.sparse.pairs_skipped_total", "Segment pairs skipped by the length lower bound"},

@@ -1,17 +1,21 @@
-// Unit and property tests for DBSCAN (cluster/dbscan.hpp), and a
-// differential test against the expansion as it was before each point
-// entered the queue at most once, over matrix and prepared sparse sources.
+// Unit and property tests for DBSCAN (cluster/dbscan.hpp), and
+// differential tests against the expansion as it was before each point
+// entered the queue at most once, over matrix sources with and without
+// prepared bit rows and over prepared sparse sources.
 #include "cluster/dbscan.hpp"
 
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "cluster/autoconf.hpp"
 #include "dissim/sparse.hpp"
+#include "mem/mem.hpp"
 #include "neighborhood_test_util.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
@@ -292,6 +296,191 @@ TEST(DbscanDifferential, MatrixAndPreparedSparseSourcesReproduceTheReference) {
             }
         }
     }
+}
+
+/// The differential populations plus the sizes around one bit-row word:
+/// a last word one short of full (63), exactly full (64) and holding one
+/// bit (65).
+std::vector<std::pair<std::size_t, std::uint64_t>> bit_row_populations() {
+    std::vector<std::pair<std::size_t, std::uint64_t>> out(
+        std::begin(neighborhood_test::kPopulations), std::end(neighborhood_test::kPopulations));
+    for (const std::size_t n : {63, 64, 65}) {
+        out.emplace_back(n, 3);
+    }
+    return out;
+}
+
+/// A skip bitset over n points, each bit set with probability \p density.
+std::vector<std::uint64_t> random_skip(std::size_t n, double density, rng& rand) {
+    std::vector<std::uint64_t> skip((n + 63) / 64, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+        if (rand.chance(density)) {
+            skip[j / 64] |= std::uint64_t{1} << (j % 64);
+        }
+    }
+    return skip;
+}
+
+TEST(DbscanDifferential, PreparedBitRowsReproduceTheReferenceAlongAnEpsilonWalk) {
+    // One adapter per layout and lane count keeps its bit rows along an
+    // epsilon walk up and back down: the first prepare scans every row,
+    // each larger epsilon scans them again, each smaller one re-tests the
+    // set bits only, and a repeated epsilon prepares nothing. The labels
+    // must equal the reference BFS over an unprepared adapter, and
+    // expand_within must equal the default built on neighbors_within for
+    // every point, at the prepared epsilon and at one no prepare made.
+    for (const auto& [n, seed] : bit_row_populations()) {
+        const auto values = neighborhood_test::population(n, seed);
+        const dissim::dissimilarity_matrix dense(values);
+        dissim::build_options triangular_layout;
+        triangular_layout.storage = dissim::layout::triangular;
+        const dissim::dissimilarity_matrix triangular(values, triangular_layout);
+        const dissim::matrix_neighborhood oracle(dense);
+        const std::size_t k = knn_k_max(n);
+        struct walker {
+            const char* layout;
+            std::size_t lanes;
+            std::unique_ptr<dissim::matrix_neighborhood> adapter;
+        };
+        std::vector<walker> walkers;
+        for (const std::size_t lanes : {1, 2, 4}) {
+            walkers.push_back(
+                {"dense", lanes, std::make_unique<dissim::matrix_neighborhood>(dense)});
+            walkers.push_back(
+                {"triangular", lanes, std::make_unique<dissim::matrix_neighborhood>(triangular)});
+        }
+        rng rand(seed);
+        for (const double eps : neighborhood_test::epsilon_walk(dense, k)) {
+            SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed << " eps=" << eps);
+            for (const std::size_t min_samples : {std::size_t{1}, std::size_t{2}, k}) {
+                const dbscan_params params{eps, min_samples};
+                const cluster_labels expected = reference::dbscan(oracle, params);
+                for (const walker& w : walkers) {
+                    const cluster_labels got = dbscan(*w.adapter, params, w.lanes);
+                    ASSERT_EQ(got.labels, expected.labels)
+                        << w.layout << " lanes=" << w.lanes << " min_samples=" << min_samples;
+                    ASSERT_EQ(got.cluster_count, expected.cluster_count);
+                }
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::vector<std::uint64_t> skip =
+                    random_skip(n, 0.45 * static_cast<double>(i % 3), rand);
+                for (const double at : {eps, eps / 2}) {
+                    for (const std::size_t min_count : {std::size_t{1}, std::size_t{2}, k, n + 1}) {
+                        // Both append behind what fresh already holds.
+                        std::vector<std::uint32_t> want_fresh{7};
+                        const std::size_t want = oracle.neighborhood_source::expand_within(
+                            i, at, min_count, skip, want_fresh);
+                        for (const walker& w : walkers) {
+                            std::vector<std::uint32_t> got_fresh{7};
+                            ASSERT_EQ(w.adapter->expand_within(i, at, min_count, skip, got_fresh),
+                                      want)
+                                << w.layout << " lanes=" << w.lanes << " i=" << i << " at=" << at;
+                            ASSERT_EQ(got_fresh, want_fresh)
+                                << w.layout << " lanes=" << w.lanes << " i=" << i << " at=" << at;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(DbscanBudget, BitRowsThatWouldExceedTheBudgetFallBackToRowScans) {
+    // The bit rows only save time, so they never fail a run: under a
+    // governor whose limit lies between the matrix and the matrix plus the
+    // rows, every prepare of the walk skips, DBSCAN keeps the row scans
+    // and returns the reference labels, and nothing stays charged. With
+    // room, the rows are charged while the adapter lives.
+    const auto values = neighborhood_test::population(200, 7);
+    const dissim::dissimilarity_matrix matrix(values);
+    const dissim::matrix_neighborhood oracle(matrix);
+    const dbscan_params walk[] = {{0.35, 3}, {0.2, 3}, {0.5, 2}};
+    const std::uint64_t base = mem::current_bytes();
+    std::uint64_t rows = 0;
+    {
+        const dissim::matrix_neighborhood adapter(matrix);
+        for (const dbscan_params& params : walk) {
+            EXPECT_EQ(dbscan(adapter, params).labels, reference::dbscan(oracle, params).labels);
+        }
+        rows = mem::current_bytes() - base;
+    }
+    EXPECT_EQ(mem::current_bytes(), base);
+    ASSERT_GT(rows, 0u);
+    for (const std::size_t lanes : {1, 2}) {
+        const mem::governor g(base + rows / 2);
+        {
+            const dissim::matrix_neighborhood adapter(matrix);
+            for (const dbscan_params& params : walk) {
+                const cluster_labels got = dbscan(adapter, params, lanes);
+                EXPECT_EQ(got.labels, reference::dbscan(oracle, params).labels);
+                EXPECT_EQ(mem::current_bytes(), base);
+            }
+        }
+        EXPECT_EQ(mem::current_bytes(), base);
+    }
+}
+
+TEST(DbscanObs, MatrixPrepareSpanCountsTheRangeWork) {
+#ifdef FTC_OBS_DISABLE
+    GTEST_SKIP() << "spans are compiled out";
+#endif
+    // Under a recorder, observed labels equal unobserved ones, and each
+    // dissim.matrix.prepare span says what its prepare did: a full scan
+    // of n² cells, a re-test of the bits the previous epsilon set, nothing
+    // at a repeated epsilon, and a skip under the budget.
+    const auto values = neighborhood_test::population(65, 3);
+    const std::size_t n = values.size();
+    const dissim::dissimilarity_matrix matrix(values);
+    const dbscan_params walk[] = {{0.5, 2}, {0.3, 2}, {0.3, 3}, {0.6, 2}};
+    std::vector<cluster_labels> unobserved;
+    for (const dbscan_params& params : walk) {
+        unobserved.push_back(dbscan(matrix, params));
+    }
+    std::vector<std::map<std::string, std::uint64_t>> prepares;
+    {
+        obs::scoped_recorder recorder;
+        {
+            const dissim::matrix_neighborhood adapter(matrix);
+            for (std::size_t r = 0; r < std::size(walk); ++r) {
+                EXPECT_EQ(dbscan(adapter, walk[r], 2).labels, unobserved[r].labels);
+            }
+            const mem::governor g(mem::current_bytes());
+            const dissim::matrix_neighborhood starved(matrix);
+            EXPECT_EQ(dbscan(starved, walk[0]).labels, unobserved[0].labels);
+        }
+        for (const obs::span_record& rec : recorder.rec().trace().spans) {
+            if (rec.name == "dissim.matrix.prepare") {
+                auto& args = prepares.emplace_back();
+                for (const obs::span_arg& a : rec.args) {
+                    args[a.key] = a.value;
+                }
+            }
+        }
+    }
+    // Four runs, but the repeated epsilon opens no span.
+    ASSERT_EQ(prepares.size(), 4u);
+    const auto pairs_at = [&](double eps) {
+        std::uint64_t pairs = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = i + 1; j < n; ++j) {
+                pairs += matrix.at(i, j) <= eps ? 1 : 0;
+            }
+        }
+        return pairs;
+    };
+    const std::uint64_t within_first = pairs_at(0.5);
+    EXPECT_EQ(prepares[0]["n"], n);
+    EXPECT_EQ(prepares[0]["cells_scanned"], n * n);
+    EXPECT_EQ(prepares[0]["bits_retested"], 0u);
+    EXPECT_EQ(prepares[0]["pairs_within"], within_first);
+    EXPECT_EQ(prepares[1]["cells_scanned"], 0u);
+    EXPECT_EQ(prepares[1]["bits_retested"], 2 * within_first + n);
+    EXPECT_EQ(prepares[1]["pairs_within"], pairs_at(0.3));
+    EXPECT_EQ(prepares[2]["cells_scanned"], n * n);
+    EXPECT_EQ(prepares[2]["pairs_within"], pairs_at(0.6));
+    EXPECT_EQ(prepares[3]["skipped"], 1u);
+    EXPECT_EQ(prepares[3].count("cells_scanned"), 0u);
 }
 
 }  // namespace

@@ -167,6 +167,17 @@ TEST(ObsRegistry, SparseCountersHaveRegisteredHelp) {
     }
 }
 
+TEST(ObsRegistry, MatrixPrepareCountersHaveRegisteredHelp) {
+    // The counters of the matrix adapter's range preparation, likewise.
+    for (const char* name : {
+             "dissim.matrix.cells_scanned_total",
+             "dissim.matrix.bits_retested_total",
+             "dissim.matrix.prepare_skipped_total",
+         }) {
+        EXPECT_FALSE(metric_help(name).empty()) << name;
+    }
+}
+
 TEST(ObsRegistry, SequentialRecordersDoNotLeakState) {
     // TLS shard caches are epoch-keyed: a second recorder on the same
     // thread must start from zero, not inherit the first one's shard.
