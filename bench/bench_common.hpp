@@ -193,7 +193,7 @@ public:
         w.key("bench");
         w.value(name_);
         // Run provenance: tools/bench_compare aligns and annotates bench
-        // history with these (which commit, host and backend produced the
+        // history with these (which commit, host and kernel produced the
         // numbers) — without them a regression report cannot say what
         // changed between two files.
         w.key("meta");
@@ -211,7 +211,7 @@ public:
         w.key("threads");
         w.value(static_cast<std::uint64_t>(util::hardware_threads()));
         w.key("kernel_backend");
-        w.value(dissim::kernel::backend_name(dissim::kernel::active()));
+        w.value(dissim::kernel::kName);
         w.end_object();
         w.key("seed");
         w.value(static_cast<std::uint64_t>(kBenchSeed));

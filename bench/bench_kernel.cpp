@@ -1,13 +1,13 @@
-// Canberra kernel throughput: scalar reference vs LUT vs SIMD backends on
-// the DNS/DHCP unique-segment workloads (the pair population the pipeline's
-// dissimilarity matrix computes). The timed region is kernel work only: the
-// batch schedule — the same length-bucketed, batched visit order
-// dissimilarity_matrix uses — is prebuilt, and matrix assembly, allocation
-// and observability are excluded (bench_fig1_pipeline covers end-to-end
-// time). Prints a text table and writes BENCH_kernel.json (schema
-// documented in EXPERIMENTS.md). The bench double-checks the DESIGN.md §9
-// contract as it measures: every backend's result vector must hash
-// bit-for-bit identical, or the run exits non-zero.
+// Canberra kernel throughput: the canberra.cpp reference ("scalar") vs the
+// kernel ("lut") on the DNS/DHCP unique-segment workloads (the pair
+// population the pipeline's dissimilarity matrix computes). The timed
+// region is pair work only: the batch schedule — the same length-bucketed,
+// batched visit order dissimilarity_matrix uses — is prebuilt, and matrix
+// assembly, allocation and observability are excluded (bench_fig1_pipeline
+// covers end-to-end time). Prints a text table and writes BENCH_kernel.json
+// (schema documented in EXPERIMENTS.md). The bench double-checks the
+// DESIGN.md §9 contract as it measures: the kernel's result vector must
+// hash bit-for-bit identical to the reference's, or the run exits non-zero.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "dissim/canberra.hpp"
 #include "dissim/kernel.hpp"
 #include "dissim/matrix.hpp"
 #include "mem/mem.hpp"
@@ -44,7 +45,7 @@ std::size_t workload_messages() {
     return 400;
 }
 
-/// Timing repetitions per backend (best-of-N against scheduler noise);
+/// Timing repetitions per row (best-of-N against scheduler noise);
 /// FTC_BENCH_KERNEL_REPS overrides.
 std::size_t workload_reps() {
     if (const char* env = std::getenv("FTC_BENCH_KERNEL_REPS")) {
@@ -99,12 +100,20 @@ std::vector<kernel_job> build_schedule(const std::vector<byte_vector>& values) {
     return jobs;
 }
 
-/// Run the whole schedule once, writing per-pair results in schedule order.
-void run_schedule(const std::vector<kernel_job>& jobs, std::vector<double>& results,
-                  dissim::kernel::stats* st) {
+/// Run the whole schedule once, writing per-pair results in schedule
+/// order: pair by pair through the canberra.cpp reference when
+/// \p reference, else through the kernel's batch entry points.
+void run_schedule(const std::vector<kernel_job>& jobs, bool reference,
+                  std::vector<double>& results, dissim::kernel::stats* st) {
     std::size_t w = 0;
     for (const kernel_job& job : jobs) {
-        if (job.equal) {
+        if (reference) {
+            for (std::size_t k = 0; k < job.count; ++k) {
+                results[w + k] =
+                    job.equal ? dissim::canberra_dissimilarity(job.a, job.parts[k])
+                              : dissim::sliding_canberra_dissimilarity(job.a, job.parts[k]);
+            }
+        } else if (job.equal) {
             dissim::kernel::equal_dissimilarity_batch(job.a, job.parts.data(), job.count,
                                                       results.data() + w, st);
         } else {
@@ -116,13 +125,13 @@ void run_schedule(const std::vector<kernel_job>& jobs, std::vector<double>& resu
 }
 
 struct backend_run {
-    dissim::kernel::backend backend{};
+    const char* backend = "";
     double seconds = 0.0;
     double pairs_per_second = 0.0;
     double bytes_per_second = 0.0;
     double speedup_vs_scalar = 1.0;
     std::uint64_t result_digest = 0;  ///< FNV-1a 64 over the result doubles
-    dissim::kernel::stats stats;      ///< from one untimed instrumented pass
+    dissim::kernel::stats stats;      ///< kernel row only: one untimed pass
 };
 
 struct workload_result {
@@ -158,35 +167,28 @@ workload_result run_workload(const std::string& protocol, std::size_t messages) 
 
     const std::vector<kernel_job> jobs = build_schedule(values);
 
-    std::vector<dissim::kernel::backend> backends{dissim::kernel::backend::scalar,
-                                                  dissim::kernel::backend::lut};
-    if (dissim::kernel::simd_available()) {
-        backends.push_back(dissim::kernel::backend::simd);
-    }
-
     const std::size_t reps = workload_reps();
     std::vector<double> results(out.pairs, 0.0);
-    double scalar_seconds = 0.0;
-    for (const dissim::kernel::backend be : backends) {
-        dissim::kernel::scoped_backend forced(be);
+    for (const bool reference : {true, false}) {
         backend_run run;
-        run.backend = be;
+        run.backend = reference ? "scalar" : dissim::kernel::kName;
         // Best-of-N: the minimum is the least-interfered measurement on a
         // shared machine.
         run.seconds = std::numeric_limits<double>::infinity();
         for (std::size_t rep = 0; rep < reps; ++rep) {
             const stopwatch watch;
-            run_schedule(jobs, results, nullptr);
+            run_schedule(jobs, reference, results, nullptr);
             run.seconds = std::min(run.seconds, watch.elapsed_seconds());
         }
         run.result_digest =
             obs::fnv1a64(results.data(), results.size() * sizeof(double));
         run.pairs_per_second = static_cast<double>(out.pairs) / run.seconds;
         run.bytes_per_second = static_cast<double>(out.pair_bytes) / run.seconds;
-        run_schedule(jobs, results, &run.stats);  // untimed, for the counters
-        if (be == dissim::kernel::backend::scalar) {
-            scalar_seconds = run.seconds;
+        if (!reference) {
+            run_schedule(jobs, false, results, &run.stats);  // untimed, for the counters
         }
+        const double scalar_seconds =
+            reference ? run.seconds : out.backends.front().seconds;
         run.speedup_vs_scalar = scalar_seconds / run.seconds;
         out.backends.push_back(run);
     }
@@ -214,14 +216,10 @@ bool write_json(const std::vector<workload_result>& workloads) {
     w.key("threads");
     w.value(static_cast<std::uint64_t>(util::hardware_threads()));
     w.key("kernel_backend");
-    w.value(dissim::kernel::backend_name(dissim::kernel::active()));
+    w.value(dissim::kernel::kName);
     w.end_object();
     w.key("seed");
     w.value(static_cast<std::uint64_t>(bench::kBenchSeed));
-    w.key("simd_compiled");
-    w.value(dissim::kernel::simd_compiled());
-    w.key("simd_available");
-    w.value(dissim::kernel::simd_available());
     w.key("workloads");
     w.begin_array();
     for (const workload_result& wl : workloads) {
@@ -243,7 +241,7 @@ bool write_json(const std::vector<workload_result>& workloads) {
         for (const backend_run& run : wl.backends) {
             w.begin_object();
             w.key("backend");
-            w.value(dissim::kernel::backend_name(run.backend));
+            w.value(run.backend);
             w.key("seconds");
             w.value(run.seconds);
             w.key("pairs_per_second");
@@ -296,7 +294,7 @@ int main() {
                           static_cast<double>(run.stats.windows_total);
             table.add_row({wl.protocol, std::to_string(wl.unique_segments),
                            std::to_string(wl.pairs),
-                           dissim::kernel::backend_name(run.backend),
+                           run.backend,
                            format_fixed(run.seconds, 3),
                            format_fixed(run.pairs_per_second / 1e6, 2),
                            format_fixed(run.bytes_per_second / 1e6, 1),
@@ -314,10 +312,10 @@ int main() {
         std::fputs("wrote BENCH_kernel.json\n", stdout);
     }
     if (!digests_match) {
-        std::fputs("FAIL: kernel backends produced different results\n", stderr);
+        std::fputs("FAIL: the kernel and the reference produced different results\n", stderr);
         return 1;
     }
-    std::printf("determinism: all backends bitwise identical (fnv1a64 0x%016llx)\n",
+    std::printf("determinism: kernel bitwise identical to the reference (fnv1a64 0x%016llx)\n",
                 static_cast<unsigned long long>(workloads.front().backends.front().result_digest));
     return 0;
 }

@@ -19,8 +19,8 @@
 /// pipeline options that shape stage outputs plus a digest of the raw input
 /// bytes. A checkpoint whose fingerprint does not match the current run is
 /// rejected wholesale — resuming segment state of trace A into a run over
-/// trace B would silently corrupt results. Thread counts, kernel backend
-/// and resource budgets are deliberately NOT part of the fingerprint: every
+/// trace B would silently corrupt results. Thread counts and resource
+/// budgets are deliberately NOT part of the fingerprint: every
 /// stage is bitwise deterministic across those, so resuming on a different
 /// machine shape is exactly the supported use case.
 #pragma once

@@ -21,8 +21,8 @@
 /// checkpoint) and only that stage is recomputed; the surviving snapshots
 /// still seed the run. Because every pipeline stage is bitwise
 /// deterministic, mixing restored and recomputed stages yields output
-/// identical to an uninterrupted run — across thread counts and kernel
-/// backends (DESIGN.md §10).
+/// identical to an uninterrupted run — across thread counts (DESIGN.md
+/// §10).
 #pragma once
 
 #include <filesystem>

@@ -16,10 +16,10 @@
 /// INFOCOM'20 "Canberra-Ulm dissimilarity" is designed for.
 ///
 /// The functions here are the *reference scalar* implementations — the
-/// semantics-defining code every optimized backend must match bit for bit.
-/// Hot paths (matrix construction, benches) go through the LUT/SIMD kernel
-/// layer in kernel.hpp instead, whose bitwise-identity argument is spelled
-/// out in DESIGN.md §9.
+/// semantics-defining code the optimized kernel must match bit for bit, and
+/// what its tests and bench_kernel compare it against. Hot paths (matrix
+/// construction, the sparse engine) go through the kernel in kernel.hpp
+/// instead, whose bitwise-identity argument is spelled out in DESIGN.md §9.
 #pragma once
 
 #include "util/byteio.hpp"

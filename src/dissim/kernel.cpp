@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <limits>
 
-#include "dissim/canberra.hpp"
-#include "dissim/kernel_impl.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace ftc::dissim::kernel {
@@ -16,9 +14,9 @@ namespace ftc::dissim::kernel {
 namespace {
 
 /// The shared per-byte term table. Each entry runs exactly the arithmetic
-/// of the scalar loop in canberra.cpp (same operand order, same select of
-/// |x−y|), so a LUT lookup and a scalar evaluation of the same byte pair
-/// are the same double.
+/// of the reference loop in canberra.cpp (same operand order, same select
+/// of |x−y|), so a table lookup and a reference evaluation of the same
+/// byte pair are the same double.
 struct term_table_holder {
     alignas(64) std::array<double, 256 * 256> terms{};
 
@@ -35,161 +33,128 @@ struct term_table_holder {
     }
 };
 
-backend default_backend() { return simd_available() ? backend::simd : backend::lut; }
+/// Chunk granularity (bytes) of the early-exit prune checks inside the
+/// sliding loops. Coarse enough to amortize the comparison, fine enough
+/// that a hopeless long window dies early.
+constexpr std::size_t kPruneChunk = 32;
 
-std::atomic<backend>& backend_slot() {
-    static std::atomic<backend> slot{default_backend()};
-    return slot;
+/// Accumulate the table terms of len byte pairs onto \p sum, strictly in
+/// element order (sum = ((sum + t_0) + t_1) + ...) — the reference order.
+double row_terms(const std::uint8_t* x, const std::uint8_t* y, std::size_t len, double sum,
+                 const double* lut) {
+    std::size_t i = 0;
+    for (; i + 4 <= len; i += 4) {
+        const double t0 = lut[static_cast<std::size_t>(x[i]) << 8 | y[i]];
+        const double t1 = lut[static_cast<std::size_t>(x[i + 1]) << 8 | y[i + 1]];
+        const double t2 = lut[static_cast<std::size_t>(x[i + 2]) << 8 | y[i + 2]];
+        const double t3 = lut[static_cast<std::size_t>(x[i + 3]) << 8 | y[i + 3]];
+        sum += t0;
+        sum += t1;
+        sum += t2;
+        sum += t3;
+    }
+    for (; i < len; ++i) {
+        sum += lut[static_cast<std::size_t>(x[i]) << 8 | y[i]];
+    }
+    return sum;
 }
 
-/// Per-backend operation bundles. Distinct types (not detail::row_fn
-/// pointers) so each sliding_pruned instantiation sees direct, inlinable
-/// calls — on the short segments that dominate real traces an opaque
-/// indirect call per window would swamp the LUT win.
-///
-/// batch8 sums eight consecutive windows (y+0..y+7 against x) into
-/// sums[0..7], each window a strictly in-order add chain; the speedup
-/// comes from the eight independent chains overlapping in the pipeline,
-/// never from reordering one window's sum (DESIGN.md §9). Returns true
-/// when abandoned at a kPruneChunk checkpoint with every partial already
-/// above \p bound.
-struct lut_ops {
-    static double row(const std::uint8_t* x, const std::uint8_t* y, std::size_t len,
-                      double sum, const double* lut) {
-        return detail::row_terms_lut(x, y, len, sum, lut);
-    }
-
-    static bool batch8(const std::uint8_t* x, const std::uint8_t* y, std::size_t m,
-                       const double* lut, double bound, double* sums) {
-        double s0 = 0.0;
-        double s1 = 0.0;
-        double s2 = 0.0;
-        double s3 = 0.0;
-        double s4 = 0.0;
-        double s5 = 0.0;
-        double s6 = 0.0;
-        double s7 = 0.0;
-        std::size_t i = 0;
-        while (i < m) {
-            const std::size_t stop = std::min(i + detail::kPruneChunk, m);
-            for (; i < stop; ++i) {
-                // Lane k needs term (x[i], y[i + k]); one LUT row per x byte.
-                // The eight y bytes arrive in a single 64-bit load (the loop
-                // is load-port-bound otherwise) and shifts recover each lane's
-                // byte — index values, and therefore sums, are unchanged.
-                const double* lut_row = lut + (static_cast<std::size_t>(x[i]) << 8);
-                std::uint64_t y8;
-                std::memcpy(&y8, y + i, sizeof(y8));
-                if constexpr (std::endian::native != std::endian::little) {
-                    y8 = __builtin_bswap64(y8);
-                }
-                s0 += lut_row[y8 & 0xff];
-                s1 += lut_row[(y8 >> 8) & 0xff];
-                s2 += lut_row[(y8 >> 16) & 0xff];
-                s3 += lut_row[(y8 >> 24) & 0xff];
-                s4 += lut_row[(y8 >> 32) & 0xff];
-                s5 += lut_row[(y8 >> 40) & 0xff];
-                s6 += lut_row[(y8 >> 48) & 0xff];
-                s7 += lut_row[y8 >> 56];
+/// Sum eight consecutive windows (y+0..y+7 against x) into sums[0..7],
+/// each window a strictly in-order add chain; the speedup comes from the
+/// eight independent chains overlapping in the pipeline, never from
+/// reordering one window's sum (DESIGN.md §9). Returns true when abandoned
+/// at a kPruneChunk checkpoint with every partial already above \p bound.
+/// The caller guarantees y[0 .. m+6] is readable (the eighth window fits).
+bool batch8_terms(const std::uint8_t* x, const std::uint8_t* y, std::size_t m,
+                  const double* lut, double bound, double* sums) {
+    double s0 = 0.0;
+    double s1 = 0.0;
+    double s2 = 0.0;
+    double s3 = 0.0;
+    double s4 = 0.0;
+    double s5 = 0.0;
+    double s6 = 0.0;
+    double s7 = 0.0;
+    std::size_t i = 0;
+    while (i < m) {
+        const std::size_t stop = std::min(i + kPruneChunk, m);
+        for (; i < stop; ++i) {
+            // Lane k needs term (x[i], y[i + k]); one LUT row per x byte.
+            // The eight y bytes arrive in a single 64-bit load (the loop
+            // is load-port-bound otherwise) and shifts recover each lane's
+            // byte — index values, and therefore sums, are unchanged.
+            const double* lut_row = lut + (static_cast<std::size_t>(x[i]) << 8);
+            std::uint64_t y8;
+            std::memcpy(&y8, y + i, sizeof(y8));
+            if constexpr (std::endian::native != std::endian::little) {
+                y8 = __builtin_bswap64(y8);
             }
-            if (i < m && s0 > bound && s1 > bound && s2 > bound && s3 > bound &&
-                s4 > bound && s5 > bound && s6 > bound && s7 > bound) {
-                return true;
-            }
+            s0 += lut_row[y8 & 0xff];
+            s1 += lut_row[(y8 >> 8) & 0xff];
+            s2 += lut_row[(y8 >> 16) & 0xff];
+            s3 += lut_row[(y8 >> 24) & 0xff];
+            s4 += lut_row[(y8 >> 32) & 0xff];
+            s5 += lut_row[(y8 >> 40) & 0xff];
+            s6 += lut_row[(y8 >> 48) & 0xff];
+            s7 += lut_row[y8 >> 56];
         }
-        sums[0] = s0;
-        sums[1] = s1;
-        sums[2] = s2;
-        sums[3] = s3;
-        sums[4] = s4;
-        sums[5] = s5;
-        sums[6] = s6;
-        sums[7] = s7;
-        return false;
-    }
-
-    static bool batch4(const std::uint8_t* x, const std::uint8_t* y, std::size_t m,
-                       const double* lut, double bound, double* sums) {
-        double s0 = 0.0;
-        double s1 = 0.0;
-        double s2 = 0.0;
-        double s3 = 0.0;
-        std::size_t i = 0;
-        while (i < m) {
-            const std::size_t stop = std::min(i + detail::kPruneChunk, m);
-            for (; i < stop; ++i) {
-                const double* lut_row = lut + (static_cast<std::size_t>(x[i]) << 8);
-                std::uint32_t y4;
-                std::memcpy(&y4, y + i, sizeof(y4));
-                if constexpr (std::endian::native != std::endian::little) {
-                    y4 = __builtin_bswap32(y4);
-                }
-                s0 += lut_row[y4 & 0xff];
-                s1 += lut_row[(y4 >> 8) & 0xff];
-                s2 += lut_row[(y4 >> 16) & 0xff];
-                s3 += lut_row[y4 >> 24];
-            }
-            if (i < m && s0 > bound && s1 > bound && s2 > bound && s3 > bound) {
-                return true;
-            }
-        }
-        sums[0] = s0;
-        sums[1] = s1;
-        sums[2] = s2;
-        sums[3] = s3;
-        return false;
-    }
-};
-
-#ifdef FTC_SIMD_AVX2
-struct avx2_ops {
-    static double row(const std::uint8_t* x, const std::uint8_t* y, std::size_t len,
-                      double sum, const double* lut) {
-        return detail::row_terms_avx2(x, y, len, sum, lut);
-    }
-
-    static bool batch8(const std::uint8_t* x, const std::uint8_t* y, std::size_t m,
-                       const double* lut, double bound, double* sums) {
-        return detail::batch8_terms_avx2(x, y, m, lut, bound, sums);
-    }
-
-    static bool batch4(const std::uint8_t* x, const std::uint8_t* y, std::size_t m,
-                       const double* lut, double bound, double* sums) {
-        return detail::batch4_terms_avx2(x, y, m, lut, bound, sums);
-    }
-};
-#endif
-
-/// Reference scalar sliding loop (full window sums, no pruning) with the
-/// kernel-stats hooks — operation-for-operation the loop in canberra.cpp.
-double sliding_scalar(byte_view s, byte_view l, stats* st) {
-    const std::size_t m = s.size();
-    const std::size_t n = l.size();
-    double d_min = 1.0;
-    for (std::size_t off = 0; off + m <= n; ++off) {
-        if (st != nullptr) {
-            ++st->windows_total;
-        }
-        const double d = canberra_dissimilarity(s, l.subspan(off, m));
-        d_min = std::min(d_min, d);
-        if (d_min == 0.0) {
-            break;
+        if (i < m && s0 > bound && s1 > bound && s2 > bound && s3 > bound &&
+            s4 > bound && s5 > bound && s6 > bound && s7 > bound) {
+            return true;
         }
     }
-    const double ratio = static_cast<double>(m) / static_cast<double>(n);
-    const double penalty = 1.0 - ratio * (1.0 - d_min);
-    return (static_cast<double>(m) * d_min + static_cast<double>(n - m) * penalty) /
-           static_cast<double>(n);
+    sums[0] = s0;
+    sums[1] = s1;
+    sums[2] = s2;
+    sums[3] = s3;
+    sums[4] = s4;
+    sums[5] = s5;
+    sums[6] = s6;
+    sums[7] = s7;
+    return false;
 }
 
-/// LUT/SIMD sliding loop with early-exit pruning. The best window's raw
+/// Four-window variant of batch8_terms for the sliding remainder (same
+/// contract; the caller guarantees y[0 .. m+2] is readable).
+bool batch4_terms(const std::uint8_t* x, const std::uint8_t* y, std::size_t m,
+                  const double* lut, double bound, double* sums) {
+    double s0 = 0.0;
+    double s1 = 0.0;
+    double s2 = 0.0;
+    double s3 = 0.0;
+    std::size_t i = 0;
+    while (i < m) {
+        const std::size_t stop = std::min(i + kPruneChunk, m);
+        for (; i < stop; ++i) {
+            const double* lut_row = lut + (static_cast<std::size_t>(x[i]) << 8);
+            std::uint32_t y4;
+            std::memcpy(&y4, y + i, sizeof(y4));
+            if constexpr (std::endian::native != std::endian::little) {
+                y4 = __builtin_bswap32(y4);
+            }
+            s0 += lut_row[y4 & 0xff];
+            s1 += lut_row[(y4 >> 8) & 0xff];
+            s2 += lut_row[(y4 >> 16) & 0xff];
+            s3 += lut_row[y4 >> 24];
+        }
+        if (i < m && s0 > bound && s1 > bound && s2 > bound && s3 > bound) {
+            return true;
+        }
+    }
+    sums[0] = s0;
+    sums[1] = s1;
+    sums[2] = s2;
+    sums[3] = s3;
+    return false;
+}
+
+/// Sliding loop with early-exit pruning. The best window's raw
 /// term sum is the running bound; a window whose partial sum exceeds it
 /// cannot become the minimum (terms are non-negative and double addition
 /// of non-negative terms is monotone), so it is abandoned mid-window. The
-/// winning window is always summed to completion, in the scalar order, so
-/// d_min — and therefore the returned dissimilarity — is bitwise identical
-/// to the unpruned loop (DESIGN.md §9).
-template <typename Ops>
+/// winning window is always summed to completion, in the reference order,
+/// so d_min — and therefore the returned dissimilarity — is bitwise
+/// identical to the unpruned loop (DESIGN.md §9).
 double sliding_pruned(byte_view s, byte_view l, stats* st) {
     const std::size_t m = s.size();
     const std::size_t n = l.size();
@@ -203,7 +168,7 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
     double best = std::numeric_limits<double>::infinity();
 
     // Main loop: eight windows per step. Each window's sum is the exact
-    // in-order scalar double, so taking the running min over them in
+    // in-order reference double, so taking the running min over them in
     // offset order reproduces the reference loop bitwise. A batch may run
     // up to seven windows past a zero-valued one before the best != 0.0
     // exit fires — harmless, since later windows cannot go below zero.
@@ -213,7 +178,7 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
             st->windows_total += 8;
         }
         double sums[8];
-        if (Ops::batch8(s.data(), l.data() + off, m, lut, best, sums)) {
+        if (batch8_terms(s.data(), l.data() + off, m, lut, best, sums)) {
             if (st != nullptr) {
                 st->windows_pruned += 8;
             }
@@ -237,7 +202,7 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
             st->windows_total += 4;
         }
         double sums[4];
-        if (Ops::batch4(s.data(), l.data() + off, m, lut, best, sums)) {
+        if (batch4_terms(s.data(), l.data() + off, m, lut, best, sums)) {
             if (st != nullptr) {
                 st->windows_pruned += 4;
             }
@@ -262,9 +227,8 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
         const std::uint8_t* lp = l.data() + off;
         double sum = 0.0;
         bool pruned = false;
-        for (std::size_t i = 0; i < m; i += detail::kPruneChunk) {
-            sum = Ops::row(s.data() + i, lp + i, std::min(detail::kPruneChunk, m - i), sum,
-                           lut);
+        for (std::size_t i = 0; i < m; i += kPruneChunk) {
+            sum = row_terms(s.data() + i, lp + i, std::min(kPruneChunk, m - i), sum, lut);
             if (sum > best) {
                 pruned = true;
                 break;
@@ -283,7 +247,7 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
 
     // min over off of (sum_off / m) equals (min over off of sum_off) / m:
     // IEEE division by a positive constant is monotone, so dividing once at
-    // the end reproduces the scalar loop's per-window divide-then-min.
+    // the end reproduces the reference loop's per-window divide-then-min.
     const double d_min = best / static_cast<double>(m);
     const double ratio = static_cast<double>(m) / static_cast<double>(n);
     const double penalty = 1.0 - ratio * (1.0 - d_min);
@@ -293,67 +257,14 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
 
 }  // namespace
 
-namespace detail {
-
-double row_terms_lut(const std::uint8_t* x, const std::uint8_t* y, std::size_t len,
-                     double sum, const double* lut) {
-    std::size_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-        const double t0 = lut[static_cast<std::size_t>(x[i]) << 8 | y[i]];
-        const double t1 = lut[static_cast<std::size_t>(x[i + 1]) << 8 | y[i + 1]];
-        const double t2 = lut[static_cast<std::size_t>(x[i + 2]) << 8 | y[i + 2]];
-        const double t3 = lut[static_cast<std::size_t>(x[i + 3]) << 8 | y[i + 3]];
-        sum += t0;
-        sum += t1;
-        sum += t2;
-        sum += t3;
-    }
-    for (; i < len; ++i) {
-        sum += lut[static_cast<std::size_t>(x[i]) << 8 | y[i]];
-    }
-    return sum;
+void publish(const stats& st) {
+    obs::counter_add("dissim.kernel.invocations_total", static_cast<double>(st.invocations));
+    obs::counter_add("dissim.kernel.equal_fast_path_total",
+                     static_cast<double>(st.equal_fast_path));
+    obs::counter_add("dissim.kernel.windows_total", static_cast<double>(st.windows_total));
+    obs::counter_add("dissim.kernel.windows_pruned_total",
+                     static_cast<double>(st.windows_pruned));
 }
-
-}  // namespace detail
-
-const char* backend_name(backend b) {
-    switch (b) {
-        case backend::scalar:
-            return "scalar";
-        case backend::lut:
-            return "lut";
-        case backend::simd:
-            return "simd";
-    }
-    return "unknown";
-}
-
-bool simd_compiled() {
-#ifdef FTC_SIMD_AVX2
-    return true;
-#else
-    return false;
-#endif
-}
-
-bool simd_available() {
-#ifdef FTC_SIMD_AVX2
-    static const bool available = detail::avx2_runtime_supported();
-    return available;
-#else
-    return false;
-#endif
-}
-
-backend active() { return backend_slot().load(std::memory_order_relaxed); }
-
-void force(backend b) {
-    expects(b != backend::simd || simd_available(),
-            "kernel::force: SIMD backend not available in this build/CPU");
-    backend_slot().store(b, std::memory_order_relaxed);
-}
-
-void reset() { backend_slot().store(default_backend(), std::memory_order_relaxed); }
 
 const double* term_table() {
     static const term_table_holder holder;
@@ -367,19 +278,7 @@ double equal_dissimilarity(byte_view x, byte_view y, stats* st) {
         ++st->invocations;
         ++st->equal_fast_path;
     }
-    const backend be = active();
-    if (be == backend::scalar) {
-        return canberra_dissimilarity(x, y);
-    }
-#ifdef FTC_SIMD_AVX2
-    if (be == backend::simd) {
-        const double sum =
-            detail::row_terms_avx2(x.data(), y.data(), x.size(), 0.0, term_table());
-        return sum / static_cast<double>(x.size());
-    }
-#endif
-    const double sum =
-        detail::row_terms_lut(x.data(), y.data(), x.size(), 0.0, term_table());
+    const double sum = row_terms(x.data(), y.data(), x.size(), 0.0, term_table());
     return sum / static_cast<double>(x.size());
 }
 
@@ -387,12 +286,9 @@ void equal_dissimilarity_batch(byte_view x, const byte_view* ys, std::size_t cou
                                double* out, stats* st) {
     expects(count >= 1 && count <= kEqualBatch,
             "equal_dissimilarity_batch: count must be in [1, kEqualBatch]");
-    // Partial batches and the scalar backend go pair by pair; only a full
-    // batch pays for the eight-chain loop. The eight chains are scalar
-    // loads and adds on purpose — the loop is port-limited, not
-    // latency-bound, so an AVX2 gather variant buys nothing here and the
-    // simd backend shares this path (DESIGN.md §9).
-    if (count < kEqualBatch || active() == backend::scalar) {
+    // Partial batches go pair by pair; only a full batch pays for the
+    // eight-chain loop.
+    if (count < kEqualBatch) {
         for (std::size_t k = 0; k < count; ++k) {
             out[k] = equal_dissimilarity(x, ys[k], st);
         }
@@ -458,63 +354,16 @@ double sliding_dissimilarity(byte_view a, byte_view b, stats* st) {
     }
     const byte_view s = a.size() <= b.size() ? a : b;  // shorter
     const byte_view l = a.size() <= b.size() ? b : a;  // longer
-    const backend be = active();
-    if (be == backend::scalar) {
-        return sliding_scalar(s, l, st);
-    }
-#ifdef FTC_SIMD_AVX2
-    if (be == backend::simd) {
-        return sliding_pruned<avx2_ops>(s, l, st);
-    }
-#endif
-    return sliding_pruned<lut_ops>(s, l, st);
+    return sliding_pruned(s, l, st);
 }
-
-namespace {
-
-/// Batch body shared by the non-scalar backends: one dispatch for the
-/// whole batch, per-pair loops otherwise identical to the single-call
-/// path (bitwise-identical results by construction).
-template <typename Ops>
-void sliding_batch_loop(byte_view a, const byte_view* bs, std::size_t count, double* out,
-                        stats* st) {
-    for (std::size_t k = 0; k < count; ++k) {
-        const byte_view b = bs[k];
-        expects(!b.empty(), "sliding_dissimilarity_batch: empty segment");
-        if (a.size() == b.size()) {
-            out[k] = equal_dissimilarity(a, b, st);
-            continue;
-        }
-        if (st != nullptr) {
-            ++st->invocations;
-        }
-        const byte_view s = a.size() <= b.size() ? a : b;  // shorter
-        const byte_view l = a.size() <= b.size() ? b : a;  // longer
-        out[k] = sliding_pruned<Ops>(s, l, st);
-    }
-}
-
-}  // namespace
 
 void sliding_dissimilarity_batch(byte_view a, const byte_view* bs, std::size_t count,
                                  double* out, stats* st) {
     expects(count >= 1 && count <= kSlideBatch,
             "sliding_dissimilarity_batch: count must be in [1, kSlideBatch]");
-    expects(!a.empty(), "sliding_dissimilarity_batch: empty segment");
-    const backend be = active();
-    if (be == backend::scalar) {
-        for (std::size_t k = 0; k < count; ++k) {
-            out[k] = sliding_dissimilarity(a, bs[k], st);
-        }
-        return;
+    for (std::size_t k = 0; k < count; ++k) {
+        out[k] = sliding_dissimilarity(a, bs[k], st);
     }
-#ifdef FTC_SIMD_AVX2
-    if (be == backend::simd) {
-        sliding_batch_loop<avx2_ops>(a, bs, count, out, st);
-        return;
-    }
-#endif
-    sliding_batch_loop<lut_ops>(a, bs, count, out, st);
 }
 
 }  // namespace ftc::dissim::kernel

@@ -134,73 +134,6 @@ unique_segments condense_weighted(const std::vector<byte_vector>& messages,
 
 namespace {
 
-/// Publish one block's kernel counters through ftc::obs (no-op without a
-/// recorder; called once per work block, never per pair).
-void publish_kernel_stats(const kernel::stats& st) {
-    obs::counter_add("dissim.kernel.invocations_total",
-                     static_cast<double>(st.invocations));
-    obs::counter_add("dissim.kernel.equal_fast_path_total",
-                     static_cast<double>(st.equal_fast_path));
-    obs::counter_add("dissim.kernel.windows_total",
-                     static_cast<double>(st.windows_total));
-    obs::counter_add("dissim.kernel.windows_pruned_total",
-                     static_cast<double>(st.windows_pruned));
-}
-
-/// Per-row pending kernel batches: partners accumulate per path (equal /
-/// sliding length) and flush through the batch entry points. Each pair's
-/// value is bitwise the single-call kernel result, so batch composition
-/// only changes how the independent computations overlap in the pipeline.
-struct row_batcher {
-    static_assert(kernel::kEqualBatch == kernel::kSlideBatch);
-
-    struct pending_batch {
-        std::size_t cells[kernel::kEqualBatch];  // flat storage index
-        byte_view views[kernel::kEqualBatch];
-        double out[kernel::kEqualBatch];
-        std::size_t count = 0;
-    };
-
-    byte_view a;
-    float* data = nullptr;
-    kernel::stats* stp = nullptr;
-    pending_batch equal_pend;
-    pending_batch slide_pend;
-
-    void flush(pending_batch& pend) {
-        if (pend.count == 0) {
-            return;
-        }
-        if (&pend == &equal_pend) {
-            kernel::equal_dissimilarity_batch(a, pend.views, pend.count, pend.out, stp);
-        } else {
-            kernel::sliding_dissimilarity_batch(a, pend.views, pend.count, pend.out, stp);
-        }
-        for (std::size_t k = 0; k < pend.count; ++k) {
-            data[pend.cells[k]] = static_cast<float>(pend.out[k]);
-        }
-        pend.count = 0;
-    }
-
-    void add(byte_view b, std::size_t cell) {
-        pending_batch& pend = a.size() == b.size() ? equal_pend : slide_pend;
-        pend.cells[pend.count] = cell;
-        pend.views[pend.count] = b;
-        if (++pend.count == kernel::kEqualBatch) {
-            flush(pend);
-        }
-    }
-
-    void finish_row() {
-        flush(equal_pend);
-        flush(slide_pend);
-    }
-};
-
-}  // namespace
-
-namespace {
-
 build_options dense_options(std::size_t threads) {
     build_options opts;
     opts.threads = threads;
@@ -219,7 +152,6 @@ dissimilarity_matrix::dissimilarity_matrix(std::span<const byte_vector> values,
     obs::span sp("dissim.matrix");
     sp.count("n", n_);
     sp.count("pairs", n_ * (n_ - (n_ > 0 ? 1 : 0)) / 2);
-    sp.count("kernel_backend", static_cast<std::uint64_t>(kernel::active()));
     sp.count("triangular", layout_ == layout::triangular ? 1 : 0);
     // The footprint-dominant allocation of the whole pipeline: tracked, so
     // an active memory governor turns "this matrix cannot fit" into
@@ -258,27 +190,27 @@ void dissimilarity_matrix::build_dense(std::span<const byte_vector> values,
     const std::size_t lanes = util::resolve_threads(threads);
     const std::size_t grain = std::max<std::size_t>(1, n_ / (8 * lanes));
     obs::progress_stage("dissim.matrix", n_);
+    float* const cells = data_.data();
+    const auto store = [cells](std::size_t cell, float f) { cells[cell] = f; };
     util::parallel_for(n_, grain, lanes, [&](std::size_t begin, std::size_t end) {
         kernel::stats st;
-        row_batcher batch;
-        batch.data = data_.data();
-        batch.stp = obs::current() != nullptr ? &st : nullptr;
+        kernel::stats* stp = obs::current() != nullptr ? &st : nullptr;
         for (std::size_t p = begin; p < end; ++p) {
             if ((p - begin) % 32 == 0) {
                 dl.check("dissimilarity matrix");
             }
             const std::uint32_t i = order[p];
-            batch.a = byte_view{values[i]};
+            kernel::batcher batch(byte_view{values[i]}, stp);
             for (std::size_t q = p + 1; q < n_; ++q) {
                 const std::uint32_t j = order[q];
-                batch.add(byte_view{values[j]},
-                          i < j ? i * n_ + j : static_cast<std::size_t>(j) * n_ + i);
+                batch.add(i < j ? i * n_ + j : static_cast<std::size_t>(j) * n_ + i,
+                          byte_view{values[j]}, store);
             }
-            batch.finish_row();
+            batch.flush(store);
             obs::progress_add(1);
         }
-        if (batch.stp != nullptr) {
-            publish_kernel_stats(st);
+        if (stp != nullptr) {
+            kernel::publish(st);
         }
     });
     // The fan-out writes only the upper triangle (a strided mirror store
@@ -318,6 +250,8 @@ void dissimilarity_matrix::build_triangular(std::span<const byte_vector> values,
     const std::size_t lanes = util::resolve_threads(opts.threads);
     const std::size_t tile_rows = opts.tile_rows == 0 ? (n_ > 0 ? n_ : 1) : opts.tile_rows;
     obs::progress_stage("dissim.matrix", n_);
+    float* const cells = data_.data();
+    const auto store = [cells](std::size_t cell, float f) { cells[cell] = f; };
     for (std::size_t row_begin = 0; row_begin < n_; row_begin += tile_rows) {
         const std::size_t row_end = std::min(row_begin + tile_rows, n_);
         const std::size_t grain =
@@ -325,24 +259,22 @@ void dissimilarity_matrix::build_triangular(std::span<const byte_vector> values,
         util::parallel_for(row_end - row_begin, grain, lanes,
                            [&](std::size_t begin, std::size_t end) {
             kernel::stats st;
-            row_batcher batch;
-            batch.data = data_.data();
-            batch.stp = obs::current() != nullptr ? &st : nullptr;
+            kernel::stats* stp = obs::current() != nullptr ? &st : nullptr;
             for (std::size_t r = begin; r < end; ++r) {
                 const std::size_t i = row_begin + r;
                 if (r % 32 == 0) {
                     dl.check("dissimilarity matrix");
                 }
-                batch.a = byte_view{values[i]};
+                kernel::batcher batch(byte_view{values[i]}, stp);
                 const std::size_t base = tri_offset(i);
                 for (std::size_t j = i + 1; j < n_; ++j) {
-                    batch.add(byte_view{values[j]}, base + (j - i - 1));
+                    batch.add(base + (j - i - 1), byte_view{values[j]}, store);
                 }
-                batch.finish_row();
+                batch.flush(store);
                 obs::progress_add(1);
             }
-            if (batch.stp != nullptr) {
-                publish_kernel_stats(st);
+            if (stp != nullptr) {
+                kernel::publish(st);
             }
         });
         dl.check("dissimilarity matrix tile");

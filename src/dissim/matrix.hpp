@@ -120,11 +120,10 @@ struct build_options {
 /// fan-outs over independent entries — every (i, j) pair is computed by
 /// exactly one lane and written to locations no other lane touches — so
 /// the result is bitwise identical at any thread count. Pairs are
-/// evaluated through the runtime-dispatched kernel backend (kernel.hpp;
-/// numerics in DESIGN.md §9), which is bitwise identical to the scalar
-/// reference, so the matrix is also independent of the selected backend.
-/// Because each pair's value is the single-call kernel result regardless
-/// of how pairs are batched or ordered, the dense and triangular layouts
+/// evaluated through kernel::batcher (kernel.hpp; numerics in DESIGN.md
+/// §9), bitwise identical to the canberra.cpp reference. Because each
+/// pair's value is the single-call kernel result regardless of how pairs
+/// are batched or ordered, the dense and triangular layouts
 /// hold bit-identical cell values — layout is a footprint knob, never a
 /// result knob. Storage is tracked (ftc::mem), so the allocation charges
 /// the active memory governor: the one place an oversized trace used to

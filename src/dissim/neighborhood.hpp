@@ -85,7 +85,7 @@ struct capped_neighbors {
 /// Which neighborhood construction the pipeline uses (--neighborhood).
 /// Result-neutral by construction — both paths produce byte-identical
 /// cluster reports — so the mode is deliberately NOT part of the checkpoint
-/// fingerprint, exactly like thread counts and kernel backends.
+/// fingerprint, exactly like thread counts.
 enum class neighborhood_mode {
     dense,   ///< always build the full dissimilarity matrix
     sparse,  ///< always build capped neighbor lists (ftc::dissim::sparse)

@@ -15,75 +15,6 @@ namespace ftc::dissim {
 
 namespace {
 
-/// Publish one scan block's kernel counters through ftc::obs (the same
-/// counters the matrix build publishes, so dashboards see one kernel
-/// workload regardless of the neighborhood mode).
-void publish_kernel_stats(const kernel::stats& st) {
-    obs::counter_add("dissim.kernel.invocations_total",
-                     static_cast<double>(st.invocations));
-    obs::counter_add("dissim.kernel.equal_fast_path_total",
-                     static_cast<double>(st.equal_fast_path));
-    obs::counter_add("dissim.kernel.windows_total",
-                     static_cast<double>(st.windows_total));
-    obs::counter_add("dissim.kernel.windows_pruned_total",
-                     static_cast<double>(st.windows_pruned));
-}
-
-/// Pending kernel batches of one point's bucket scan — the row_batcher of
-/// matrix.cpp with a candidate sink instead of matrix cells. Partners
-/// accumulate per path (equal / sliding length) and flush through the batch
-/// entry points; each pair's value is bitwise the single-call kernel result
-/// narrowed to f32, i.e. exactly what the matrix cell would store. Batches
-/// are flushed at every bucket boundary, so the sink sees each bucket's
-/// candidates before the next bucket's prune decision.
-struct scan_batcher {
-    static_assert(kernel::kEqualBatch == kernel::kSlideBatch);
-
-    struct pending_batch {
-        std::uint32_t ids[kernel::kEqualBatch];
-        byte_view views[kernel::kEqualBatch];
-        double out[kernel::kEqualBatch];
-        std::size_t count = 0;
-    };
-
-    byte_view a;
-    kernel::stats* stp = nullptr;
-    pending_batch equal_pend;
-    pending_batch slide_pend;
-
-    template <typename Sink>
-    void flush(pending_batch& pend, Sink&& sink) {
-        if (pend.count == 0) {
-            return;
-        }
-        if (&pend == &equal_pend) {
-            kernel::equal_dissimilarity_batch(a, pend.views, pend.count, pend.out, stp);
-        } else {
-            kernel::sliding_dissimilarity_batch(a, pend.views, pend.count, pend.out, stp);
-        }
-        for (std::size_t k = 0; k < pend.count; ++k) {
-            sink(pend.ids[k], static_cast<float>(pend.out[k]));
-        }
-        pend.count = 0;
-    }
-
-    template <typename Sink>
-    void add(std::uint32_t id, byte_view b, Sink&& sink) {
-        pending_batch& pend = a.size() == b.size() ? equal_pend : slide_pend;
-        pend.ids[pend.count] = id;
-        pend.views[pend.count] = b;
-        if (++pend.count == kernel::kEqualBatch) {
-            flush(pend, sink);
-        }
-    }
-
-    template <typename Sink>
-    void finish_bucket(Sink&& sink) {
-        flush(equal_pend, sink);
-        flush(slide_pend, sink);
-    }
-};
-
 /// Ascending (d, id) — the storage order of capped lists.
 bool neighbor_less(const neighbor& a, const neighbor& b) {
     return a.d < b.d || (a.d == b.d && a.id < b.id);
@@ -255,16 +186,15 @@ void sparse_neighborhood::build_lists(const sparse_build_options& opts,
             }
             const std::uint32_t self = static_cast<std::uint32_t>(i);
             heap.clear();
-            scan_batcher batch;
-            batch.a = byte_view{values_[i]};
-            batch.stp = stp;
+            kernel::batcher batch(byte_view{values_[i]}, stp);
             // Exact capped selection: the heap top is the running k-th
             // order statistic; replacement is strict (f < top), so every
             // value below the final k-th is admitted and the kept values
             // equal the dense row's k smallest, bit for bit. A refused
             // bucket's bound >= top means no candidate in it (or beyond)
             // can displace anything.
-            const auto consider = [&](std::uint32_t id, float f) {
+            const auto consider = [&](std::size_t j, float f) {
+                const std::uint32_t id = static_cast<std::uint32_t>(j);
                 if (heap.size() < want) {
                     heap.push_back({id, f});
                     std::push_heap(heap.begin(), heap.end(), heap_less);
@@ -289,7 +219,9 @@ void sparse_neighborhood::build_lists(const sparse_build_options& opts,
                                      batch.add(j, byte_view{values_[j]}, consider);
                                      ++scored;
                                  }
-                                 batch.finish_bucket(consider);
+                                 // The next bucket's prune test reads the
+                                 // heap top, so this bucket lands first.
+                                 batch.flush(consider);
                                  return true;
                              });
             buckets_pruned += pb;
@@ -300,7 +232,7 @@ void sparse_neighborhood::build_lists(const sparse_build_options& opts,
         }
         pairs_scored_.fetch_add(scored, std::memory_order_relaxed);
         if (stp != nullptr) {
-            publish_kernel_stats(st);
+            kernel::publish(st);
             obs::counter_add("dissim.sparse.pairs_scored_total",
                              static_cast<double>(scored));
             obs::counter_add("dissim.sparse.pairs_skipped_total",
@@ -350,16 +282,13 @@ void sparse_neighborhood::dissimilarities(std::size_t i, std::span<const std::si
                                           double ceiling, std::span<double> out) const {
     expects(i < n_, "dissimilarities: point index out of range");
     expects(js.size() == out.size(), "dissimilarities: one output per partner");
-    expects(js.size() <= 0xffffffffull, "dissimilarities: output slots are 32-bit");
     kernel::stats st;
     kernel::stats* stp = obs::current() != nullptr ? &st : nullptr;
     std::uint64_t scored = 0;
     std::uint64_t skipped = 0;
-    scan_batcher batch;
-    batch.a = byte_view{values_[i]};
-    batch.stp = stp;
-    // The batcher hands back the id it was given: here the output slot.
-    const auto store = [&](std::uint32_t k, float f) { out[k] = static_cast<double>(f); };
+    kernel::batcher batch(byte_view{values_[i]}, stp);
+    // The batcher hands back the key it was given: here the output slot.
+    const auto store = [&](std::size_t k, float f) { out[k] = static_cast<double>(f); };
     for (std::size_t k = 0; k < js.size(); ++k) {
         const std::size_t j = js[k];
         expects(j < n_, "dissimilarities: partner index out of range");
@@ -376,13 +305,13 @@ void sparse_neighborhood::dissimilarities(std::size_t i, std::span<const std::si
             ++skipped;
             continue;
         }
-        batch.add(static_cast<std::uint32_t>(k), byte_view{values_[j]}, store);
+        batch.add(k, byte_view{values_[j]}, store);
         ++scored;
     }
-    batch.finish_bucket(store);
+    batch.flush(store);
     pairs_scored_.fetch_add(scored, std::memory_order_relaxed);
     if (stp != nullptr && scored > 0) {
-        publish_kernel_stats(st);
+        kernel::publish(st);
         obs::counter_add("dissim.sparse.ondemand_pairs_total", static_cast<double>(scored));
     }
     if (stp != nullptr && skipped > 0) {
@@ -395,12 +324,10 @@ std::uint64_t sparse_neighborhood::scan_within(std::size_t i, double epsilon, Sk
                                                std::vector<neighbor>& found,
                                                kernel::stats* stp) const {
     std::uint64_t scored = 0;
-    scan_batcher batch;
-    batch.a = byte_view{values_[i]};
-    batch.stp = stp;
-    const auto consider = [&](std::uint32_t id, float f) {
+    kernel::batcher batch(byte_view{values_[i]}, stp);
+    const auto consider = [&](std::size_t j, float f) {
         if (static_cast<double>(f) <= epsilon) {
-            found.push_back({id, f});
+            found.push_back({static_cast<std::uint32_t>(j), f});
         }
     };
     walk_buckets(bucket_of_[i], values_[i].size(), [&](std::size_t b, float lbf) {
@@ -417,7 +344,7 @@ std::uint64_t sparse_neighborhood::scan_within(std::size_t i, double epsilon, Sk
             batch.add(j, byte_view{values_[j]}, consider);
             ++scored;
         }
-        batch.finish_bucket(consider);
+        batch.flush(consider);
         return true;
     });
     return scored;
@@ -475,7 +402,7 @@ std::vector<std::uint32_t> sparse_neighborhood::neighbors_within(std::size_t i,
             scan_within(i, epsilon, [](std::uint32_t) { return false; }, found, stp);
         pairs_scored_.fetch_add(scored, std::memory_order_relaxed);
         if (stp != nullptr) {
-            publish_kernel_stats(st);
+            kernel::publish(st);
             obs::counter_add("dissim.sparse.pairs_scored_total", static_cast<double>(scored));
         }
         for (const neighbor& nb : found) {
@@ -538,7 +465,7 @@ void sparse_neighborhood::prepare_within(double epsilon, std::size_t threads) co
             }
             pairs_scored_.fetch_add(scored, std::memory_order_relaxed);
             if (stp != nullptr) {
-                publish_kernel_stats(st);
+                kernel::publish(st);
                 obs::counter_add("dissim.sparse.range_rescans_total",
                                  static_cast<double>(end - begin));
                 obs::counter_add("dissim.sparse.pairs_scored_total",

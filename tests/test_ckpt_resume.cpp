@@ -1,7 +1,6 @@
 // Integration tests of checkpoint save/load/resume (ckpt/manager.hpp): a
 // resumed run must be bitwise identical to an uninterrupted one — across
-// thread counts and kernel backends — and damaged snapshots must cost
-// exactly their own stage.
+// thread counts — and damaged snapshots must cost exactly their own stage.
 #include "ckpt/manager.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <fstream>
 
 #include "core/pipeline.hpp"
-#include "dissim/kernel.hpp"
 #include "protocols/registry.hpp"
 #include "testing/corrupter.hpp"
 #include "util/check.hpp"
@@ -131,30 +129,21 @@ TEST_F(CkptResume, FullResumeIsBitwiseIdentical) {
     expect_identical(plain, resumed);
 }
 
-TEST_F(CkptResume, ResumeIsIdenticalAcrossThreadCountsAndKernelBackends) {
+TEST_F(CkptResume, ResumeIsIdenticalAcrossThreadCounts) {
     const scenario s = make_scenario();
     const core::pipeline_result plain = reference_run(s);
 
-    // Checkpoint written by a serial scalar run ...
-    {
-        dissim::kernel::scoped_backend scalar(dissim::kernel::backend::scalar);
-        checkpointed_run(s, dir_);
-    }
-    // ... resumed under every other (threads, backend) shape. Drop the
-    // matrix snapshot in a second pass so the recompute also crosses shapes.
+    // Checkpoint written once, resumed serially and on every hardware
+    // thread. Drop the matrix snapshot in a second pass so the recompute
+    // also crosses thread counts.
+    checkpointed_run(s, dir_);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
-        for (const auto backend :
-             {dissim::kernel::backend::scalar, dissim::kernel::backend::lut}) {
-            dissim::kernel::scoped_backend use(backend);
-            diag::error_sink sink(diag::policy::lenient);
-            const core::pipeline_result resumed =
-                resumed_run(s, dir_, sink, nullptr, threads);
-            expect_identical(plain, resumed);
-        }
+        diag::error_sink sink(diag::policy::lenient);
+        const core::pipeline_result resumed = resumed_run(s, dir_, sink, nullptr, threads);
+        expect_identical(plain, resumed);
     }
     fs::remove(dir_ / checkpoint_manager::kMatrixFile);
     {
-        dissim::kernel::scoped_backend lut(dissim::kernel::backend::lut);
         diag::error_sink sink(diag::policy::lenient);
         std::vector<std::string> restored;
         const core::pipeline_result resumed =

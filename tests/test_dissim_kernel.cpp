@@ -1,13 +1,15 @@
 // Bitwise-identity and pruning-correctness proof for the optimized Canberra
-// kernel layer (dissim/kernel.hpp, DESIGN.md §9): every backend — scalar
-// reference, portable LUT, SIMD when available — must produce bit-for-bit
-// the same dissimilarities, matrices and final clusterings, serial and
-// parallel, and early-exit pruning must never change d_min.
+// kernel (dissim/kernel.hpp, DESIGN.md §9): the kernel, its batch entry
+// points and kernel::batcher must produce bit for bit the dissimilarities
+// of the canberra.cpp reference, and so the same matrices and final
+// clusterings, serial and parallel; early-exit pruning must never change
+// d_min.
 #include "dissim/kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -24,15 +26,6 @@ namespace ftc::dissim {
 namespace {
 
 constexpr std::uint64_t kSeed = 20220627;
-
-/// Backends to sweep: scalar and LUT always, SIMD when this build/CPU has it.
-std::vector<kernel::backend> available_backends() {
-    std::vector<kernel::backend> out{kernel::backend::scalar, kernel::backend::lut};
-    if (kernel::simd_available()) {
-        out.push_back(kernel::backend::simd);
-    }
-    return out;
-}
 
 /// Bitwise double equality (EXPECT_EQ on doubles compares values, which is
 /// what we want here — all results are finite and never -0.0 — but memcmp
@@ -52,39 +45,7 @@ TEST(KernelTable, TermsBitwiseMatchScalarArithmetic) {
     }
 }
 
-TEST(KernelDispatch, ReportsAndForcesBackends) {
-    const kernel::backend original = kernel::active();
-    kernel::force(kernel::backend::scalar);
-    EXPECT_EQ(kernel::active(), kernel::backend::scalar);
-    kernel::force(kernel::backend::lut);
-    EXPECT_EQ(kernel::active(), kernel::backend::lut);
-    if (!kernel::simd_available()) {
-        EXPECT_THROW(kernel::force(kernel::backend::simd), precondition_error);
-    } else {
-        kernel::force(kernel::backend::simd);
-        EXPECT_EQ(kernel::active(), kernel::backend::simd);
-    }
-    kernel::reset();
-    EXPECT_EQ(kernel::active(),
-              kernel::simd_available() ? kernel::backend::simd : kernel::backend::lut);
-    kernel::force(original);
-    EXPECT_STREQ(kernel::backend_name(kernel::backend::scalar), "scalar");
-    EXPECT_STREQ(kernel::backend_name(kernel::backend::lut), "lut");
-    EXPECT_STREQ(kernel::backend_name(kernel::backend::simd), "simd");
-}
-
-TEST(KernelDispatch, ScopedBackendRestores) {
-    kernel::reset();
-    const kernel::backend before = kernel::active();
-    {
-        kernel::scoped_backend forced(kernel::backend::scalar);
-        EXPECT_EQ(kernel::active(), kernel::backend::scalar);
-    }
-    EXPECT_EQ(kernel::active(), before);
-}
-
 TEST(KernelPreconditions, MatchReferenceKernels) {
-    kernel::scoped_backend forced(kernel::backend::lut);
     EXPECT_THROW(kernel::equal_dissimilarity(byte_vector{}, byte_vector{}),
                  precondition_error);
     EXPECT_THROW(kernel::equal_dissimilarity(byte_vector{1}, byte_vector{1, 2}),
@@ -98,7 +59,7 @@ TEST(KernelPreconditions, MatchReferenceKernels) {
 // bytes hit the 0/0 term, saturated 0xff bytes the table's last row).
 class KernelBitwiseProps : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(KernelBitwiseProps, AllBackendsMatchScalarBitwise) {
+TEST_P(KernelBitwiseProps, MatchesReferenceBitwise) {
     rng rand(GetParam());
     for (int trial = 0; trial < 60; ++trial) {
         byte_vector a = rand.bytes(1 + rand.uniform(0, 63));
@@ -121,21 +82,15 @@ TEST_P(KernelBitwiseProps, AllBackendsMatchScalarBitwise) {
             default:
                 break;
         }
-        const double reference = sliding_canberra_dissimilarity(a, b);
-        for (kernel::backend be : available_backends()) {
-            kernel::scoped_backend forced(be);
-            const double d = kernel::sliding_dissimilarity(a, b);
-            ASSERT_TRUE(same_bits(d, reference))
-                << kernel::backend_name(be) << " differs: |a|=" << a.size()
-                << " |b|=" << b.size() << " trial=" << trial;
-            if (a.size() == b.size()) {
-                ASSERT_TRUE(same_bits(kernel::equal_dissimilarity(a, b),
-                                      canberra_dissimilarity(a, b)))
-                    << kernel::backend_name(be);
-            }
-            EXPECT_GE(d, 0.0);
-            EXPECT_LE(d, 1.0);
+        const double d = kernel::sliding_dissimilarity(a, b);
+        ASSERT_TRUE(same_bits(d, sliding_canberra_dissimilarity(a, b)))
+            << "|a|=" << a.size() << " |b|=" << b.size() << " trial=" << trial;
+        if (a.size() == b.size()) {
+            ASSERT_TRUE(
+                same_bits(kernel::equal_dissimilarity(a, b), canberra_dissimilarity(a, b)));
         }
+        EXPECT_GE(d, 0.0);
+        EXPECT_LE(d, 1.0);
     }
 }
 
@@ -149,7 +104,6 @@ TEST(KernelPruning, PrunesWindowsWithoutChangingDMin) {
     byte_vector l = rand.bytes(192);
     byte_vector s(l.begin(), l.begin() + 48);
     kernel::stats st;
-    kernel::scoped_backend forced(kernel::backend::lut);
     const double d = kernel::sliding_dissimilarity(s, l, &st);
     ASSERT_TRUE(same_bits(d, sliding_canberra_dissimilarity(s, l)));
     EXPECT_EQ(st.invocations, 1u);
@@ -175,22 +129,16 @@ TEST(KernelPruning, RandomizedPruningNeverChangesResult) {
         const byte_vector s = rand.bytes(2 + rand.uniform(0, 30));
         const byte_vector l = rand.bytes(static_cast<std::size_t>(s.size()) + 1 +
                                          rand.uniform(0, 96));
-        const double reference = sliding_canberra_dissimilarity(s, l);
-        for (kernel::backend be : available_backends()) {
-            kernel::scoped_backend forced(be);
-            kernel::stats st;
-            ASSERT_TRUE(same_bits(kernel::sliding_dissimilarity(s, l, &st), reference))
-                << kernel::backend_name(be) << " trial=" << trial;
-            if (be != kernel::backend::scalar) {
-                pruned_somewhere += st.windows_pruned;
-            }
-        }
+        kernel::stats st;
+        ASSERT_TRUE(same_bits(kernel::sliding_dissimilarity(s, l, &st),
+                              sliding_canberra_dissimilarity(s, l)))
+            << "trial=" << trial;
+        pruned_somewhere += st.windows_pruned;
     }
     EXPECT_GT(pruned_somewhere, 0u) << "the sweep never exercised the pruning path";
 }
 
 TEST(KernelStats, EqualPathCountsFastPathHits) {
-    kernel::scoped_backend forced(kernel::backend::lut);
     kernel::stats st;
     const byte_vector a{1, 2, 3, 4};
     const byte_vector b{4, 3, 2, 1};
@@ -199,12 +147,6 @@ TEST(KernelStats, EqualPathCountsFastPathHits) {
     EXPECT_EQ(st.invocations, 2u);
     EXPECT_EQ(st.equal_fast_path, 2u);
     EXPECT_EQ(st.windows_total, 0u);
-    kernel::stats other;
-    other.invocations = 3;
-    other.windows_pruned = 5;
-    st.merge(other);
-    EXPECT_EQ(st.invocations, 5u);
-    EXPECT_EQ(st.windows_pruned, 5u);
 }
 
 TEST(KernelBatch, EqualBatchBitwiseMatchesSingleCalls) {
@@ -223,18 +165,14 @@ TEST(KernelBatch, EqualBatchBitwiseMatchesSingleCalls) {
             std::fill(partners[0].begin(), partners[0].end(), std::uint8_t{0});
         }
         std::vector<byte_view> views(partners.begin(), partners.end());
-        for (kernel::backend be : available_backends()) {
-            kernel::scoped_backend forced(be);
-            double out[kernel::kEqualBatch];
-            kernel::stats st;
-            kernel::equal_dissimilarity_batch(x, views.data(), count, out, &st);
-            EXPECT_EQ(st.invocations, count);
-            EXPECT_EQ(st.equal_fast_path, count);
-            for (std::size_t k = 0; k < count; ++k) {
-                ASSERT_TRUE(same_bits(out[k], canberra_dissimilarity(x, partners[k])))
-                    << kernel::backend_name(be) << " lane " << k << " m=" << m
-                    << " count=" << count;
-            }
+        double out[kernel::kEqualBatch];
+        kernel::stats st;
+        kernel::equal_dissimilarity_batch(x, views.data(), count, out, &st);
+        EXPECT_EQ(st.invocations, count);
+        EXPECT_EQ(st.equal_fast_path, count);
+        for (std::size_t k = 0; k < count; ++k) {
+            ASSERT_TRUE(same_bits(out[k], canberra_dissimilarity(x, partners[k])))
+                << "lane " << k << " m=" << m << " count=" << count;
         }
     }
 }
@@ -254,24 +192,18 @@ TEST(KernelBatch, SlidingBatchBitwiseMatchesSingleCalls) {
                                                         rand.uniform(0, 63))));
         }
         std::vector<byte_view> views(partners.begin(), partners.end());
-        for (kernel::backend be : available_backends()) {
-            kernel::scoped_backend forced(be);
-            double out[kernel::kSlideBatch];
-            kernel::stats st;
-            kernel::sliding_dissimilarity_batch(a, views.data(), count, out, &st);
-            EXPECT_EQ(st.invocations, count);
-            for (std::size_t k = 0; k < count; ++k) {
-                ASSERT_TRUE(
-                    same_bits(out[k], sliding_canberra_dissimilarity(a, partners[k])))
-                    << kernel::backend_name(be) << " lane " << k << " |a|=" << a.size()
-                    << " |b|=" << partners[k].size();
-            }
+        double out[kernel::kSlideBatch];
+        kernel::stats st;
+        kernel::sliding_dissimilarity_batch(a, views.data(), count, out, &st);
+        EXPECT_EQ(st.invocations, count);
+        for (std::size_t k = 0; k < count; ++k) {
+            ASSERT_TRUE(same_bits(out[k], sliding_canberra_dissimilarity(a, partners[k])))
+                << "lane " << k << " |a|=" << a.size() << " |b|=" << partners[k].size();
         }
     }
 }
 
 TEST(KernelBatch, Preconditions) {
-    kernel::scoped_backend forced(kernel::backend::lut);
     const byte_vector x{1, 2, 3};
     byte_view views[kernel::kEqualBatch];
     for (byte_view& v : views) {
@@ -291,6 +223,97 @@ TEST(KernelBatch, Preconditions) {
                  precondition_error);
 }
 
+// The sliding loops read up to seven windows ahead in one step; a window
+// that starts past the last legal offset must never be summed. Each longer
+// segment is a prefix view of a buffer whose bytes just past its end,
+// together with its tail, form a perfect copy of the shorter segment — so
+// any phantom window would win with d_min = 0, while the reference (which
+// never looks past the view) sees only the imperfect legal windows.
+TEST(KernelBounds, NoWindowReadsPastTheLongerSegment) {
+    rng rand(31);
+    for (std::size_t m = 1; m <= 40; m += 3) {
+        for (std::size_t slide = 1; slide <= 20; ++slide) {
+            for (std::size_t past = 1; past <= 7; ++past) {
+                const std::size_t n = m + slide;
+                const byte_vector buffer = rand.bytes(n + past);
+                // The phantom window starts `past` offsets after the last
+                // legal one, n - m, and ends where the buffer does.
+                const std::size_t phantom = n - m + past;
+                const byte_vector s(buffer.begin() + static_cast<std::ptrdiff_t>(phantom),
+                                    buffer.end());
+                const byte_view l(buffer.data(), n);
+                ASSERT_TRUE(same_bits(kernel::sliding_dissimilarity(s, l),
+                                      sliding_canberra_dissimilarity(s, l)))
+                    << "m=" << m << " slide=" << slide << " past=" << past;
+            }
+        }
+    }
+}
+
+// kernel::batcher is the one place pairs are batched for the matrix build
+// and the sparse engine. Random rows of 0–17 partners mix equal-length and
+// sliding pairs, so queues run full mid-row, are left partial for flush(),
+// or end the row exactly full (each queue a multiple of 8 long).
+TEST(KernelBatcher, EveryKeyReachesTheSinkOnceWithTheReferenceValue) {
+    rng rand(37);
+    std::size_t rows_with_full_batches = 0;
+    std::size_t rows_with_partial_flushes = 0;
+    std::size_t rows_flushing_nothing = 0;
+    for (int row = 0; row < 400; ++row) {
+        const byte_vector a = rand.bytes(1 + static_cast<std::size_t>(rand.uniform(0, 23)));
+        const std::size_t partners = static_cast<std::size_t>(rand.uniform(0, 17));
+        const double equal_share = (row % 3) * 0.5;  // all sliding, mixed, all equal
+        std::vector<byte_vector> values;
+        std::vector<std::size_t> keys;
+        for (std::size_t k = 0; k < partners; ++k) {
+            std::size_t len = a.size();
+            if (!rand.chance(equal_share)) {
+                while (len == a.size()) {
+                    len = 1 + static_cast<std::size_t>(rand.uniform(0, 47));
+                }
+            }
+            values.push_back(rand.bytes(len));
+            keys.push_back(static_cast<std::size_t>(rand()));
+        }
+
+        kernel::stats batched;
+        kernel::batcher batch(a, &batched);
+        std::map<std::size_t, float> seen;
+        const auto sink = [&](std::size_t key, float f) {
+            EXPECT_TRUE(seen.emplace(key, f).second) << "key " << key << " delivered twice";
+        };
+        for (std::size_t k = 0; k < partners; ++k) {
+            batch.add(keys[k], values[k], sink);
+        }
+        const std::size_t during_add = seen.size();
+        batch.flush(sink);
+        batch.flush([](std::size_t, float) { ADD_FAILURE() << "flush left a pair pending"; });
+
+        kernel::stats single;
+        ASSERT_EQ(seen.size(), partners) << "row " << row;
+        for (std::size_t k = 0; k < partners; ++k) {
+            const auto it = seen.find(keys[k]);
+            ASSERT_NE(it, seen.end()) << "row " << row << " key " << keys[k] << " lost";
+            const float expected =
+                static_cast<float>(sliding_canberra_dissimilarity(a, values[k]));
+            ASSERT_EQ(std::memcmp(&it->second, &expected, sizeof(float)), 0)
+                << "row " << row << " partner " << k;
+            kernel::sliding_dissimilarity(a, values[k], &single);
+        }
+        EXPECT_EQ(batched.invocations, single.invocations) << "row " << row;
+        EXPECT_EQ(batched.equal_fast_path, single.equal_fast_path) << "row " << row;
+        EXPECT_EQ(batched.windows_total, single.windows_total) << "row " << row;
+        EXPECT_EQ(batched.windows_pruned, single.windows_pruned) << "row " << row;
+
+        rows_with_full_batches += during_add > 0 ? 1 : 0;
+        rows_with_partial_flushes += seen.size() > during_add ? 1 : 0;
+        rows_flushing_nothing += partners > 0 && seen.size() == during_add ? 1 : 0;
+    }
+    EXPECT_GT(rows_with_full_batches, 0u);
+    EXPECT_GT(rows_with_partial_flushes, 0u);
+    EXPECT_GT(rows_flushing_nothing, 0u) << "no row filled its queues exactly";
+}
+
 /// Unique >= 2-byte segment values of a ground-truth-segmented trace.
 std::vector<byte_vector> unique_values(const std::string& protocol, std::size_t messages) {
     const protocols::trace trace = protocols::generate_trace(protocol, messages, kSeed);
@@ -298,22 +321,44 @@ std::vector<byte_vector> unique_values(const std::string& protocol, std::size_t 
     return condense(bytes, segmentation::segments_from_annotations(trace)).values;
 }
 
-TEST(KernelMatrix, BitwiseIdenticalAcrossBackendsAndThreadCounts) {
+/// The matrix of \p values assembled from reference cells (canberra.cpp,
+/// narrowed to f32 like every stored cell) through from_upper.
+dissimilarity_matrix reference_matrix(const std::vector<byte_vector>& values) {
+    std::vector<float> upper;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        for (std::size_t j = i + 1; j < values.size(); ++j) {
+            upper.push_back(
+                static_cast<float>(sliding_canberra_dissimilarity(values[i], values[j])));
+        }
+    }
+    return dissimilarity_matrix::from_upper(upper, values.size());
+}
+
+TEST(KernelMatrix, MatchesReferenceCellsInBothLayoutsAndThreadCounts) {
     for (const std::string protocol : {"DNS", "DHCP"}) {
         const std::vector<byte_vector> values = unique_values(protocol, 70);
         ASSERT_GE(values.size(), 10u) << protocol;
-        kernel::scoped_backend scalar_ref(kernel::backend::scalar);
-        const dissimilarity_matrix reference(values, {}, 1);
-        for (kernel::backend be : available_backends()) {
-            kernel::scoped_backend forced(be);
+        const dissimilarity_matrix reference = reference_matrix(values);
+        const std::vector<float> reference_upper = reference.upper_triangle_f32();
+        for (const layout storage : {layout::dense, layout::triangular}) {
             for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-                const dissimilarity_matrix m(values, {}, threads);
+                build_options opts;
+                opts.storage = storage;
+                opts.threads = threads;
+                const dissimilarity_matrix m(values, opts);
                 ASSERT_EQ(m.size(), reference.size());
-                EXPECT_EQ(std::memcmp(m.data().data(), reference.data().data(),
-                                      reference.data().size_bytes()),
+                const std::vector<float> upper = m.upper_triangle_f32();
+                ASSERT_EQ(upper.size(), reference_upper.size());
+                EXPECT_EQ(std::memcmp(upper.data(), reference_upper.data(),
+                                      upper.size() * sizeof(float)),
                           0)
-                    << protocol << ": " << kernel::backend_name(be) << "@" << threads
-                    << " differs from serial scalar";
+                    << protocol << ": layout " << static_cast<int>(storage) << "@" << threads;
+                if (storage == layout::dense) {
+                    EXPECT_EQ(std::memcmp(m.data().data(), reference.data().data(),
+                                          reference.data().size_bytes()),
+                              0)
+                        << protocol << ": dense@" << threads;
+                }
             }
         }
     }
@@ -355,29 +400,31 @@ TEST(KernelMatrix, KthNnManyDegenerateSizes) {
     }
 }
 
-TEST(KernelPipeline, FinalClusteringIdenticalAcrossBackends) {
+TEST(KernelPipeline, FinalClusteringMatchesReferenceMatrixRun) {
     const segmentation::nemesys_segmenter segmenter;
     const protocols::trace trace = protocols::generate_trace("DNS", 60, kSeed);
     const auto messages = segmentation::message_bytes(trace);
 
     core::pipeline_options options;
     options.threads = 1;
-    kernel::scoped_backend scalar_ref(kernel::backend::scalar);
-    const core::pipeline_result reference = core::analyze(messages, segmenter, options);
+    const core::pipeline_result kernel_run = core::analyze(messages, segmenter, options);
 
-    for (kernel::backend be : available_backends()) {
-        kernel::scoped_backend forced(be);
-        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            options.threads = threads;
-            const core::pipeline_result r = core::analyze(messages, segmenter, options);
-            EXPECT_EQ(r.final_labels.labels, reference.final_labels.labels)
-                << kernel::backend_name(be) << "@" << threads;
-            EXPECT_EQ(r.clustering.config.epsilon, reference.clustering.config.epsilon)
-                << kernel::backend_name(be) << "@" << threads;
-            EXPECT_EQ(r.clustering.config.min_samples,
-                      reference.clustering.config.min_samples)
-                << kernel::backend_name(be) << "@" << threads;
-        }
+    // The same run with its matrix stage replaced by reference cells.
+    core::pipeline_seed seed;
+    seed.segments = kernel_run.segments;
+    seed.unique = kernel_run.unique;
+    seed.matrix = reference_matrix(kernel_run.unique.values);
+    const core::pipeline_result reference =
+        core::analyze_seeded(messages, &segmenter, std::move(seed), options);
+
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        options.threads = threads;
+        const core::pipeline_result r = core::analyze(messages, segmenter, options);
+        EXPECT_EQ(r.final_labels.labels, reference.final_labels.labels) << "@" << threads;
+        EXPECT_EQ(r.clustering.config.epsilon, reference.clustering.config.epsilon)
+            << "@" << threads;
+        EXPECT_EQ(r.clustering.config.min_samples, reference.clustering.config.min_samples)
+            << "@" << threads;
     }
 }
 

@@ -90,7 +90,7 @@
 ///
 ///   ftclust version [--json]
 ///       Print build provenance: version, git SHA, build type, and the
-///       compiled/active sliding-Canberra kernel backends.
+///       sliding-Canberra kernel (`lut`, the one portable path).
 ///
 ///   ftclust generate <protocol> <messages> <out.pcap> [--seed N]
 ///       Synthesize a deduplicated trace of one of the built-in protocols
@@ -636,7 +636,6 @@ int cmd_serve(int argc, char** argv) {
 
 int cmd_version(int argc, char** argv) {
     const bool as_json = has_flag(argc, argv, "--json");
-    const char* active = dissim::kernel::backend_name(dissim::kernel::active());
     if (as_json) {
         obs::json_writer w;
         w.begin_object();
@@ -648,23 +647,15 @@ int cmd_version(int argc, char** argv) {
         w.value(util::build_git_sha());
         w.key("build_type");
         w.value(util::build_type());
-        w.key("simd_compiled");
-        w.value(dissim::kernel::simd_compiled());
-        w.key("simd_available");
-        w.value(dissim::kernel::simd_available());
         w.key("kernel_backend");
-        w.value(active);
+        w.value(dissim::kernel::kName);
         w.end_object();
         std::printf("%s\n", w.take().c_str());
         return 0;
     }
     std::printf("ftclust %s (%s, %s build)\n", util::build_version(),
                 util::build_git_sha(), util::build_type());
-    std::printf("kernel backend: %s (simd %s)\n", active,
-                dissim::kernel::simd_available()
-                    ? "available"
-                    : (dissim::kernel::simd_compiled() ? "compiled, cpu lacks avx2"
-                                                       : "not compiled"));
+    std::printf("kernel backend: %s\n", dissim::kernel::kName);
     return 0;
 }
 
