@@ -4,7 +4,8 @@
 // region is pair work only: the batch schedule — the same length-bucketed,
 // batched visit order dissimilarity_matrix uses — is prebuilt, and matrix
 // assembly, allocation and observability are excluded (bench_fig1_pipeline
-// covers end-to-end time). Prints a text table and writes BENCH_kernel.json
+// covers end-to-end time). The two rows alternate rep by rep, so their
+// ratio compares like conditions. Prints a text table and writes BENCH_kernel.json
 // (schema documented in EXPERIMENTS.md). The bench double-checks the
 // DESIGN.md §9 contract as it measures: the kernel's result vector must
 // hash bit-for-bit identical to the reference's, or the run exits non-zero.
@@ -16,6 +17,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -167,30 +169,34 @@ workload_result run_workload(const std::string& protocol, std::size_t messages) 
 
     const std::vector<kernel_job> jobs = build_schedule(values);
 
+    // The two rows alternate rep by rep, each into its own result buffer,
+    // so speedup_vs_scalar divides times taken under the same machine
+    // conditions. Best-of-N: the minimum is the least-interfered
+    // measurement on a shared machine.
     const std::size_t reps = workload_reps();
-    std::vector<double> results(out.pairs, 0.0);
-    for (const bool reference : {true, false}) {
-        backend_run run;
-        run.backend = reference ? "scalar" : dissim::kernel::kName;
-        // Best-of-N: the minimum is the least-interfered measurement on a
-        // shared machine.
-        run.seconds = std::numeric_limits<double>::infinity();
-        for (std::size_t rep = 0; rep < reps; ++rep) {
+    backend_run scalar;
+    scalar.backend = "scalar";
+    backend_run lut;
+    lut.backend = dissim::kernel::kName;
+    std::vector<double> scalar_results(out.pairs, 0.0);
+    std::vector<double> lut_results(out.pairs, 0.0);
+    scalar.seconds = lut.seconds = std::numeric_limits<double>::infinity();
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+        for (const bool reference : {true, false}) {
+            backend_run& run = reference ? scalar : lut;
             const stopwatch watch;
-            run_schedule(jobs, reference, results, nullptr);
+            run_schedule(jobs, reference, reference ? scalar_results : lut_results, nullptr);
             run.seconds = std::min(run.seconds, watch.elapsed_seconds());
         }
-        run.result_digest =
-            obs::fnv1a64(results.data(), results.size() * sizeof(double));
-        run.pairs_per_second = static_cast<double>(out.pairs) / run.seconds;
-        run.bytes_per_second = static_cast<double>(out.pair_bytes) / run.seconds;
-        if (!reference) {
-            run_schedule(jobs, false, results, &run.stats);  // untimed, for the counters
-        }
-        const double scalar_seconds =
-            reference ? run.seconds : out.backends.front().seconds;
-        run.speedup_vs_scalar = scalar_seconds / run.seconds;
-        out.backends.push_back(run);
+    }
+    run_schedule(jobs, false, lut_results, &lut.stats);  // untimed, for the counters
+    for (const auto& [run, results] : {std::pair{&scalar, &scalar_results},
+                                       std::pair{&lut, &lut_results}}) {
+        run->result_digest = obs::fnv1a64(results->data(), results->size() * sizeof(double));
+        run->pairs_per_second = static_cast<double>(out.pairs) / run->seconds;
+        run->bytes_per_second = static_cast<double>(out.pair_bytes) / run->seconds;
+        run->speedup_vs_scalar = scalar.seconds / run->seconds;
+        out.backends.push_back(*run);
     }
     out.peak_bytes = mem::peak_bytes();
     return out;

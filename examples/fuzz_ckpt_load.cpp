@@ -2,15 +2,19 @@
 /// Fuzz target for checkpoint loading: arbitrary bytes through the ckpt
 /// wire-format decoders and checkpoint_manager::load.
 ///
-/// Four input families per iteration, all derived from a seeded ftc::rng so
-/// every run is reproducible:
+/// The corpus is one file of every kind (segments, matrix, neighbors,
+/// clustering). Five input families per iteration, all derived from a
+/// seeded ftc::rng so every run is reproducible:
 ///   1. pure random bytes (usually not even the FTCKPT01 magic),
 ///   2. a valid checkpoint file with random bit flips
 ///      (ftc::testing::flip_random_bits — the per-section digests must
 ///      catch every one of them),
 ///   3. a valid checkpoint file truncated at a random byte,
 ///   4. a valid checkpoint file with random single-byte mutations anywhere
-///      (including the magic, version and section headers).
+///      (including the magic, version and section headers),
+///   5. a valid checkpoint file whose payload bytes (past the fingerprint)
+///      are mutated or truncated and then re-digested, so the damage gets
+///      past the container and the payload decoders must reject it.
 /// The invariant under test: a checkpoint load never crashes, never reads
 /// out of bounds (run under ASan/UBSan in CI) and never allocates from a
 /// forged section count — damaged input is only ever *rejected*, by
@@ -23,6 +27,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "ckpt/manager.hpp"
 #include "core/pipeline.hpp"
@@ -60,6 +65,9 @@ const char* decode(byte_view bytes) {
                         break;
                     case ckpt::section_id::knn:
                         (void)ckpt::decode_knn(byte_view{s.payload});
+                        break;
+                    case ckpt::section_id::neighbors:
+                        (void)ckpt::decode_neighbors(byte_view{s.payload});
                         break;
                     case ckpt::section_id::clustering:
                         (void)ckpt::decode_clustering(byte_view{s.payload});
@@ -108,8 +116,10 @@ int main(int argc, char** argv) {
     try {
         rng rand(seed);
 
-        // One real checkpoint as the mutation corpus: every file kind, with
-        // payloads a genuine pipeline run produced.
+        // Real checkpoints as the mutation corpus: every file kind, with
+        // payloads genuine pipeline runs produced — a dense run for the
+        // matrix snapshot, a sparse one for the neighbor lists (the
+        // snapshot every memory-pressured run writes).
         const protocols::trace t = protocols::generate_trace("DNS", 40, 5);
         const std::vector<byte_vector> messages = segmentation::message_bytes(t);
         const segmentation::message_segments segments =
@@ -118,10 +128,12 @@ int main(int argc, char** argv) {
         const ckpt::options_fingerprint fp = ckpt::fingerprint(options, "true", 5);
         const fs::path base_dir = fs::temp_directory_path() / "ftc_fuzz_ckpt_base";
         fs::remove_all(base_dir);
-        {
+        for (const dissim::neighborhood_mode mode :
+             {dissim::neighborhood_mode::dense, dissim::neighborhood_mode::sparse}) {
             ckpt::checkpoint_manager manager(base_dir, fp);
             manager.on_segments(messages, segments);
             core::pipeline_options opt = options;
+            opt.neighborhood = mode;
             opt.observer = &manager;
             core::pipeline_seed pseed;
             pseed.segments = segments;
@@ -130,12 +142,18 @@ int main(int argc, char** argv) {
         }
         const char* kFiles[] = {ckpt::checkpoint_manager::kSegmentsFile,
                                 ckpt::checkpoint_manager::kMatrixFile,
+                                ckpt::checkpoint_manager::kNeighborsFile,
                                 ckpt::checkpoint_manager::kClusteringFile};
-        byte_vector base[3];
-        for (int f = 0; f < 3; ++f) {
+        constexpr std::size_t kFileKinds = std::size(kFiles);
+        byte_vector base[kFileKinds];
+        for (std::size_t f = 0; f < kFileKinds; ++f) {
             std::ifstream in(base_dir / kFiles[f], std::ios::binary);
             base[f].assign(std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>());
+            if (base[f].empty()) {
+                std::fprintf(stderr, "error: corpus file %s missing\n", kFiles[f]);
+                return 1;
+            }
         }
         const fs::path fuzz_dir = fs::temp_directory_path() / "ftc_fuzz_ckpt_load";
 
@@ -144,9 +162,9 @@ int main(int argc, char** argv) {
         std::size_t restored = 0;
         std::size_t quarantined = 0;
         for (std::size_t i = 0; i < iterations; ++i) {
-            const std::size_t f = rand.uniform(0, 2);
+            const std::size_t f = rand.uniform(0, kFileKinds - 1);
             byte_vector input;
-            switch (rand.uniform(0, 3)) {
+            switch (rand.uniform(0, 4)) {
                 case 0:
                     input = rand.bytes(rand.uniform(0, 600));
                     break;
@@ -158,12 +176,29 @@ int main(int argc, char** argv) {
                     input = base[f];
                     input.resize(rand.uniform(0, input.size()));
                     break;
-                default: {
+                case 3: {
                     input = base[f];
                     const std::size_t mutations = rand.uniform(1, 24);
                     for (std::size_t m = 0; m < mutations && !input.empty(); ++m) {
                         input[rand.uniform(0, input.size() - 1)] = rand.byte();
                     }
+                    break;
+                }
+                default: {
+                    // Every corpus file holds the fingerprint and at least
+                    // one payload section behind it.
+                    std::vector<ckpt::section> sections =
+                        ckpt::decode_sections(byte_view{base[f]});
+                    byte_vector& payload =
+                        sections[rand.uniform(1, sections.size() - 1)].payload;
+                    if (rand.chance(0.5)) {
+                        payload.resize(rand.uniform(0, payload.size()));
+                    }
+                    const std::size_t mutations = rand.uniform(1, 8);
+                    for (std::size_t m = 0; m < mutations && !payload.empty(); ++m) {
+                        payload[rand.uniform(0, payload.size() - 1)] = rand.byte();
+                    }
+                    input = ckpt::encode_sections(sections);
                     break;
                 }
             }

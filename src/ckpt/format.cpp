@@ -98,8 +98,23 @@ options_fingerprint fingerprint(const core::pipeline_options& options,
     return {obs::fnv1a64(canon.data(), canon.size()), input_digest};
 }
 
+std::uint64_t file_bytes(std::span<const std::uint64_t> payload_bytes) {
+    std::uint64_t bytes = kHeaderSize;
+    for (const std::uint64_t payload : payload_bytes) {
+        bytes += kSectionHeaderSize + payload;
+    }
+    return bytes;
+}
+
 byte_vector encode_sections(const std::vector<section>& sections) {
+    // Exact capacity: writers charge the image's size to the governor, so
+    // growth slack would be untracked memory.
+    std::vector<std::uint64_t> sizes;
+    for (const section& s : sections) {
+        sizes.push_back(s.payload.size());
+    }
     byte_vector out;
+    out.reserve(static_cast<std::size_t>(file_bytes(sizes)));
     for (char c : kMagic) {
         put_u8(out, static_cast<std::uint8_t>(c));
     }
@@ -201,8 +216,17 @@ segmentation::segment read_segment(reader& r) {
 
 }  // namespace
 
+std::uint64_t segments_bytes(const segments_payload& p) {
+    std::uint64_t bytes = 8 + 8 * p.surviving.size() + 8;
+    for (const std::vector<segmentation::segment>& per_message : p.segments) {
+        bytes += 8 + 24 * per_message.size();
+    }
+    return bytes;
+}
+
 byte_vector encode_segments(const segments_payload& p) {
     byte_vector out;
+    out.reserve(static_cast<std::size_t>(segments_bytes(p)));
     put_u64_le(out, p.surviving.size());
     for (std::size_t idx : p.surviving) {
         put_u64_le(out, idx);
@@ -248,8 +272,24 @@ segments_payload decode_segments(byte_view payload) {
 // unique
 // ---------------------------------------------------------------------------
 
+std::uint64_t unique_bytes(const dissim::unique_segments& unique) {
+    std::uint64_t bytes = 1 + 8 + 8;
+    for (const byte_vector& v : unique.values) {
+        bytes += 8 + v.size();
+    }
+    if (unique.occurrences_elided) {
+        bytes += 4 * unique.multiplicities.size();
+    } else {
+        for (const std::vector<segmentation::segment>& occs : unique.occurrences) {
+            bytes += 8 + 24 * occs.size();
+        }
+    }
+    return bytes;
+}
+
 byte_vector encode_unique(const dissim::unique_segments& unique) {
     byte_vector out;
+    out.reserve(static_cast<std::size_t>(unique_bytes(unique)));
     // Leading form byte (v2): 0 = full occurrence lists, 1 = the weighted
     // (memory-degraded) form carrying only per-value multiplicities. The
     // degraded form must round-trip as degraded — resuming it as "full with
@@ -332,11 +372,20 @@ dissim::unique_segments decode_unique(byte_view payload) {
 // matrix
 // ---------------------------------------------------------------------------
 
+std::uint64_t matrix_bytes(std::size_t n) {
+    return 8 + 4 * (static_cast<std::uint64_t>(n) * (n - (n > 0 ? 1 : 0)) / 2);
+}
+
 byte_vector encode_matrix(const dissim::dissimilarity_matrix& matrix) {
+    const std::size_t n = matrix.size();
     byte_vector out;
-    put_u64_le(out, matrix.size());
-    for (float d : matrix.upper_triangle_f32()) {
-        put_f32(out, d);
+    out.reserve(static_cast<std::size_t>(matrix_bytes(n)));
+    put_u64_le(out, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const float* row = matrix.row(i);
+        for (std::size_t j = i + 1; j < n; ++j) {
+            put_f32(out, row[j]);
+        }
     }
     return out;
 }
@@ -360,94 +409,24 @@ dissim::dissimilarity_matrix decode_matrix(byte_view payload) {
         upper.push_back(d);
     }
     r.expect_end();
-    // Restore into whichever layout the active memory governor can afford:
-    // the cell values are identical either way (layout is a footprint knob,
-    // dissim/matrix.hpp), so this only decides whether the resume that
-    // needed --max-memory the first time still fits the second time.
-    const dissim::layout storage =
-        mem::would_exceed(n * n * sizeof(float)) ? dissim::layout::triangular
-                                                 : dissim::layout::dense;
-    return dissim::dissimilarity_matrix::from_upper(upper, static_cast<std::size_t>(n),
-                                                    storage);
-}
-
-// ---------------------------------------------------------------------------
-// matrix tiles (spilled triangular builds)
-// ---------------------------------------------------------------------------
-
-byte_vector encode_matrix_tile(const matrix_tile_payload& tile) {
-    byte_vector out;
-    put_u64_le(out, tile.row_begin);
-    put_u64_le(out, tile.row_end);
-    put_u64_le(out, tile.n);
-    put_u64_le(out, tile.cells.size());
-    for (const float d : tile.cells) {
-        put_f32(out, d);
-    }
-    return out;
-}
-
-matrix_tile_payload decode_matrix_tile(byte_view payload) {
-    reader r(payload);
-    matrix_tile_payload tile;
-    tile.row_begin = r.u64();
-    tile.row_end = r.u64();
-    tile.n = r.u64();
-    if (tile.n < 3 || tile.n > (1u << 24) || tile.row_begin >= tile.row_end ||
-        tile.row_end > tile.n) {
-        throw parse_error(message("ckpt: implausible tile rows [", tile.row_begin, ", ",
-                                  tile.row_end, ") of ", tile.n));
-    }
-    // Row r of the upper triangle holds n-1-r cells; the count must match
-    // the row range exactly, or the reassembled triangle would shear.
-    std::uint64_t expected = 0;
-    for (std::uint64_t row = tile.row_begin; row < tile.row_end; ++row) {
-        expected += tile.n - 1 - row;
-    }
-    const std::size_t cells = r.count(4);
-    if (cells != expected) {
-        throw parse_error(message("ckpt: tile holds ", cells, " cells, rows [",
-                                  tile.row_begin, ", ", tile.row_end, ") need ", expected));
-    }
-    tile.cells.reserve(cells);
-    for (std::size_t i = 0; i < cells; ++i) {
-        const float d = r.f32();
-        if (!(d >= 0.0f && d <= 1.0f)) {
-            throw parse_error(message("ckpt: tile cell ", i, " outside [0, 1]"));
-        }
-        tile.cells.push_back(d);
-    }
-    r.expect_end();
-    return tile;
-}
-
-byte_vector encode_matrix_tiled(const matrix_tiled_marker& marker) {
-    byte_vector out;
-    put_u64_le(out, marker.n);
-    put_u64_le(out, marker.tile_count);
-    return out;
-}
-
-matrix_tiled_marker decode_matrix_tiled(byte_view payload) {
-    reader r(payload);
-    matrix_tiled_marker marker;
-    marker.n = r.u64();
-    marker.tile_count = r.u64();
-    r.expect_end();
-    if (marker.n < 3 || marker.n > (1u << 24) || marker.tile_count == 0 ||
-        marker.tile_count > marker.n) {
-        throw parse_error(message("ckpt: implausible tiled-matrix marker (n ", marker.n,
-                                  ", ", marker.tile_count, " tiles)"));
-    }
-    return marker;
+    return dissim::dissimilarity_matrix::from_upper(upper, static_cast<std::size_t>(n));
 }
 
 // ---------------------------------------------------------------------------
 // knn
 // ---------------------------------------------------------------------------
 
+std::uint64_t knn_bytes(const std::vector<std::vector<double>>& curves) {
+    std::uint64_t bytes = 8;
+    for (const std::vector<double>& curve : curves) {
+        bytes += 8 + 8 * curve.size();
+    }
+    return bytes;
+}
+
 byte_vector encode_knn(const std::vector<std::vector<double>>& curves) {
     byte_vector out;
+    out.reserve(static_cast<std::size_t>(knn_bytes(curves)));
     put_u64_le(out, curves.size());
     for (const std::vector<double>& curve : curves) {
         put_u64_le(out, curve.size());
@@ -484,8 +463,17 @@ std::vector<std::vector<double>> decode_knn(byte_view payload) {
 // neighbors
 // ---------------------------------------------------------------------------
 
+std::uint64_t neighbors_bytes(const dissim::capped_neighbors& neighbors) {
+    std::uint64_t bytes = 8 + 4;
+    for (const std::vector<dissim::neighbor>& list : neighbors.lists) {
+        bytes += 8 + 8 * list.size();
+    }
+    return bytes;
+}
+
 byte_vector encode_neighbors(const dissim::capped_neighbors& neighbors) {
     byte_vector out;
+    out.reserve(static_cast<std::size_t>(neighbors_bytes(neighbors)));
     put_u64_le(out, neighbors.lists.size());
     put_u32_le(out, neighbors.cap);
     for (const std::vector<dissim::neighbor>& list : neighbors.lists) {
@@ -541,8 +529,14 @@ dissim::capped_neighbors decode_neighbors(byte_view payload) {
 // clustering
 // ---------------------------------------------------------------------------
 
+std::uint64_t clustering_bytes(const cluster::auto_cluster_result& clustering) {
+    return 8 + 4 * clustering.labels.labels.size() + 8 + 8 + 8 + 8 + 1 + 8 +
+           8 * clustering.config.knees.size() + 8 + 1;
+}
+
 byte_vector encode_clustering(const cluster::auto_cluster_result& clustering) {
     byte_vector out;
+    out.reserve(static_cast<std::size_t>(clustering_bytes(clustering)));
     put_u64_le(out, clustering.labels.labels.size());
     for (int label : clustering.labels.labels) {
         put_u32_le(out, static_cast<std::uint32_t>(label));

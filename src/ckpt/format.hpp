@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -43,22 +44,19 @@ inline constexpr char kMagic[8] = {'F', 'T', 'C', 'K', 'P', 'T', '0', '1'};
 
 /// Bumped on any incompatible layout change; loaders reject other versions.
 /// v2: unique payload gains a leading form byte (full occurrences vs.
-/// memory-degraded multiplicities), and a tiled triangular matrix build may
-/// replace the matrix section with a matrix_tiled marker plus one
-/// matrix_tile_<k>.ckpt file per spilled tile.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// memory-degraded multiplicities). v3: the matrix is always one matrix
+/// section; ids 7 and 8 (spilled tiles of a triangular build) are retired.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Section type tags.
 enum class section_id : std::uint32_t {
-    fingerprint = 1,   ///< options + input digests (first section, mandatory)
-    segments = 2,      ///< surviving indices + message segmentation
-    unique = 3,        ///< condensed unique segments
-    matrix = 4,        ///< dissimilarity matrix upper triangle (f32)
-    knn = 5,           ///< batched k-NN curves for the epsilon sweep
-    clustering = 6,    ///< auto-configuration + DBSCAN outcome
-    matrix_tile = 7,   ///< one spilled tile of a tiled triangular build
-    matrix_tiled = 8,  ///< marker: matrix lives in matrix_tile_<k>.ckpt files
-    neighbors = 9,     ///< capped sparse neighbor lists (sparse mode)
+    fingerprint = 1,  ///< options + input digests (first section, mandatory)
+    segments = 2,     ///< surviving indices + message segmentation
+    unique = 3,       ///< condensed unique segments
+    matrix = 4,       ///< dissimilarity matrix upper triangle (f32)
+    knn = 5,          ///< batched k-NN curves for the epsilon sweep
+    clustering = 6,   ///< auto-configuration + DBSCAN outcome
+    neighbors = 9,    ///< capped sparse neighbor lists (sparse engine)
 };
 
 /// One decoded section: tag plus raw (digest-verified) payload.
@@ -92,15 +90,23 @@ options_fingerprint fingerprint(const core::pipeline_options& options,
 /// Serialize sections into one checkpoint file image (header + digests).
 byte_vector encode_sections(const std::vector<section>& sections);
 
+/// Exact size of the file image encode_sections builds around payloads of
+/// \p payload_bytes bytes each. With the payload sizes below, a writer
+/// projects a snapshot against the memory governor before encoding it.
+std::uint64_t file_bytes(std::span<const std::uint64_t> payload_bytes);
+
 /// Parse and digest-verify a checkpoint file image. Throws ftc::parse_error
 /// on bad magic, unknown version, truncation, or a section whose payload
 /// does not match its recorded digest.
 std::vector<section> decode_sections(byte_view file);
 
 // ---------------------------------------------------------------------------
-// Section payload codecs (each throws ftc::parse_error on malformed input)
+// Section payload codecs (each decoder throws ftc::parse_error on malformed
+// input; each X_bytes is the exact size of what encode_X returns)
 // ---------------------------------------------------------------------------
 
+/// Exact size of encode_fingerprint's payload.
+inline constexpr std::uint64_t kFingerprintBytes = 16;
 byte_vector encode_fingerprint(const options_fingerprint& fp);
 options_fingerprint decode_fingerprint(byte_view payload);
 
@@ -111,44 +117,24 @@ struct segments_payload {
     segmentation::message_segments segments;
 };
 
+std::uint64_t segments_bytes(const segments_payload& p);
 byte_vector encode_segments(const segments_payload& p);
 segments_payload decode_segments(byte_view payload);
 
+std::uint64_t unique_bytes(const dissim::unique_segments& unique);
 byte_vector encode_unique(const dissim::unique_segments& unique);
 dissim::unique_segments decode_unique(byte_view payload);
 
 /// Matrix travels as its upper triangle in f32 (the storage precision), so
-/// the restored matrix is bitwise identical to the saved one — whatever
-/// layout either side used. The decoder picks the in-memory layout by
-/// projecting the dense footprint against the active ftc::mem governor:
-/// a resume under the same memory pressure that forced the triangular
-/// build restores into the triangular layout again.
+/// the restored matrix is bitwise identical to the saved one. Decoding
+/// allocates the dense n*n matrix against the active ftc::mem governor; the
+/// checkpoint loader projects that first and skips a snapshot that would
+/// not fit (ckpt/manager.hpp).
+std::uint64_t matrix_bytes(std::size_t n);
 byte_vector encode_matrix(const dissim::dissimilarity_matrix& matrix);
 dissim::dissimilarity_matrix decode_matrix(byte_view payload);
 
-/// One spilled tile of a tiled triangular matrix build: upper-triangle rows
-/// [row_begin, row_end) of an n-element matrix as a contiguous cell run
-/// (dissim::tile_sink semantics).
-struct matrix_tile_payload {
-    std::uint64_t row_begin = 0;
-    std::uint64_t row_end = 0;
-    std::uint64_t n = 0;
-    std::vector<float> cells;
-};
-
-byte_vector encode_matrix_tile(const matrix_tile_payload& tile);
-matrix_tile_payload decode_matrix_tile(byte_view payload);
-
-/// Marker replacing the matrix section when tiles were spilled: the matrix
-/// is reassembled from `tile_count` matrix_tile_<k>.ckpt files.
-struct matrix_tiled_marker {
-    std::uint64_t n = 0;
-    std::uint64_t tile_count = 0;
-};
-
-byte_vector encode_matrix_tiled(const matrix_tiled_marker& marker);
-matrix_tiled_marker decode_matrix_tiled(byte_view payload);
-
+std::uint64_t knn_bytes(const std::vector<std::vector<double>>& curves);
 byte_vector encode_knn(const std::vector<std::vector<double>>& curves);
 std::vector<std::vector<double>> decode_knn(byte_view payload);
 
@@ -158,12 +144,14 @@ std::vector<std::vector<double>> decode_knn(byte_view payload);
 /// build would. The decoder enforces every structural invariant the sparse
 /// engine relies on: list length min(cap, n-1), ids in range and never the
 /// point itself, distances in [0, 1], ascending (d, id) order.
+std::uint64_t neighbors_bytes(const dissim::capped_neighbors& neighbors);
 byte_vector encode_neighbors(const dissim::capped_neighbors& neighbors);
 dissim::capped_neighbors decode_neighbors(byte_view payload);
 
 /// Clustering snapshot. k_candidate diagnostics are not persisted: nothing
 /// downstream of clustering consumes them (they exist for tests and the
 /// Fig. 2 bench), and they would multiply the file size.
+std::uint64_t clustering_bytes(const cluster::auto_cluster_result& clustering);
 byte_vector encode_clustering(const cluster::auto_cluster_result& clustering);
 cluster::auto_cluster_result decode_clustering(byte_view payload);
 

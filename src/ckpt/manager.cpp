@@ -50,6 +50,21 @@ std::vector<section> checked_sections(byte_view file, const options_fingerprint&
     return sections;
 }
 
+/// Whether a checkpoint file around payloads of these sizes (plus the
+/// fingerprint) fits the memory governor. A snapshot only saves
+/// recomputation, so it never fails a run that fits without it: writers
+/// project the file image before encoding anything and, when it would cross
+/// the budget, skip the file and count the skip. Resume then recomputes
+/// just that stage.
+bool snapshot_fits(std::vector<std::uint64_t> payload_bytes) {
+    payload_bytes.push_back(kFingerprintBytes);
+    if (!mem::would_exceed(file_bytes(payload_bytes))) {
+        return true;
+    }
+    obs::counter_add("ckpt.snapshots_skipped_total", 1.0);
+    return false;
+}
+
 const section* find_section(const std::vector<section>& sections, section_id id) {
     for (const section& s : sections) {
         if (s.id == static_cast<std::uint32_t>(id)) {
@@ -126,49 +141,31 @@ void checkpoint_manager::on_segments(const std::vector<byte_vector>& messages,
         }
     }
     p.segments = segments;
+    if (!snapshot_fits({segments_bytes(p)})) {
+        return;
+    }
     write_sections(kSegmentsFile,
                    {{static_cast<std::uint32_t>(section_id::segments), encode_segments(p)}});
     last_stage_ = "segmentation";
     write_manifest("in-progress", last_stage_.c_str());
 }
 
-void checkpoint_manager::on_matrix_tile(std::size_t row_begin, std::size_t row_end,
-                                        std::size_t n, std::span<const float> cells) {
-    obs::span sp("ckpt.save.matrix_tile");
-    matrix_tile_payload tile;
-    tile.row_begin = row_begin;
-    tile.row_end = row_end;
-    tile.n = n;
-    tile.cells.assign(cells.begin(), cells.end());
-    write_sections(tile_file(tiles_spilled_).c_str(),
-                   {{static_cast<std::uint32_t>(section_id::matrix_tile),
-                     encode_matrix_tile(tile)}});
-    ++tiles_spilled_;
-    obs::counter_add("ckpt.tiles_spilled_total", 1.0);
-}
-
 void checkpoint_manager::on_matrix(const dissim::unique_segments& unique,
                                    const dissim::dissimilarity_matrix& matrix,
                                    const std::vector<std::vector<double>>& knn_curves) {
     obs::span sp("ckpt.save.matrix");
+    std::vector<std::uint64_t> sizes{unique_bytes(unique), matrix_bytes(matrix.size())};
+    if (!knn_curves.empty()) {
+        sizes.push_back(knn_bytes(knn_curves));
+    }
+    if (!snapshot_fits(std::move(sizes))) {
+        return;
+    }
     std::vector<section> sections;
     sections.push_back(
         {static_cast<std::uint32_t>(section_id::unique), encode_unique(unique)});
-    if (tiles_spilled_ > 0) {
-        // Every cell already sits in the spilled tile files (written
-        // atomically as each tile completed); re-serializing the whole
-        // triangle here would momentarily double the matrix footprint —
-        // exactly what a memory-pressured run cannot afford. The marker
-        // tells load() where the cells live.
-        matrix_tiled_marker marker;
-        marker.n = matrix.size();
-        marker.tile_count = tiles_spilled_;
-        sections.push_back({static_cast<std::uint32_t>(section_id::matrix_tiled),
-                            encode_matrix_tiled(marker)});
-    } else {
-        sections.push_back(
-            {static_cast<std::uint32_t>(section_id::matrix), encode_matrix(matrix)});
-    }
+    sections.push_back(
+        {static_cast<std::uint32_t>(section_id::matrix), encode_matrix(matrix)});
     if (!knn_curves.empty()) {
         sections.push_back(
             {static_cast<std::uint32_t>(section_id::knn), encode_knn(knn_curves)});
@@ -187,6 +184,13 @@ void checkpoint_manager::on_neighbors(const dissim::unique_segments& unique,
     // sparse_neighborhood serving bitwise the same values. Its own file
     // (never matrix.ckpt) keeps pre-sparse loaders oblivious: they see no
     // matrix snapshot and recompute, which is always correct.
+    std::vector<std::uint64_t> sizes{unique_bytes(unique), neighbors_bytes(neighbors)};
+    if (!knn_curves.empty()) {
+        sizes.push_back(knn_bytes(knn_curves));
+    }
+    if (!snapshot_fits(std::move(sizes))) {
+        return;
+    }
     std::vector<section> sections;
     sections.push_back(
         {static_cast<std::uint32_t>(section_id::unique), encode_unique(unique)});
@@ -203,49 +207,13 @@ void checkpoint_manager::on_neighbors(const dissim::unique_segments& unique,
 
 void checkpoint_manager::on_clustering(const cluster::auto_cluster_result& clustering) {
     obs::span sp("ckpt.save.clustering");
+    if (!snapshot_fits({clustering_bytes(clustering)})) {
+        return;
+    }
     write_sections(kClusteringFile, {{static_cast<std::uint32_t>(section_id::clustering),
                                       encode_clustering(clustering)}});
     last_stage_ = "clustering";
     write_manifest("in-progress", last_stage_.c_str());
-}
-
-dissim::dissimilarity_matrix checkpoint_manager::load_tiled_matrix(
-    const matrix_tiled_marker& marker) {
-    obs::span sp("ckpt.load.tiles");
-    sp.count("tiles", marker.tile_count);
-    // Tiles must chain seamlessly over [0, n): each file carries its row
-    // range, and any gap, overlap, or missing file fails the whole matrix
-    // (the caller quarantines and recomputes — a half-trusted matrix is
-    // worse than none). Cells concatenate into the triangular layout
-    // directly: a run resuming a tiled spill is by definition under the
-    // memory pressure that chose that layout.
-    std::vector<float> cells;
-    std::uint64_t next_row = 0;
-    for (std::uint64_t k = 0; k < marker.tile_count; ++k) {
-        const auto file = read_file(dir_ / tile_file(static_cast<std::size_t>(k)));
-        if (!file.has_value()) {
-            throw parse_error(message("ckpt: spilled tile file ", tile_file(k), " missing"));
-        }
-        std::vector<section> sections = checked_sections(*file, fp_);
-        const section* tile_section = find_section(sections, section_id::matrix_tile);
-        if (tile_section == nullptr) {
-            throw parse_error(message("ckpt: ", tile_file(k), " has no tile section"));
-        }
-        matrix_tile_payload tile = decode_matrix_tile(tile_section->payload);
-        if (tile.n != marker.n || tile.row_begin != next_row) {
-            throw parse_error(message("ckpt: tile ", k, " covers rows [", tile.row_begin,
-                                      ", ", tile.row_end, ") of ", tile.n, ", expected rows "
-                                      "from ", next_row, " of ", marker.n));
-        }
-        next_row = tile.row_end;
-        cells.insert(cells.end(), tile.cells.begin(), tile.cells.end());
-    }
-    if (next_row != marker.n) {
-        throw parse_error(message("ckpt: spilled tiles stop at row ", next_row, " of ",
-                                  marker.n));
-    }
-    return dissim::dissimilarity_matrix::from_upper(
-        cells, static_cast<std::size_t>(marker.n), dissim::layout::triangular);
 }
 
 void checkpoint_manager::on_interrupted(const char* stage) {
@@ -309,31 +277,38 @@ restored_state checkpoint_manager::load(const std::vector<byte_vector>& all_mess
     }
 
     // matrix.ckpt -> seed.unique + seed.matrix (+ optional seed.knn_curves).
+    // A dense matrix the governor cannot hold is not restored. That is
+    // neither damage nor quarantine, so a strict resume passes; the run
+    // rebuilds the stage on the sparse engine, as a fresh run under this
+    // budget would.
     try {
         if (const auto file = read_file(dir_ / kMatrixFile)) {
             std::vector<section> sections = checked_sections(*file, fp_);
             const section* uniq = find_section(sections, section_id::unique);
             const section* mat = find_section(sections, section_id::matrix);
-            const section* tiled = find_section(sections, section_id::matrix_tiled);
-            if (uniq == nullptr || (mat == nullptr && tiled == nullptr)) {
+            if (uniq == nullptr || mat == nullptr) {
                 throw parse_error("ckpt: unique/matrix section missing");
             }
             dissim::unique_segments unique = decode_unique(uniq->payload);
-            dissim::dissimilarity_matrix matrix =
-                mat != nullptr ? decode_matrix(mat->payload)
-                               : load_tiled_matrix(decode_matrix_tiled(tiled->payload));
-            if (matrix.size() != unique.size()) {
-                throw parse_error(message("ckpt: matrix of ", matrix.size(), " rows for ",
-                                          unique.size(), " unique segments"));
+            const std::uint64_t n = unique.size();
+            if (mem::would_exceed(n * n * sizeof(float))) {
+                obs::counter_add("ckpt.snapshots_skipped_total", 1.0);
+                sp.count("matrix_skipped", 1);
+            } else {
+                dissim::dissimilarity_matrix matrix = decode_matrix(mat->payload);
+                if (matrix.size() != unique.size()) {
+                    throw parse_error(message("ckpt: matrix of ", matrix.size(), " rows for ",
+                                              unique.size(), " unique segments"));
+                }
+                // k-NN curves are an optimization, not state: a damaged
+                // curve set costs one batched row scan, not the whole matrix.
+                if (const section* knn = find_section(sections, section_id::knn)) {
+                    out.seed.knn_curves = decode_knn(knn->payload);
+                }
+                out.seed.unique = std::move(unique);
+                out.seed.matrix = std::move(matrix);
+                out.stages.emplace_back("dissimilarity");
             }
-            // k-NN curves are an optimization, not state: a damaged curve
-            // set costs one batched row scan, not the whole matrix.
-            if (const section* knn = find_section(sections, section_id::knn)) {
-                out.seed.knn_curves = decode_knn(knn->payload);
-            }
-            out.seed.unique = std::move(unique);
-            out.seed.matrix = std::move(matrix);
-            out.stages.emplace_back("dissimilarity");
         }
     } catch (const budget_exceeded_error&) {
         throw;

@@ -7,7 +7,7 @@
 ///
 ///   segments.ckpt    surviving-message indices + segmentation
 ///   matrix.ckpt      unique segments, dissimilarity matrix, k-NN curves
-///   neighbors.ckpt   unique segments, capped neighbor lists (sparse mode)
+///   neighbors.ckpt   unique segments, capped neighbor lists (sparse engine)
 ///   clustering.ckpt  auto-configuration + DBSCAN outcome
 ///   manifest.json    status (in-progress | interrupted | complete) + stage
 ///
@@ -15,14 +15,21 @@
 /// fsync, rename), so a crash — or a SIGKILL — at any instant leaves either
 /// the previous complete snapshot or the new one, never a torn file.
 ///
+/// Snapshots only save recomputation, so they never fail a run that fits
+/// without them: each file's serialized size is projected against the
+/// active ftc::mem governor before it is encoded, and a file that would not
+/// fit is skipped (counter ckpt.snapshots_skipped_total).
+///
 /// load() validates each file independently against the current run's
 /// fingerprint (options digest + input digest): a missing, damaged or
 /// mismatched file is quarantined through ftc::diag::error_sink (category
 /// checkpoint) and only that stage is recomputed; the surviving snapshots
-/// still seed the run. Because every pipeline stage is bitwise
-/// deterministic, mixing restored and recomputed stages yields output
-/// identical to an uninterrupted run — across thread counts (DESIGN.md
-/// §10).
+/// still seed the run. A matrix.ckpt whose dense matrix the governor cannot
+/// hold is skipped, not quarantined: the run recomputes that stage on the
+/// sparse engine, as a fresh run under the same budget would. Because every
+/// pipeline stage is bitwise deterministic, mixing restored and recomputed
+/// stages yields output identical to an uninterrupted run — across thread
+/// counts and budgets (DESIGN.md §10, §11).
 #pragma once
 
 #include <filesystem>
@@ -84,19 +91,6 @@ public:
     void on_clustering(const cluster::auto_cluster_result& clustering) override;
     void on_interrupted(const char* stage) override;
 
-    /// Memory-pressured triangular builds spill each completed tile into
-    /// its own matrix_tile_<k>.ckpt the moment it is final — bounding both
-    /// crash-lost work and the serialization buffer on_matrix would
-    /// otherwise need for the whole triangle at once.
-    bool wants_matrix_tiles() const override { return true; }
-    void on_matrix_tile(std::size_t row_begin, std::size_t row_end, std::size_t n,
-                        std::span<const float> cells) override;
-
-    /// Name of the k-th spilled tile file within the checkpoint directory.
-    static std::string tile_file(std::size_t k) {
-        return "matrix_tile_" + std::to_string(k) + ".ckpt";
-    }
-
     /// Mark the run finished (manifest status "complete").
     void mark_complete();
 
@@ -111,13 +105,11 @@ public:
 private:
     void write_sections(const char* filename, std::vector<section> sections);
     void write_manifest(const char* status, const char* stage);
-    dissim::dissimilarity_matrix load_tiled_matrix(const matrix_tiled_marker& marker);
 
     std::filesystem::path dir_;
     options_fingerprint fp_;
     std::vector<std::size_t> surviving_;
     std::string last_stage_ = "none";
-    std::size_t tiles_spilled_ = 0;  ///< tiles written for the current matrix
 };
 
 }  // namespace ftc::ckpt

@@ -55,7 +55,7 @@ struct cluster_labels {
 cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_params& params,
                       std::size_t threads = 1);
 
-/// Convenience adapter: run against a dense/triangular matrix directly.
+/// Convenience adapter: run against a dissimilarity matrix directly.
 inline cluster_labels dbscan(const dissim::dissimilarity_matrix& matrix,
                              const dbscan_params& params) {
     return dbscan(dissim::matrix_neighborhood(matrix), params);

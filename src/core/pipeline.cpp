@@ -159,80 +159,44 @@ pipeline_result analyze_seeded_budgeted(const std::vector<byte_vector>& messages
             obs::gauge_set("pipeline.unique_segments",
                            static_cast<double>(result.unique.size()));
 
-            // Neighborhood mode: the sparse engine (rung 0 of the memory
-            // ladder — it never allocates the O(n^2) matrix) when forced or
-            // when auto crosses the scale threshold; the matrix below it.
-            // Both produce byte-identical cluster reports (DESIGN.md §13),
-            // so this choice moves cost, never results.
+            // Neighborhood mode: the sparse engine when forced, when auto
+            // crosses the scale threshold, or — degradation rung 2, in every
+            // mode — when the dense n*n matrix would not fit the governor;
+            // the matrix otherwise. Both produce byte-identical cluster
+            // reports (DESIGN.md §13), so this choice moves cost, never
+            // results. If even the sparse engine cannot fit, its tracked
+            // charges raise memory_budget_exceeded_error — rung 3, the typed
+            // exit.
             const std::size_t n = result.unique.size();
-            const bool use_sparse =
+            const bool mode_wants_sparse =
                 options.neighborhood == dissim::neighborhood_mode::sparse ||
                 (options.neighborhood == dissim::neighborhood_mode::auto_ &&
                  n >= dissim::kSparseAutoUniques);
-            if (use_sparse) {
+            const bool dense_fits =
+                !mem::would_exceed(static_cast<std::uint64_t>(n) * n * sizeof(float));
+            if (elide) {
+                obs::counter_add("mem.degrade.dedup_total", 1.0);
+            }
+            if (mode_wants_sparse || !dense_fits) {
+                if (!mode_wants_sparse) {
+                    obs::counter_add("mem.degrade.sparse_total", 1.0);
+                }
                 dissim::sparse_build_options sopts;
                 sopts.knn_cap = cluster::knn_k_max(n);
                 sopts.threads = threads;
                 sparse_storage.emplace(result.unique.values, sopts, dl);
-                if (elide) {
-                    obs::counter_add("mem.degrade.dedup_total", 1.0);
-                }
                 if (hook != nullptr) {
                     knn_curves = sparse_storage->kth_nn_many(cluster::knn_k_max(n), threads);
                     hook->on_neighbors(result.unique, sparse_storage->capped(), knn_curves);
                 }
-                mem::publish_gauges();
             } else {
-                // Degradation rung 2 — triangular tiled matrix. When the dense
-                // n*n layout would cross the budget, store the upper triangle
-                // only (identical cells, half the bytes) and, under an observer
-                // that spills tiles, bound crash-lost work to one tile. If even
-                // the triangle cannot fit, its tracked allocation raises
-                // memory_budget_exceeded_error — rung 3, the typed exit.
-                dissim::build_options bopts;
-                bopts.threads = threads;
-                if (mem::would_exceed(static_cast<std::uint64_t>(n) * n * sizeof(float))) {
-                    bopts.storage = dissim::layout::triangular;
-                    obs::counter_add("mem.degrade.triangular_total", 1.0);
-                    if (hook != nullptr && hook->wants_matrix_tiles()) {
-                        // ~4 MiB of cells per tile: big enough that spill I/O
-                        // stays a rounding error, small enough that a crash
-                        // loses minutes, not hours. The spill path charges each
-                        // serialized tile against the budget too, so cap the
-                        // tile at half the headroom left once the triangle
-                        // itself is allocated — a tile the budget cannot absorb
-                        // would turn the degradation rung into the very failure
-                        // it exists to avoid. Deterministic in n and the limit.
-                        std::uint64_t tile_bytes = 4u << 20;
-                        if (const mem::governor* g = mem::governor::active();
-                            g != nullptr && g->limit() > 0) {
-                            const std::uint64_t after_triangle =
-                                mem::current_bytes() +
-                                static_cast<std::uint64_t>(n) * (n - 1) / 2 * sizeof(float);
-                            const std::uint64_t headroom =
-                                g->limit() > after_triangle ? g->limit() - after_triangle : 0;
-                            tile_bytes = std::clamp<std::uint64_t>(headroom / 2, 4096, tile_bytes);
-                        }
-                        bopts.tile_rows = std::max<std::size_t>(
-                            1, static_cast<std::size_t>(tile_bytes) / sizeof(float) /
-                                   std::max<std::size_t>(1, n));
-                        bopts.on_tile = [hook](std::size_t row_begin, std::size_t row_end,
-                                               std::size_t nn, std::span<const float> cells) {
-                            hook->on_matrix_tile(row_begin, row_end, nn, cells);
-                        };
-                    }
-                }
-                if (elide) {
-                    obs::counter_add("mem.degrade.dedup_total", 1.0);
-                }
-                matrix_storage.emplace(result.unique.values, bopts, dl);
+                matrix_storage.emplace(result.unique.values, dl, threads);
                 if (hook != nullptr) {
-                    knn_curves = matrix_storage->kth_nn_many(
-                        cluster::knn_k_max(result.unique.size()), threads);
+                    knn_curves = matrix_storage->kth_nn_many(cluster::knn_k_max(n), threads);
                     hook->on_matrix(result.unique, *matrix_storage, knn_curves);
                 }
-                mem::publish_gauges();
             }
+            mem::publish_gauges();
         }
         // Every consumer below this point sees only the source interface;
         // which construction backs it is invisible to the results.

@@ -44,7 +44,8 @@ public:
     /// Dissimilarity stage finished: condensed unique segments, the full
     /// pairwise matrix, and the batched k-NN curves
     /// (kth_nn_many(cluster::knn_k_max(n))) the epsilon sweep consumes.
-    /// Fires only in dense mode; sparse builds announce on_neighbors.
+    /// Fires only when the matrix was built; sparse builds (by mode or
+    /// under memory pressure) announce on_neighbors.
     virtual void on_matrix(const dissim::unique_segments& /*unique*/,
                            const dissim::dissimilarity_matrix& /*matrix*/,
                            const std::vector<std::vector<double>>& /*knn_curves*/) {}
@@ -59,20 +60,6 @@ public:
                               const dissim::capped_neighbors& /*neighbors*/,
                               const std::vector<std::vector<double>>& /*knn_curves*/) {}
 
-    /// Opt into per-tile matrix announcements: when true and the matrix is
-    /// built in the memory-lean triangular layout, the pipeline tiles the
-    /// construction and fires on_matrix_tile for every completed tile, so
-    /// an observer can spill finished cells incrementally instead of
-    /// buffering the whole triangle again at on_matrix time.
-    virtual bool wants_matrix_tiles() const { return false; }
-
-    /// One completed tile of a tiled triangular build: upper-triangle rows
-    /// [row_begin, row_end) as a contiguous, final cell run (see
-    /// dissim::tile_sink). Fires before on_matrix; tiles cover the triangle
-    /// exactly, in row order.
-    virtual void on_matrix_tile(std::size_t /*row_begin*/, std::size_t /*row_end*/,
-                                std::size_t /*n*/, std::span<const float> /*cells*/) {}
-
     /// Auto-configuration + DBSCAN (incl. both guards) finished.
     virtual void on_clustering(const cluster::auto_cluster_result& /*clustering*/) {}
 
@@ -85,10 +72,13 @@ public:
 /// Precomputed stage outputs a resumed run starts from (produced by
 /// ftc::ckpt::checkpoint_manager::load, or by tests). Each present stage is
 /// used verbatim and its computation skipped; absent stages are computed as
-/// usual. Consistency contract: `matrix` requires `unique` (it indexes its
-/// values), `knn_curves` and `clustering` require `matrix`. Because every
-/// stage is deterministic, a run seeded with any prefix of a previous run's
-/// outputs produces bitwise-identical final results.
+/// usual. Consistency contract: `matrix` and `neighbors` require `unique`
+/// (they index its values), and `knn_curves` is used only with one of them.
+/// `clustering` may arrive without them (a skipped or damaged dissimilarity
+/// snapshot), in which case that stage is recomputed; it must label the
+/// unique segments either way. Because every stage is deterministic, a run
+/// seeded with any subset of a previous run's outputs produces
+/// bitwise-identical final results.
 struct pipeline_seed {
     std::optional<segmentation::message_segments> segments;
     std::optional<dissim::unique_segments> unique;
@@ -135,17 +125,19 @@ struct pipeline_options {
     /// by installing a ftc::mem::governor for the run (unless the caller
     /// already installed one — the innermost governor wins). Under
     /// projected pressure the pipeline degrades instead of dying: weighted
-    /// condensation (occurrence lists elided, counts kept), then the
-    /// triangular tiled matrix layout — both provably result-identical —
-    /// and only when even the degraded footprint cannot fit does the run
-    /// end in ftc::memory_budget_exceeded_error with a partial-progress
-    /// report (DESIGN.md §11). A limit never changes clustering output,
-    /// only how (or whether) the run reaches it.
+    /// condensation (occurrence lists elided, counts kept), then the sparse
+    /// engine in place of a dense matrix that would not fit, in every
+    /// neighborhood mode — both provably result-identical — and only when
+    /// even the degraded footprint cannot fit does the run end in
+    /// ftc::memory_budget_exceeded_error with a partial-progress report
+    /// (DESIGN.md §11). A limit never changes clustering output, only how
+    /// (or whether) the run reaches it.
     std::size_t max_memory = 0;
     /// Which epsilon-neighborhood construction feeds DBSCAN and autoconf
-    /// (DESIGN.md §13): dense always builds the pairwise matrix, sparse
-    /// always builds capped neighbor lists, auto picks sparse at scale
-    /// (>= dissim::kSparseAutoUniques unique segments) and dense below.
+    /// (DESIGN.md §13): dense builds the pairwise matrix, sparse always
+    /// builds capped neighbor lists, auto picks sparse at scale
+    /// (>= dissim::kSparseAutoUniques unique segments) and dense below. A
+    /// matrix that would not fit max_memory is never built in any mode.
     /// Result-neutral by construction — byte-identical cluster reports
     /// either way — so it is NOT part of the checkpoint fingerprint,
     /// exactly like the thread count.

@@ -132,41 +132,16 @@ unique_segments condense_weighted(const std::vector<byte_vector>& messages,
     return out;
 }
 
-namespace {
-
-build_options dense_options(std::size_t threads) {
-    build_options opts;
-    opts.threads = threads;
-    return opts;
-}
-
-}  // namespace
-
 dissimilarity_matrix::dissimilarity_matrix(std::span<const byte_vector> values,
                                            const deadline& dl, std::size_t threads)
-    : dissimilarity_matrix(values, dense_options(threads), dl) {}
-
-dissimilarity_matrix::dissimilarity_matrix(std::span<const byte_vector> values,
-                                           const build_options& opts, const deadline& dl)
-    : n_(values.size()), layout_(opts.storage) {
+    : n_(values.size()) {
     obs::span sp("dissim.matrix");
     sp.count("n", n_);
     sp.count("pairs", n_ * (n_ - (n_ > 0 ? 1 : 0)) / 2);
-    sp.count("triangular", layout_ == layout::triangular ? 1 : 0);
     // The footprint-dominant allocation of the whole pipeline: tracked, so
     // an active memory governor turns "this matrix cannot fit" into
     // ftc::memory_budget_exceeded_error here instead of an OOM kill later.
-    if (layout_ == layout::dense) {
-        data_.assign(n_ * n_, 0.0f);
-        build_dense(values, dl, opts.threads);
-    } else {
-        data_.assign(n_ * (n_ - (n_ > 0 ? 1 : 0)) / 2, 0.0f);
-        build_triangular(values, opts, dl);
-    }
-}
-
-void dissimilarity_matrix::build_dense(std::span<const byte_vector> values,
-                                       const deadline& dl, std::size_t threads) {
+    data_.assign(n_ * n_, 0.0f);
     // Length-bucketed visit order: rows walk their partners grouped by
     // segment length (stable within a group), so equal-length pairs hit the
     // branch-predictable fast path back to back and sliding pairs of one
@@ -238,55 +213,6 @@ void dissimilarity_matrix::build_dense(std::span<const byte_vector> values,
     });
 }
 
-void dissimilarity_matrix::build_triangular(std::span<const byte_vector> values,
-                                            const build_options& opts, const deadline& dl) {
-    // Plain row order, tile by tile: tile cells are one contiguous run of
-    // the upper triangle, so a completed tile can be spilled (opts.on_tile)
-    // as final bytes the moment its last row lands. Rows inside a tile fan
-    // out across lanes; each row's cells have exactly one writer. Per-pair
-    // values are the single-call kernel results, so this build is bitwise
-    // identical to the dense build cell for cell — only layout and the
-    // batch composition differ, and neither affects any value.
-    const std::size_t lanes = util::resolve_threads(opts.threads);
-    const std::size_t tile_rows = opts.tile_rows == 0 ? (n_ > 0 ? n_ : 1) : opts.tile_rows;
-    obs::progress_stage("dissim.matrix", n_);
-    float* const cells = data_.data();
-    const auto store = [cells](std::size_t cell, float f) { cells[cell] = f; };
-    for (std::size_t row_begin = 0; row_begin < n_; row_begin += tile_rows) {
-        const std::size_t row_end = std::min(row_begin + tile_rows, n_);
-        const std::size_t grain =
-            std::max<std::size_t>(1, (row_end - row_begin) / (8 * lanes));
-        util::parallel_for(row_end - row_begin, grain, lanes,
-                           [&](std::size_t begin, std::size_t end) {
-            kernel::stats st;
-            kernel::stats* stp = obs::current() != nullptr ? &st : nullptr;
-            for (std::size_t r = begin; r < end; ++r) {
-                const std::size_t i = row_begin + r;
-                if (r % 32 == 0) {
-                    dl.check("dissimilarity matrix");
-                }
-                kernel::batcher batch(byte_view{values[i]}, stp);
-                const std::size_t base = tri_offset(i);
-                for (std::size_t j = i + 1; j < n_; ++j) {
-                    batch.add(base + (j - i - 1), byte_view{values[j]}, store);
-                }
-                batch.flush(store);
-                obs::progress_add(1);
-            }
-            if (stp != nullptr) {
-                kernel::publish(st);
-            }
-        });
-        dl.check("dissimilarity matrix tile");
-        if (opts.on_tile) {
-            const std::size_t begin = tri_offset(row_begin);
-            const std::size_t end = tri_offset(row_end);
-            opts.on_tile(row_begin, row_end, n_,
-                         std::span<const float>(data_.data() + begin, end - begin));
-        }
-    }
-}
-
 dissimilarity_matrix dissimilarity_matrix::from_dense(std::span<const double> dense,
                                                       std::size_t n) {
     expects(dense.size() == n * n, "from_dense: matrix must be n*n");
@@ -304,21 +230,16 @@ dissimilarity_matrix dissimilarity_matrix::from_dense(std::span<const double> de
 }
 
 dissimilarity_matrix dissimilarity_matrix::from_upper(std::span<const float> upper,
-                                                      std::size_t n, layout storage) {
+                                                      std::size_t n) {
     expects(upper.size() == n * (n - (n > 0 ? 1 : 0)) / 2,
             "from_upper: need exactly n*(n-1)/2 entries");
     dissimilarity_matrix m;
     m.n_ = n;
-    m.layout_ = storage;
     for (const float d : upper) {
         // The sliding-Canberra range guarantee; a checkpoint restoring
         // values outside it is damaged in a way the digest cannot see
         // (e.g. forged), and NaNs would poison DBSCAN comparisons.
         expects(d >= 0.0f && d <= 1.0f, "from_upper: entry outside [0, 1]");
-    }
-    if (storage == layout::triangular) {
-        m.data_.assign(upper.begin(), upper.end());
-        return m;
     }
     m.data_.assign(n * n, 0.0f);
     std::size_t r = 0;
@@ -331,55 +252,10 @@ dissimilarity_matrix dissimilarity_matrix::from_upper(std::span<const float> upp
     return m;
 }
 
-std::vector<float> dissimilarity_matrix::upper_triangle_f32() const {
-    if (layout_ == layout::triangular) {
-        return std::vector<float>(data_.begin(), data_.end());
-    }
-    std::vector<float> out;
-    out.reserve(n_ * (n_ - (n_ > 0 ? 1 : 0)) / 2);
-    for (std::size_t i = 0; i < n_; ++i) {
-        for (std::size_t j = i + 1; j < n_; ++j) {
-            out.push_back(data_[i * n_ + j]);
-        }
-    }
-    return out;
-}
-
-std::span<const float> dissimilarity_matrix::data() const {
-    expects(layout_ == layout::dense,
-            "data: raw row-major storage exists only in the dense layout");
-    return {data_.data(), data_.size()};
-}
-
-const float* dissimilarity_matrix::row(std::size_t i, float* scratch) const {
-    if (layout_ == layout::dense) {
-        return data_.data() + i * n_;
-    }
-    gather_row(i, scratch);
-    std::copy_backward(scratch + i, scratch + n_ - 1, scratch + n_);
-    scratch[i] = 0.0f;
-    return scratch;
-}
-
 void dissimilarity_matrix::gather_row(std::size_t i, float* out) const {
-    std::size_t w = 0;
-    if (layout_ == layout::dense) {
-        for (std::size_t j = 0; j < n_; ++j) {
-            if (j != i) {
-                out[w++] = data_[i * n_ + j];
-            }
-        }
-        return;
-    }
-    // Column i of rows above (one strided pick per row), then the
-    // contiguous tail of row i.
-    for (std::size_t j = 0; j < i; ++j) {
-        out[w++] = data_[tri_cell(j, i)];
-    }
-    const std::size_t base = tri_offset(i);
-    for (std::size_t j = i + 1; j < n_; ++j) {
-        out[w++] = data_[base + (j - i - 1)];
-    }
+    const float* const cells = row(i);
+    std::copy(cells, cells + i, out);
+    std::copy(cells + i + 1, cells + n_, out + i);
 }
 
 std::vector<double> dissimilarity_matrix::kth_nn(std::size_t k, std::size_t threads) const {
@@ -445,12 +321,6 @@ std::vector<std::vector<double>> dissimilarity_matrix::kth_nn_many(std::size_t k
 std::vector<double> dissimilarity_matrix::upper_triangle() const {
     std::vector<double> out;
     out.reserve(n_ * (n_ - (n_ > 0 ? 1 : 0)) / 2);
-    if (layout_ == layout::triangular) {
-        for (const float d : data_) {
-            out.push_back(static_cast<double>(d));
-        }
-        return out;
-    }
     for (std::size_t i = 0; i < n_; ++i) {
         for (std::size_t j = i + 1; j < n_; ++j) {
             out.push_back(static_cast<double>(data_[i * n_ + j]));

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -84,33 +83,6 @@ unique_segments condense_weighted(const std::vector<byte_vector>& messages,
                                   const segmentation::message_segments& segs,
                                   std::size_t min_length = 2);
 
-/// Storage layout of the dissimilarity matrix.
-enum class layout {
-    dense,       ///< n*n floats, mirrored — fastest at(), the default
-    triangular,  ///< n*(n-1)/2 floats, upper triangle only — half the bytes
-};
-
-/// Sink invoked with each completed tile of a tiled triangular build:
-/// rows [row_begin, row_end) of the upper triangle as one contiguous cell
-/// run. Tiles arrive in row order, exactly cover the triangle, and every
-/// cell is final when its tile is announced — the checkpoint spill hook.
-using tile_sink = std::function<void(std::size_t row_begin, std::size_t row_end,
-                                     std::size_t n, std::span<const float> cells)>;
-
-/// Construction knobs of dissimilarity_matrix.
-struct build_options {
-    layout storage = layout::dense;
-    /// Worker lanes (0 = hardware concurrency, 1 = serial).
-    std::size_t threads = 1;
-    /// Triangular builds only: rows of the upper triangle per tile
-    /// (0 = the whole triangle as one tile). Tiling bounds how much work a
-    /// crash can lose when on_tile spills tiles to disk; it never changes
-    /// any cell value.
-    std::size_t tile_rows = 0;
-    /// Called after each completed tile (triangular builds only).
-    tile_sink on_tile;
-};
-
 /// Symmetric matrix of pairwise sliding-Canberra dissimilarities.
 /// Every entry is in [0, 1] (the range guarantee of the sliding-Canberra
 /// measure, canberra.hpp) with an exactly-zero diagonal.
@@ -121,13 +93,11 @@ struct build_options {
 /// exactly one lane and written to locations no other lane touches — so
 /// the result is bitwise identical at any thread count. Pairs are
 /// evaluated through kernel::batcher (kernel.hpp; numerics in DESIGN.md
-/// §9), bitwise identical to the canberra.cpp reference. Because each
-/// pair's value is the single-call kernel result regardless of how pairs
-/// are batched or ordered, the dense and triangular layouts
-/// hold bit-identical cell values — layout is a footprint knob, never a
-/// result knob. Storage is tracked (ftc::mem), so the allocation charges
-/// the active memory governor: the one place an oversized trace used to
-/// OOM now raises ftc::memory_budget_exceeded_error instead.
+/// §9), bitwise identical to the canberra.cpp reference however pairs are
+/// batched or ordered. Storage is n*n floats, mirrored, and tracked
+/// (ftc::mem), so the allocation charges the active memory governor; the
+/// pipeline projects it first and builds the sparse engine instead when
+/// it would not fit (DESIGN.md §11).
 class dissimilarity_matrix {
 public:
     /// Compute all pairwise dissimilarities on \p threads lanes
@@ -139,51 +109,26 @@ public:
     explicit dissimilarity_matrix(std::span<const byte_vector> values,
                                   const deadline& dl = {}, std::size_t threads = 1);
 
-    /// As above with full layout/tiling control. Triangular builds walk
-    /// rows in plain index order tile by tile; dense builds keep the
-    /// length-bucketed visit order (opts.tile_rows/on_tile ignored).
-    dissimilarity_matrix(std::span<const byte_vector> values, const build_options& opts,
-                         const deadline& dl = {});
-
     /// Build from a precomputed dense row-major n*n matrix — for callers
     /// with their own dissimilarity measure (and for tests). Throws unless
     /// the input is square, symmetric and zero on the diagonal.
     static dissimilarity_matrix from_dense(std::span<const double> dense, std::size_t n);
 
     /// Rebuild from an upper-triangle float dump in (i, j > i) row order —
-    /// the checkpoint wire form (ftc::ckpt) — into the requested layout.
-    /// The exact float bit patterns are restored (both triangles mirrored
-    /// for dense, verbatim for triangular), so a matrix round-tripped
-    /// through upper_triangle_f32()/from_upper is bitwise identical to the
-    /// original whatever the layouts involved. Throws unless \p upper holds
-    /// exactly n*(n-1)/2 entries, each finite and in [0, 1].
-    static dissimilarity_matrix from_upper(std::span<const float> upper, std::size_t n,
-                                           layout storage = layout::dense);
-
-    /// The upper triangle (i < j, row order) as raw floats — the lossless
-    /// counterpart of upper_triangle() used by checkpoint serialization.
-    std::vector<float> upper_triangle_f32() const;
+    /// the checkpoint wire form (ftc::ckpt). The exact float bit patterns
+    /// are restored into both triangles, so a matrix round-tripped through
+    /// the checkpoint is bitwise identical to the original. Throws unless
+    /// \p upper holds exactly n*(n-1)/2 entries, each finite and in [0, 1].
+    static dissimilarity_matrix from_upper(std::span<const float> upper, std::size_t n);
 
     std::size_t size() const { return n_; }
 
-    /// How the cells are stored (result-neutral; see class comment).
-    layout storage() const { return layout_; }
-
     /// Dissimilarity between values i and j (0 on the diagonal).
-    double at(std::size_t i, std::size_t j) const {
-        if (layout_ == layout::dense) {
-            return data_[i * n_ + j];
-        }
-        if (i == j) {
-            return 0.0;
-        }
-        return i < j ? data_[tri_cell(i, j)] : data_[tri_cell(j, i)];
-    }
+    double at(std::size_t i, std::size_t j) const { return data_[i * n_ + j]; }
 
     /// Row \p i's size() cells in column order, diagonal included: a view
-    /// of the dense storage, or the triangular cells gathered into
-    /// \p scratch (size() floats), which is then returned.
-    const float* row(std::size_t i, float* scratch) const;
+    /// of the storage.
+    const float* row(std::size_t i) const { return data_.data() + i * n_; }
 
     /// For every element, the dissimilarity to its k-th nearest neighbour
     /// (k >= 1; k is clamped to n-1). Result has size() entries. Rows are
@@ -204,34 +149,17 @@ public:
     std::vector<double> upper_triangle() const;
 
     /// Raw row-major storage (n*n floats) — lets tests assert bitwise
-    /// equality of matrices built at different thread counts. Dense
-    /// layout only; triangular storage is reached via upper_triangle_f32.
-    std::span<const float> data() const;
+    /// equality of matrices built at different thread counts.
+    std::span<const float> data() const { return {data_.data(), data_.size()}; }
 
 private:
     dissimilarity_matrix() = default;
 
-    /// Cells of upper-triangle rows before row \p i (row r holds n-1-r).
-    std::size_t tri_offset(std::size_t i) const {
-        return i * (n_ - 1) - i * (i - 1) / 2;
-    }
-
-    /// Flat index of cell (i, j), i < j, in triangular storage.
-    std::size_t tri_cell(std::size_t i, std::size_t j) const {
-        return tri_offset(i) + (j - i - 1);
-    }
-
     /// The n-1 off-diagonal entries of row \p i, in column order, into
-    /// \p out — the layout-agnostic row scan behind the k-NN paths.
+    /// \p out — the row scan behind the k-NN paths.
     void gather_row(std::size_t i, float* out) const;
 
-    void build_dense(std::span<const byte_vector> values, const deadline& dl,
-                     std::size_t threads);
-    void build_triangular(std::span<const byte_vector> values, const build_options& opts,
-                          const deadline& dl);
-
     std::size_t n_ = 0;
-    layout layout_ = layout::dense;
     mem::vector<float> data_;
 };
 

@@ -133,10 +133,6 @@ void matrix_neighborhood::prepare_within(double epsilon, std::size_t threads) co
     const std::size_t lanes = util::resolve_threads(threads);
     const std::size_t grain = std::max<std::size_t>(64, n / (8 * lanes));
     util::parallel_for(n, grain, lanes, [&](std::size_t begin, std::size_t end) {
-        std::vector<float> scratch;
-        if (!retest && matrix_.storage() == layout::triangular) {
-            scratch.resize(n);
-        }
         for (std::size_t i = begin; i < end; ++i) {
             std::uint64_t* row = bits_.data() + i * words_;
             std::uint32_t count = 0;
@@ -155,7 +151,7 @@ void matrix_neighborhood::prepare_within(double epsilon, std::size_t threads) co
             } else {
                 // The compare of the row scan in neighbors_within, cell for
                 // cell: the widened f32 against epsilon.
-                const float* cells = matrix_.row(i, scratch.data());
+                const float* cells = matrix_.row(i);
                 for (std::size_t w = 0; w < words_; ++w) {
                     const std::size_t base = w * 64;
                     const std::size_t width = std::min<std::size_t>(64, n - base);

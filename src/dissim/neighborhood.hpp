@@ -11,11 +11,11 @@
 /// neighborhood_source names exactly that contract so the clustering layer
 /// can run against either backing store:
 ///
-///  - matrix_neighborhood wraps the existing dense/triangular
-///    dissimilarity_matrix. Its prepare marks each row's cells within
-///    epsilon as a bit row on the caller's lanes, re-testing only the set
-///    bits when epsilon shrinks, so DBSCAN's expansion reads words
-///    instead of rows; every other query reads stored cells.
+///  - matrix_neighborhood wraps the dense dissimilarity_matrix. Its
+///    prepare marks each row's cells within epsilon as a bit row on the
+///    caller's lanes, re-testing only the set bits when epsilon shrinks,
+///    so DBSCAN's expansion reads words instead of rows; every other
+///    query reads stored cells.
 ///  - sparse_neighborhood (sparse.hpp) answers them from capped per-point
 ///    neighbor lists plus bucket-pruned scans, never materializing the
 ///    O(n²) matrix.
@@ -86,8 +86,10 @@ struct capped_neighbors {
 /// Result-neutral by construction — both paths produce byte-identical
 /// cluster reports — so the mode is deliberately NOT part of the checkpoint
 /// fingerprint, exactly like thread counts.
+/// Whatever the mode, a dense matrix the memory budget cannot hold is
+/// never built: the pipeline takes the sparse engine instead.
 enum class neighborhood_mode {
-    dense,   ///< always build the full dissimilarity matrix
+    dense,   ///< build the full dissimilarity matrix when it fits
     sparse,  ///< always build capped neighbor lists (ftc::dissim::sparse)
     auto_,   ///< sparse at scale (>= auto threshold uniques), dense below
 };
@@ -159,7 +161,7 @@ public:
                                                          std::size_t threads = 1) const = 0;
 };
 
-/// neighborhood_source over a prebuilt dense/triangular matrix: every query
+/// neighborhood_source over a prebuilt dense matrix: every query
 /// forwards to the stored cells, except expand_within at the prepared
 /// epsilon, which reads the bit rows. Does not own the matrix; it must
 /// outlive the adapter.

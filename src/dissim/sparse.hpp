@@ -34,8 +34,9 @@
 ///    in kernel batches at f32 storage precision, keeping nothing: the
 ///    refinement pass reads each pair at most once.
 ///
-/// Everything is charged against ftc::mem (the sparse path is rung 0 of the
-/// degradation ladder: it avoids the O(n²) allocation entirely), progress is
+/// Everything is charged against ftc::mem (the sparse path is the matrix
+/// rung of the degradation ladder: the pipeline builds it whenever the
+/// O(n²) matrix would not fit the budget, DESIGN.md §11), progress is
 /// published through the obs seqlock ("dissim.sparse" stage), and the
 /// pairs-scored/pairs-skipped/buckets-pruned counters quantify the
 /// reduction. Clustering output over a sparse source is byte-identical to

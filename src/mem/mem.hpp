@@ -21,8 +21,10 @@
 ///    (a budget_exceeded_error, so every partial-progress catch site already
 ///    handles it), and stages can *project* a footprint with would_exceed()
 ///    before committing to it — that projection is what drives the
-///    degradation ladder in core::analyze (weighted dedup, then triangular
-///    tiled matrix construction, then a typed error; DESIGN.md §11).
+///    degradation ladder in core::analyze (weighted dedup, then the sparse
+///    engine in place of the dense matrix, then a typed error; DESIGN.md
+///    §11) and lets optional buffers (DBSCAN bit rows, checkpoint
+///    snapshots) step aside instead of failing the run.
 ///
 ///  - **Deterministic fault injection.** A process-global fault plan makes
 ///    the Nth tracked charge — or every charge past a byte high-water mark —

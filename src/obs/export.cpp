@@ -235,8 +235,8 @@ help_registry& helps() {
             {"ckpt.files_written_total", "Checkpoint section files written"},
             {"ckpt.interrupted_total", "Checkpoint saves cut short by an interrupt"},
             {"ckpt.sections_rejected_total", "Checkpoint sections rejected as stale or corrupt"},
+            {"ckpt.snapshots_skipped_total", "Checkpoint snapshots not written or not restored for the memory budget"},
             {"ckpt.stages_restored_total", "Pipeline stages restored from a checkpoint"},
-            {"ckpt.tiles_spilled_total", "Triangular-matrix tiles spilled to the checkpoint"},
             {"cluster.dbscan_runs_total", "DBSCAN executions including epsilon re-runs"},
             {"cluster.knn_reused_total", "Auto-configurations served from an extracted k-NN batch"},
             {"cluster.reconfigurations_total", "Auto-reconfigurations of DBSCAN parameters"},
@@ -265,7 +265,7 @@ help_registry& helps() {
             {"mem.budget_exceeded_total", "Runs aborted by the memory budget"},
             {"mem.dedup_condensations_total", "Segment stores condensed under memory pressure"},
             {"mem.degrade.dedup_total", "Dedup degradation-ladder rungs engaged"},
-            {"mem.degrade.triangular_total", "Triangular-storage rungs engaged under memory pressure"},
+            {"mem.degrade.sparse_total", "Sparse-engine rungs engaged because the dense matrix would not fit"},
             {"mem.faults_injected_total", "Allocation faults injected by the test harness"},
             {"net.io_faults_injected_total", "Socket/spool I/O faults injected by the test harness"},
             {"pcap.datagrams_total", "Datagrams decapsulated from the input capture"},

@@ -201,7 +201,7 @@ std::size_t session_manager::session_memory_cap(int pressure) const {
     if (pressure >= 1 && cap > 0) {
         // Degraded: each session may push the tracked footprint only
         // halfway to its normal ceiling, trading earlier in-session
-        // degradation (dedup, tiled matrix) for admission headroom.
+        // degradation (dedup, sparse engine) for admission headroom.
         cap -= cap / 2;
     }
     return cap;

@@ -8,7 +8,8 @@
 #pragma once
 
 #include <chrono>
-#include <optional>
+#include <limits>
+#include <string>
 #include <string_view>
 
 #include "util/error.hpp"
@@ -50,10 +51,7 @@ public:
     explicit deadline(double seconds) : budget_seconds_(seconds) {}
 
     /// True once the budget has elapsed or the process was interrupted.
-    bool expired() const {
-        return interrupt_requested() ||
-               (budget_seconds_.has_value() && watch_.elapsed_seconds() > *budget_seconds_);
-    }
+    bool expired() const { return interrupt_requested() || over_budget(); }
 
     /// Throw ftc::interrupted_error on a pending interrupt, else
     /// ftc::budget_exceeded_error if the time budget elapsed. \p what names
@@ -62,13 +60,20 @@ public:
         if (interrupt_requested()) {
             throw interrupted_error(std::string{what} + ": interrupted by stop request");
         }
-        if (budget_seconds_.has_value() && watch_.elapsed_seconds() > *budget_seconds_) {
+        if (over_budget()) {
             throw budget_exceeded_error(std::string{what} + ": exceeded runtime budget");
         }
     }
 
 private:
-    std::optional<double> budget_seconds_;
+    static constexpr double kUnlimited = std::numeric_limits<double>::infinity();
+
+    /// Unlimited deadlines never read the clock.
+    bool over_budget() const {
+        return budget_seconds_ != kUnlimited && watch_.elapsed_seconds() > budget_seconds_;
+    }
+
+    double budget_seconds_ = kUnlimited;
     stopwatch watch_;
 };
 

@@ -304,5 +304,39 @@ TEST(CkptFormat, RealMatrixRoundTripsLosslessly) {
     EXPECT_EQ(unique_back.occurrences, unique.occurrences);
 }
 
+TEST(CkptFormat, ProjectedSizesEqualEncodedSizes) {
+    // The checkpoint writer skips a snapshot by these projections before
+    // encoding it, so each must be the exact size of what its encoder
+    // produces, and file_bytes the exact size of the container around them.
+    const segments_payload segs = sample_segments();
+    const dissim::unique_segments unique = sample_unique();
+    dissim::unique_segments weighted = sample_unique();
+    weighted.occurrences_elided = true;
+    weighted.occurrences.clear();
+    weighted.multiplicities = {1, 2, 1};
+    const dissim::dissimilarity_matrix matrix = sample_matrix();
+    const std::vector<std::vector<double>> curves = {{0.0, 0.1, 0.25}, {0.5}};
+    const dissim::capped_neighbors neighbors = sample_neighbors();
+    const cluster::auto_cluster_result clustering = sample_clustering();
+
+    EXPECT_EQ(segments_bytes(segs), encode_segments(segs).size());
+    EXPECT_EQ(unique_bytes(unique), encode_unique(unique).size());
+    EXPECT_EQ(unique_bytes(weighted), encode_unique(weighted).size());
+    EXPECT_EQ(matrix_bytes(matrix.size()), encode_matrix(matrix).size());
+    EXPECT_EQ(knn_bytes(curves), encode_knn(curves).size());
+    EXPECT_EQ(neighbors_bytes(neighbors), encode_neighbors(neighbors).size());
+    EXPECT_EQ(clustering_bytes(clustering), encode_clustering(clustering).size());
+    EXPECT_EQ(kFingerprintBytes, encode_fingerprint({1, 2}).size());
+
+    const std::vector<section> sections = {
+        {static_cast<std::uint32_t>(section_id::unique), encode_unique(unique)},
+        {static_cast<std::uint32_t>(section_id::matrix), encode_matrix(matrix)},
+        {static_cast<std::uint32_t>(section_id::knn), encode_knn(curves)},
+    };
+    const std::vector<std::uint64_t> sizes = {unique_bytes(unique),
+                                              matrix_bytes(matrix.size()), knn_bytes(curves)};
+    EXPECT_EQ(file_bytes(sizes), encode_sections(sections).size());
+}
+
 }  // namespace
 }  // namespace ftc::ckpt

@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
-#include <span>
 #include <string>
 
 #include "ckpt/manager.hpp"
@@ -157,8 +156,8 @@ TEST(CkptInterrupt, StopRequestRaisesInterruptedErrorAndResumeCompletes) {
 
 /// Almost-all-unique segment values: the dense n×n matrix dominates the
 /// run's peak, so a max_memory just below that peak deterministically
-/// forces the tiled triangular build (the mem-degrade spill recipe).
-scenario make_tile_scenario() {
+/// makes the run build the sparse engine instead (the mem-degrade recipe).
+scenario make_pressured_scenario() {
     std::minstd_rand rng(13);
     scenario s;
     for (std::size_t m = 0; m < 200; ++m) {
@@ -180,12 +179,13 @@ scenario make_tile_scenario() {
 void sigterm_to_interrupt(int sig) { request_interrupt(sig); }
 
 /// Delegates every announcement to the checkpoint manager, but delivers a
-/// real SIGTERM right after the first spilled tile reaches disk — the kill
-/// arrives while the tile stream is mid-flight, exactly the window where a
-/// torn write would poison the checkpoint.
-class sigterm_after_first_tile final : public core::stage_observer {
+/// real SIGTERM right after the dissimilarity snapshot reaches disk — the
+/// kill arrives between a landed file and the next stage's, exactly the
+/// window where a torn write or a half-updated manifest would poison the
+/// checkpoint.
+class sigterm_after_snapshot final : public core::stage_observer {
 public:
-    explicit sigterm_after_first_tile(core::stage_observer& inner) : inner_(inner) {}
+    explicit sigterm_after_snapshot(core::stage_observer& inner) : inner_(inner) {}
 
     void on_segments(const std::vector<byte_vector>& messages,
                      const segmentation::message_segments& segments) override {
@@ -195,34 +195,34 @@ public:
                    const dissim::dissimilarity_matrix& matrix,
                    const std::vector<std::vector<double>>& knn_curves) override {
         inner_.on_matrix(unique, matrix, knn_curves);
+        landed();
     }
     void on_neighbors(const dissim::unique_segments& unique,
                       const dissim::capped_neighbors& neighbors,
                       const std::vector<std::vector<double>>& knn_curves) override {
         inner_.on_neighbors(unique, neighbors, knn_curves);
-    }
-    bool wants_matrix_tiles() const override { return inner_.wants_matrix_tiles(); }
-    void on_matrix_tile(std::size_t row_begin, std::size_t row_end, std::size_t n,
-                        std::span<const float> cells) override {
-        inner_.on_matrix_tile(row_begin, row_end, n, cells);
-        if (++tiles == 1) {
-            std::raise(SIGTERM);
-        }
+        landed();
     }
     void on_clustering(const cluster::auto_cluster_result& clustering) override {
         inner_.on_clustering(clustering);
     }
     void on_interrupted(const char* stage) override { inner_.on_interrupted(stage); }
 
-    int tiles = 0;
+    int snapshots = 0;
 
 private:
+    void landed() {
+        if (++snapshots == 1) {
+            std::raise(SIGTERM);
+        }
+    }
+
     core::stage_observer& inner_;
 };
 
-TEST(CkptInterrupt, SigtermDuringTileWriteLeavesNoTornFiles) {
-    const scenario s = make_tile_scenario();
-    const fs::path dir = fs::temp_directory_path() / "ftc_ckpt_interrupt_sigterm_tile";
+TEST(CkptInterrupt, SigtermAfterSnapshotLandsLeavesNoTornFiles) {
+    const scenario s = make_pressured_scenario();
+    const fs::path dir = fs::temp_directory_path() / "ftc_ckpt_interrupt_sigterm_snapshot";
     fs::remove_all(dir);
 
     // Baseline: peak (to size the pressure) and the reference labels.
@@ -238,30 +238,29 @@ TEST(CkptInterrupt, SigtermDuringTileWriteLeavesNoTornFiles) {
     const ckpt::options_fingerprint fp = ckpt::fingerprint(opt, "true", 7);
 
     // SIGTERM lands via the CLI's own handler contract: the signal sets the
-    // interrupt flag, the run unwinds at the next check point while tiles
-    // may still be streaming.
+    // interrupt flag, and the run unwinds at the next check point.
     using handler = void (*)(int);
     const handler previous = std::signal(SIGTERM, sigterm_to_interrupt);
     ASSERT_NE(previous, SIG_ERR);
-    int tiles_before_signal = 0;
+    int snapshots_before_signal = 0;
     {
         scoped_interrupt_clear guard;
         ckpt::checkpoint_manager manager(dir, fp);
         manager.on_segments(s.messages, s.segments);
-        sigterm_after_first_tile killer(manager);
+        sigterm_after_snapshot killer(manager);
         core::pipeline_options observed = opt;
         observed.observer = &killer;
         core::pipeline_seed seed;
         seed.segments = s.segments;
         EXPECT_THROW(core::analyze_seeded(s.messages, nullptr, std::move(seed), observed),
                      interrupted_error);
-        tiles_before_signal = killer.tiles;
+        snapshots_before_signal = killer.snapshots;
         EXPECT_EQ(interrupt_signal(), SIGTERM);
     }
     std::signal(SIGTERM, previous);
-    // The signal really did land inside the tile stream.
-    ASSERT_GE(tiles_before_signal, 1);
-    ASSERT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::tile_file(0)));
+    // The signal really did land right after the pressured run's snapshot.
+    ASSERT_EQ(snapshots_before_signal, 1);
+    ASSERT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::kNeighborsFile));
 
     // Invariant #1: every file in the checkpoint dir is complete or absent
     // — atomic_write_file's temp files never survive the unwind.
@@ -277,6 +276,7 @@ TEST(CkptInterrupt, SigtermDuringTileWriteLeavesNoTornFiles) {
     ckpt::checkpoint_manager manager(dir, fp);
     ckpt::restored_state restored = manager.load(s.messages, strict);
     ASSERT_TRUE(restored.has_segments());
+    EXPECT_TRUE(restored.seed.neighbors.has_value());
 
     // Invariant #3: the flag is cleared, and resuming from the survivors
     // reproduces the uninterrupted run exactly.

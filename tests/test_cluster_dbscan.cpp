@@ -322,7 +322,7 @@ std::vector<std::uint64_t> random_skip(std::size_t n, double density, rng& rand)
 }
 
 TEST(DbscanDifferential, PreparedBitRowsReproduceTheReferenceAlongAnEpsilonWalk) {
-    // One adapter per layout and lane count keeps its bit rows along an
+    // One adapter per lane count keeps its bit rows along an
     // epsilon walk up and back down: the first prepare scans every row,
     // each larger epsilon scans them again, each smaller one re-tests the
     // set bits only, and a repeated epsilon prepares nothing. The labels
@@ -332,22 +332,15 @@ TEST(DbscanDifferential, PreparedBitRowsReproduceTheReferenceAlongAnEpsilonWalk)
     for (const auto& [n, seed] : bit_row_populations()) {
         const auto values = neighborhood_test::population(n, seed);
         const dissim::dissimilarity_matrix dense(values);
-        dissim::build_options triangular_layout;
-        triangular_layout.storage = dissim::layout::triangular;
-        const dissim::dissimilarity_matrix triangular(values, triangular_layout);
         const dissim::matrix_neighborhood oracle(dense);
         const std::size_t k = knn_k_max(n);
         struct walker {
-            const char* layout;
             std::size_t lanes;
             std::unique_ptr<dissim::matrix_neighborhood> adapter;
         };
         std::vector<walker> walkers;
         for (const std::size_t lanes : {1, 2, 4}) {
-            walkers.push_back(
-                {"dense", lanes, std::make_unique<dissim::matrix_neighborhood>(dense)});
-            walkers.push_back(
-                {"triangular", lanes, std::make_unique<dissim::matrix_neighborhood>(triangular)});
+            walkers.push_back({lanes, std::make_unique<dissim::matrix_neighborhood>(dense)});
         }
         rng rand(seed);
         for (const double eps : neighborhood_test::epsilon_walk(dense, k)) {
@@ -358,7 +351,7 @@ TEST(DbscanDifferential, PreparedBitRowsReproduceTheReferenceAlongAnEpsilonWalk)
                 for (const walker& w : walkers) {
                     const cluster_labels got = dbscan(*w.adapter, params, w.lanes);
                     ASSERT_EQ(got.labels, expected.labels)
-                        << w.layout << " lanes=" << w.lanes << " min_samples=" << min_samples;
+                        << "lanes=" << w.lanes << " min_samples=" << min_samples;
                     ASSERT_EQ(got.cluster_count, expected.cluster_count);
                 }
             }
@@ -375,9 +368,9 @@ TEST(DbscanDifferential, PreparedBitRowsReproduceTheReferenceAlongAnEpsilonWalk)
                             std::vector<std::uint32_t> got_fresh{7};
                             ASSERT_EQ(w.adapter->expand_within(i, at, min_count, skip, got_fresh),
                                       want)
-                                << w.layout << " lanes=" << w.lanes << " i=" << i << " at=" << at;
+                                << "lanes=" << w.lanes << " i=" << i << " at=" << at;
                             ASSERT_EQ(got_fresh, want_fresh)
-                                << w.layout << " lanes=" << w.lanes << " i=" << i << " at=" << at;
+                                << "lanes=" << w.lanes << " i=" << i << " at=" << at;
                         }
                     }
                 }

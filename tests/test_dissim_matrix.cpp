@@ -149,25 +149,19 @@ TEST(Matrix, KthNnMatchesBruteForce) {
     }
 }
 
-TEST(Matrix, RowViewsHoldEveryCellInBothLayouts) {
+TEST(Matrix, RowViewsHoldEveryCell) {
     // row(i) is what DBSCAN's bit rows are marked from: every cell of the
-    // row in column order, the zero diagonal included, in either layout.
+    // row in column order, the zero diagonal included.
     rng rand(11);
     std::vector<byte_vector> values;
     for (int i = 0; i < 67; ++i) {
         values.push_back(rand.bytes(2 + rand.uniform(0, 6)));
     }
     const dissimilarity_matrix dense(values);
-    build_options triangular_layout;
-    triangular_layout.storage = layout::triangular;
-    const dissimilarity_matrix triangular(values, triangular_layout);
-    std::vector<float> scratch(values.size());
-    for (const dissimilarity_matrix* m : {&dense, &triangular}) {
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            const float* row = m->row(i, scratch.data());
-            for (std::size_t j = 0; j < values.size(); ++j) {
-                ASSERT_EQ(static_cast<double>(row[j]), dense.at(i, j)) << i << "," << j;
-            }
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const float* row = dense.row(i);
+        for (std::size_t j = 0; j < values.size(); ++j) {
+            ASSERT_EQ(static_cast<double>(row[j]), dense.at(i, j)) << i << "," << j;
         }
     }
 }

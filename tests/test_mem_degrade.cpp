@@ -1,18 +1,21 @@
 // Tests of graceful degradation under memory pressure (DESIGN.md §11):
-// every rung of the ladder — weighted dedup, triangular/tiled matrix
-// storage, the typed out-of-budget exit — must leave clustering output
-// bitwise identical to the unpressured run, or fail with a typed error
-// carrying partial progress. Never a crash, never a different answer.
+// every rung of the ladder — weighted dedup, the sparse engine in place of
+// a matrix that would not fit, the typed out-of-budget exit — must leave
+// clustering output bitwise identical to the unpressured run, or fail with
+// a typed error carrying partial progress. Checkpoint snapshots never
+// fail a run that fits without them. Never a crash, never a different
+// answer.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "ckpt/manager.hpp"
 #include "core/pipeline.hpp"
 #include "dissim/matrix.hpp"
 #include "mem/mem.hpp"
+#include "obs/obs.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
 #include "util/check.hpp"
@@ -23,20 +26,6 @@ namespace ftc {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::vector<byte_vector> random_values(std::size_t n, std::uint64_t seed) {
-    rng rng(seed);
-    std::vector<byte_vector> values;
-    values.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        byte_vector v(2 + (rng() % 7));
-        for (auto& b : v) {
-            b = static_cast<std::uint8_t>(rng());
-        }
-        values.push_back(std::move(v));
-    }
-    return values;
-}
 
 struct scenario {
     std::vector<byte_vector> messages;
@@ -163,105 +152,56 @@ TEST(CondenseWeighted, UsesLessTrackedMemoryThanFull) {
     EXPECT_LT(weighted.footprint.bytes(), full.footprint.bytes());
 }
 
-// --- Rung 2: triangular / tiled matrix storage -----------------------------
-
-TEST(TriangularLayout, BitwiseIdenticalToDense) {
-    const std::vector<byte_vector> values = random_values(60, 42);
-    const dissim::dissimilarity_matrix dense(values);
-    dissim::build_options opts;
-    opts.storage = dissim::layout::triangular;
-    const dissim::dissimilarity_matrix tri(values, opts);
-
-    ASSERT_EQ(tri.size(), dense.size());
-    ASSERT_EQ(tri.storage(), dissim::layout::triangular);
-    const std::vector<float> upper_dense = dense.upper_triangle_f32();
-    const std::vector<float> upper_tri = tri.upper_triangle_f32();
-    ASSERT_EQ(upper_dense.size(), upper_tri.size());
-    EXPECT_EQ(0, std::memcmp(upper_dense.data(), upper_tri.data(),
-                             upper_dense.size() * sizeof(float)));
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-        for (std::size_t j = 0; j < dense.size(); ++j) {
-            ASSERT_EQ(tri.at(i, j), dense.at(i, j)) << "(" << i << "," << j << ")";
-        }
-    }
-}
-
-TEST(TriangularLayout, KnnCurvesMatchDense) {
-    const std::vector<byte_vector> values = random_values(40, 9);
-    const dissim::dissimilarity_matrix dense(values);
-    dissim::build_options opts;
-    opts.storage = dissim::layout::triangular;
-    const dissim::dissimilarity_matrix tri(values, opts);
-    EXPECT_EQ(tri.kth_nn_many(10), dense.kth_nn_many(10));
-    EXPECT_EQ(tri.kth_nn(3), dense.kth_nn(3));
-    EXPECT_EQ(tri.upper_triangle(), dense.upper_triangle());
-}
-
-TEST(TriangularLayout, TiledBuildCoversTriangleInOrder) {
-    const std::vector<byte_vector> values = random_values(31, 5);
-    dissim::build_options plain;
-    plain.storage = dissim::layout::triangular;
-    const dissim::dissimilarity_matrix reference(values, plain);
-
-    std::vector<float> spilled;
-    std::size_t next_row = 0;
-    dissim::build_options tiled;
-    tiled.storage = dissim::layout::triangular;
-    tiled.tile_rows = 7;  // deliberately not dividing 31
-    tiled.on_tile = [&](std::size_t row_begin, std::size_t row_end, std::size_t n,
-                        std::span<const float> cells) {
-        EXPECT_EQ(row_begin, next_row);  // seamless row chaining
-        EXPECT_EQ(n, values.size());
-        std::size_t expected = 0;
-        for (std::size_t r = row_begin; r < row_end; ++r) {
-            expected += n - 1 - r;
-        }
-        EXPECT_EQ(cells.size(), expected);
-        spilled.insert(spilled.end(), cells.begin(), cells.end());
-        next_row = row_end;
-    };
-    const dissim::dissimilarity_matrix built(values, tiled);
-
-    EXPECT_EQ(next_row, values.size());
-    const std::vector<float> upper = reference.upper_triangle_f32();
-    ASSERT_EQ(spilled.size(), upper.size());
-    EXPECT_EQ(0, std::memcmp(spilled.data(), upper.data(), upper.size() * sizeof(float)));
-    EXPECT_EQ(built.upper_triangle_f32(), upper);
-}
-
-TEST(TriangularLayout, FromUpperRoundTripsBothLayouts) {
-    const std::vector<byte_vector> values = random_values(20, 3);
-    const dissim::dissimilarity_matrix dense(values);
-    const std::vector<float> upper = dense.upper_triangle_f32();
-    const dissim::dissimilarity_matrix as_tri =
-        dissim::dissimilarity_matrix::from_upper(upper, values.size(),
-                                                 dissim::layout::triangular);
-    const dissim::dissimilarity_matrix as_dense =
-        dissim::dissimilarity_matrix::from_upper(upper, values.size());
-    EXPECT_EQ(as_tri.upper_triangle_f32(), upper);
-    EXPECT_EQ(as_dense.upper_triangle_f32(), upper);
-    EXPECT_EQ(as_tri.storage(), dissim::layout::triangular);
-    EXPECT_EQ(as_dense.storage(), dissim::layout::dense);
-}
-
 // --- The ladder end to end -------------------------------------------------
 
-TEST(MemDegrade, TriangularRungPreservesClusteringBitwise) {
-    const scenario s = make_scenario("DNS", 100);
-    const labels_snapshot baseline = snapshot_run(s);
+/// A budget the dense matrix cannot fit under but the sparse engine can: a
+/// quarter matrix below the unpressured (dense) peak. The capped neighbor
+/// lists are O(n·ln n), far below the matrix, so rung 2 has room to spare.
+std::size_t cap_below_dense(const labels_snapshot& baseline) {
     const std::uint64_t n = baseline.values.size();
     const std::uint64_t dense_bytes = n * n * sizeof(float);
-    ASSERT_GT(baseline.peak_bytes, dense_bytes);
+    EXPECT_GT(baseline.peak_bytes, dense_bytes);
+    return static_cast<std::size_t>(baseline.peak_bytes - dense_bytes / 4);
+}
 
-    // A budget the dense matrix cannot fit under but the degraded run can:
-    // the triangular layout alone returns half the dense bytes, so a cap a
-    // quarter-matrix below the dense peak forces rung 2 with room to spare.
-    core::pipeline_options opt;
-    opt.max_memory = static_cast<std::size_t>(baseline.peak_bytes - dense_bytes / 4);
-    const labels_snapshot degraded = snapshot_run(s, opt);
+double counter(const obs::scoped_recorder& recorder, const char* name) {
+    const obs::metrics_snapshot m = recorder.rec().metrics().snapshot();
+    const auto it = m.counters.find(name);
+    return it == m.counters.end() ? 0.0 : it->second;
+}
 
-    expect_identical(baseline, degraded);
-    EXPECT_LE(degraded.peak_bytes, opt.max_memory);
+/// Checkpoint a run of \p s under \p opt into \p dir (segments seeded, as
+/// the CLI's segmentation snapshot would be) and return its final labels.
+std::vector<int> checkpointed_run(const scenario& s, const core::pipeline_options& opt,
+                                  const fs::path& dir, const ckpt::options_fingerprint& fp) {
+    ckpt::checkpoint_manager manager(dir, fp);
+    manager.on_segments(s.messages, s.segments);
+    core::pipeline_options observed = opt;
+    observed.observer = &manager;
+    core::pipeline_seed seed;
+    seed.segments = s.segments;
+    const core::pipeline_result r =
+        core::analyze_seeded(s.messages, nullptr, std::move(seed), observed);
+    manager.mark_complete();
+    return r.final_labels.labels;
+}
+
+TEST(MemDegrade, SparseRungPreservesClusteringInAutoAndDenseModes) {
+    const scenario s = make_scenario("DNS", 100);
+    const labels_snapshot baseline = snapshot_run(s);
+    for (const dissim::neighborhood_mode mode :
+         {dissim::neighborhood_mode::auto_, dissim::neighborhood_mode::dense}) {
+        SCOPED_TRACE(dissim::neighborhood_mode_name(mode));
+        core::pipeline_options opt;
+        opt.neighborhood = mode;
+        opt.max_memory = cap_below_dense(baseline);
+        const obs::scoped_recorder recorder;
+        const labels_snapshot degraded = snapshot_run(s, opt);
+
+        expect_identical(baseline, degraded);
+        EXPECT_LE(degraded.peak_bytes, opt.max_memory);
+        EXPECT_EQ(counter(recorder, "mem.degrade.sparse_total"), 1.0);
+    }
 }
 
 TEST(MemDegrade, DedupRungPreservesClusteringBitwise) {
@@ -306,51 +246,106 @@ TEST(MemDegrade, ImpossibleBudgetFailsWithTypedPartialProgress) {
     EXPECT_EQ(mem::governor::active(), nullptr);  // unwound cleanly
 }
 
-TEST(MemDegrade, TiledSpillResumesBitwiseIdentical) {
+TEST(MemDegrade, PressuredCheckpointResumesFromNeighborLists) {
     const scenario s = make_unique_scenario();
-    const fs::path dir = fs::temp_directory_path() / "ftc_test_mem_degrade_spill";
+    const fs::path dir = fs::temp_directory_path() / "ftc_test_mem_degrade_neighbors";
     fs::remove_all(dir);
-
     const labels_snapshot baseline = snapshot_run(s);
-    const std::uint64_t n = baseline.values.size();
-    const std::uint64_t dense_bytes = n * n * sizeof(float);
-    ASSERT_GT(baseline.peak_bytes, dense_bytes);
-    // The reference upper triangle the spilled tiles must reassemble into.
-    const std::vector<float> reference_upper = [&] {
-        const dissim::unique_segments u = dissim::condense(s.messages, s.segments);
-        return dissim::dissimilarity_matrix(u.values).upper_triangle_f32();
-    }();
 
     core::pipeline_options opt;
-    opt.max_memory = static_cast<std::size_t>(baseline.peak_bytes - dense_bytes / 4);
+    opt.max_memory = cap_below_dense(baseline);
     const ckpt::options_fingerprint fp = ckpt::fingerprint(opt, "true", 7);
-    {
-        ckpt::checkpoint_manager manager(dir, fp);
-        manager.on_segments(s.messages, s.segments);
-        core::pipeline_options observed = opt;
-        observed.observer = &manager;
-        core::pipeline_seed seed;
-        seed.segments = s.segments;
-        const core::pipeline_result pressured =
-            core::analyze_seeded(s.messages, nullptr, std::move(seed), observed);
-        manager.mark_complete();
-        EXPECT_EQ(pressured.final_labels.labels, baseline.final_labels);
-    }
-    // The pressured build must have spilled at least one tile.
-    ASSERT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::tile_file(0)));
+    EXPECT_EQ(checkpointed_run(s, opt, dir, fp), baseline.final_labels);
+    // The pressured run built the sparse engine, so its dissimilarity
+    // snapshot is the neighbor lists; no matrix existed to write.
+    ASSERT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::kNeighborsFile));
+    EXPECT_FALSE(fs::exists(dir / ckpt::checkpoint_manager::kMatrixFile));
+    // Make the resume cluster again from the restored lists.
+    fs::remove(dir / ckpt::checkpoint_manager::kClusteringFile);
 
-    // Resume under the same pressure: the spilled tiles reassemble into the
-    // same matrix (bitwise) and the restored run reproduces the baseline.
     diag::error_sink sink(diag::policy::strict);
     ckpt::checkpoint_manager manager(dir, fp);
     const mem::governor governor(opt.max_memory);
     ckpt::restored_state restored = manager.load(s.messages, sink);
-    ASSERT_TRUE(restored.seed.matrix.has_value());
-    EXPECT_EQ(restored.seed.matrix->storage(), dissim::layout::triangular);
-    EXPECT_EQ(restored.seed.matrix->upper_triangle_f32(), reference_upper);
+    ASSERT_TRUE(restored.seed.neighbors.has_value());
     const core::pipeline_result resumed = core::analyze_seeded(
-        restored.has_segments() ? restored.messages : s.messages, nullptr,
-        std::move(restored.seed), opt);
+        restored.messages, nullptr, std::move(restored.seed), opt);
+    EXPECT_EQ(resumed.final_labels.labels, baseline.final_labels);
+    EXPECT_EQ(resumed.final_labels.cluster_count, baseline.cluster_count);
+    EXPECT_EQ(resumed.clustering.config.epsilon, baseline.epsilon);
+    EXPECT_EQ(resumed.clustering.config.min_samples, baseline.min_samples);
+    fs::remove_all(dir);
+}
+
+TEST(MemDegrade, DenseSnapshotOverBudgetIsSkippedUnderStrictAndLenientResume) {
+    const scenario s = make_unique_scenario();
+    const fs::path dir = fs::temp_directory_path() / "ftc_test_mem_degrade_skip_load";
+    fs::remove_all(dir);
+    const labels_snapshot baseline = snapshot_run(s);
+
+    // An unpressured run leaves a dense matrix.ckpt.
+    const core::pipeline_options plain;
+    const ckpt::options_fingerprint fp = ckpt::fingerprint(plain, "true", 7);
+    EXPECT_EQ(checkpointed_run(s, plain, dir, fp), baseline.final_labels);
+    ASSERT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::kMatrixFile));
+    fs::remove(dir / ckpt::checkpoint_manager::kClusteringFile);
+
+    // Resumed under a cap that cannot hold that matrix, the snapshot is
+    // not restored — and not quarantined either, so strict passes — and
+    // the stage is rebuilt on the sparse engine with identical results.
+    core::pipeline_options opt;
+    opt.max_memory = cap_below_dense(baseline);
+    for (const diag::policy policy : {diag::policy::strict, diag::policy::lenient}) {
+        SCOPED_TRACE(policy == diag::policy::strict ? "strict" : "lenient");
+        const obs::scoped_recorder recorder;
+        diag::error_sink sink(policy);
+        ckpt::checkpoint_manager manager(dir, fp);
+        const mem::governor governor(opt.max_memory);
+        ckpt::restored_state restored = manager.load(s.messages, sink);
+        EXPECT_EQ(sink.quarantined(), 0u);
+        EXPECT_FALSE(restored.seed.matrix.has_value());
+        EXPECT_FALSE(restored.seed.unique.has_value());
+        ASSERT_TRUE(restored.has_segments());
+        EXPECT_EQ(counter(recorder, "ckpt.snapshots_skipped_total"), 1.0);
+        const core::pipeline_result resumed = core::analyze_seeded(
+            restored.messages, nullptr, std::move(restored.seed), opt);
+        EXPECT_EQ(resumed.final_labels.labels, baseline.final_labels);
+        EXPECT_EQ(resumed.clustering.config.epsilon, baseline.epsilon);
+        EXPECT_EQ(counter(recorder, "mem.degrade.sparse_total"), 1.0);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(MemDegrade, SnapshotThatWouldNotFitIsSkippedNotFatal) {
+    // The cap is the run's own unobserved peak plus a few KB: the dense
+    // matrix fits, but the matrix snapshot's file image (half a matrix)
+    // does not. The snapshot must step aside instead of failing the run.
+    const scenario s = make_unique_scenario();
+    const fs::path dir = fs::temp_directory_path() / "ftc_test_mem_degrade_skip_save";
+    fs::remove_all(dir);
+    const labels_snapshot baseline = snapshot_run(s);
+
+    core::pipeline_options opt;
+    opt.max_memory = static_cast<std::size_t>(baseline.peak_bytes + 4096);
+    const ckpt::options_fingerprint fp = ckpt::fingerprint(opt, "true", 7);
+    {
+        const obs::scoped_recorder recorder;
+        EXPECT_EQ(checkpointed_run(s, opt, dir, fp), baseline.final_labels);
+        EXPECT_EQ(counter(recorder, "ckpt.snapshots_skipped_total"), 1.0);
+        EXPECT_EQ(counter(recorder, "mem.degrade.sparse_total"), 0.0);
+    }
+    EXPECT_FALSE(fs::exists(dir / ckpt::checkpoint_manager::kMatrixFile));
+    ASSERT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::kClusteringFile));
+
+    // The resume restores what was written and recomputes only the
+    // skipped stage.
+    diag::error_sink sink(diag::policy::strict);
+    ckpt::checkpoint_manager manager(dir, fp);
+    const mem::governor governor(opt.max_memory);
+    ckpt::restored_state restored = manager.load(s.messages, sink);
+    EXPECT_EQ(restored.stages, (std::vector<std::string>{"segmentation", "clustering"}));
+    const core::pipeline_result resumed = core::analyze_seeded(
+        restored.messages, nullptr, std::move(restored.seed), opt);
     EXPECT_EQ(resumed.final_labels.labels, baseline.final_labels);
     EXPECT_EQ(resumed.final_labels.cluster_count, baseline.cluster_count);
     fs::remove_all(dir);

@@ -19,10 +19,12 @@
 ///       run; exceeding a bound exits with code 3 and a partial-progress
 ///       report. --max-memory caps the tracked heap footprint (suffixes
 ///       K/M/G/T accepted): under pressure the pipeline first dedups
-///       segment occurrence lists, then switches the dissimilarity matrix
-///       to a tiled triangular layout, and only when even the degraded
-///       footprint cannot fit exits with code 3, a partial-progress report
-///       and manifest status "memory-exceeded".
+///       segment occurrence lists, then builds the sparse engine in place
+///       of a dissimilarity matrix that would not fit (in every
+///       --neighborhood mode), and only when even the degraded footprint
+///       cannot fit exits with code 3, a partial-progress report and
+///       manifest status "memory-exceeded". Checkpoint snapshots that
+///       would not fit are skipped, never fatal.
 ///       --threads bounds the worker count of Netzob's pairwise
 ///       alignment and of the dissimilarity/auto-configuration stages
 ///       (0 = all hardware threads, 1 = serial); the result is identical
@@ -336,7 +338,7 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
 
     // Install the memory governor here rather than leaving it to the
     // pipeline: checkpoint loading below allocates matrix-sized buffers,
-    // and the resume-time layout choice (dense vs. triangular) projects
+    // and it skips a matrix snapshot the budget cannot hold by projecting
     // against the active governor — both must run governed.
     std::optional<mem::governor> governor;
     if (opt.max_memory > 0) {
