@@ -67,6 +67,7 @@ bool parse_head(std::string_view head, http_request& out) {
     }
     out.method = std::string(request_line.substr(0, sp1));
     out.target = std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
+    out.version = std::string(version);
 
     std::size_t pos = line_end + 2;
     while (pos < head.size()) {
@@ -150,6 +151,19 @@ read_status read_request(int fd, const http_limits& limits, http_request& out) {
     const std::size_t already = buf.size() - body_start;
     if (already > content_length) {
         return read_status::bad_request;  // more body than announced
+    }
+    // A client waiting on `Expect: 100-continue` would otherwise stall for
+    // its own timeout before sending the body. HTTP/1.0 has no interim
+    // responses, so its peers never get one (RFC 9110 §10.1.1).
+    const std::string* expect = find_header(out, "expect");
+    if (already == 0 && content_length > 0 && out.version == "HTTP/1.1" &&
+        expect != nullptr && lowercase(*expect) == "100-continue") {
+        constexpr std::string_view interim = "HTTP/1.1 100 Continue\r\n\r\n";
+        const io_result r =
+            util::net::write_all(fd, interim.data(), interim.size(), limits.io_deadline_ms);
+        if (!r.ok()) {
+            return map_failure(r);
+        }
     }
     out.body.assign(buf.begin() + static_cast<std::ptrdiff_t>(body_start), buf.end());
     out.body.reserve(static_cast<std::size_t>(content_length));

@@ -14,6 +14,9 @@
 ///    too_large), never an allocation blowup;
 ///  - a peer that trickles bytes slower than the deadline (slow-loris) is
 ///    a `timeout` outcome and the connection is dropped;
+///  - an HTTP/1.1 peer that sent `Expect: 100-continue` and is waiting
+///    with its body (curl does so above 1 KB) gets the interim
+///    `100 Continue` once the announced length passed its cap;
 ///  - responses are HTTP/1.0 `Connection: close` with an exact
 ///    Content-Length, written with the same retry loops — a response is
 ///    complete or the connection is visibly dead, never silently truncated.
@@ -40,6 +43,7 @@ struct http_limits {
 struct http_request {
     std::string method;  ///< "GET", "POST", ...
     std::string target;  ///< origin-form, e.g. "/jobs/3/report"
+    std::string version;  ///< "HTTP/1.0", "HTTP/1.1", ...
     std::vector<std::pair<std::string, std::string>> headers;
     byte_vector body;
 };

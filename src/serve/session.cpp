@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "ckpt/manager.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "mem/mem.hpp"
@@ -239,8 +238,9 @@ void session_manager::run_session(const pending_job& job) {
     status.recovered = job.recovered;
 
     // The degradation decision is taken once, at session start, so the
-    // whole session runs one consistent configuration (and the checkpoint
-    // fingerprint — which excludes these knobs — stays valid either way).
+    // whole session runs one consistent configuration. Both knobs are
+    // result-neutral: a job that kill -9 re-runs from its journaled payload
+    // ends in the same bytes whether or not the replay degrades.
     const int pressure = pressure_level();
     status.degraded = pressure >= 1;
     set_status(status);
@@ -280,45 +280,15 @@ void session_manager::run_session(const pending_job& job) {
 
         const auto segmenter =
             segmentation::make_segmenter(options_.segmenter, options_.pipeline_threads);
-
-        // Checkpointing is always on in serve: the journal entry plus the
-        // stage snapshots are what make kill -9 cost at most one stage.
-        ckpt::checkpoint_manager manager(
-            spool_.checkpoint_dir(job.id),
-            ckpt::fingerprint(opt, options_.segmenter,
-                              obs::fnv1a64(raw.data(), raw.size())));
-        opt.observer = &manager;
-
-        std::vector<byte_vector> segmented_messages;
-        core::pipeline_seed seed;
-        ckpt::restored_state restored = manager.load(messages, sink);
-        seed = std::move(restored.seed);
-        if (restored.has_segments()) {
-            segmented_messages = std::move(restored.messages);
-            manager.set_surviving(std::move(restored.surviving));
-        }
-
         const deadline dl = options_.session_budget_seconds > 0
                                 ? deadline(options_.session_budget_seconds)
                                 : deadline();
-        core::pipeline_result result;
-        try {
-            if (!seed.segments.has_value()) {
-                segmentation::lenient_segmentation segmented =
-                    segmentation::segment_lenient(*segmenter, messages, dl, sink);
-                segmented_messages = std::move(segmented.messages);
-                manager.set_surviving(segmented.surviving);
-                manager.on_segments(segmented_messages, segmented.segments);
-                seed.segments = std::move(segmented.segments);
-            }
-            result = core::analyze_seeded(segmented_messages, nullptr, std::move(seed), opt);
-        } catch (const interrupted_error&) {
-            if (!seed.segments.has_value()) {
-                manager.on_interrupted("segmentation");
-            }
-            throw;
-        }
-        manager.mark_complete();
+        segmentation::lenient_segmentation segmented =
+            segmentation::segment_lenient(*segmenter, messages, dl, sink);
+        core::pipeline_seed seed;
+        seed.segments = std::move(segmented.segments);
+        const core::pipeline_result result =
+            core::analyze_seeded(segmented.messages, nullptr, std::move(seed), opt);
 
         // The report bytes are exactly what `ftclust analyze --report-out`
         // writes for the same capture and options — the crash-recovery
@@ -332,8 +302,8 @@ void session_manager::run_session(const pending_job& job) {
         return;
     } catch (const interrupted_error&) {
         // Daemon-wide stop request, not a job failure: the journal entry
-        // stays `accepted`, so the next start replays it from its last
-        // stage checkpoint.
+        // stays `accepted`, so the next start re-runs the job from its
+        // journaled payload.
         status.state = job_state::queued;
         set_status(status);
         return;

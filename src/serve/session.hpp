@@ -6,9 +6,8 @@
 /// threads. Each accepted job is journaled to the spool *before* the
 /// caller hears "accepted", then executed as one *session*: the exact
 /// batch-analyze flow (ingest, segmentation, seeded pipeline) run under
-/// its own nested mem::governor, its own diag::error_sink, its own
-/// wall-clock budget and its own checkpoint directory. The isolation
-/// contract:
+/// its own nested mem::governor, its own diag::error_sink and its own
+/// wall-clock budget. The isolation contract:
 ///
 ///  - a session failure is a typed, per-job outcome (journaled as
 ///    `failed` with the error text) — it never unwinds the daemon;
@@ -22,10 +21,10 @@
 ///    degradation cannot help are submissions refused. Every degradation
 ///    step is result-neutral: the engines are bitwise-identical, so
 ///    reports match an unpressured run byte for byte;
-///  - kill -9 at any instant costs at most the stage in flight:
-///    recover() replays journaled-but-unfinished jobs through their
-///    checkpoint directories, and, every stage being deterministic, the
-///    replayed report is identical to an uninterrupted one.
+///  - kill -9 re-runs the jobs in flight from their journaled payloads:
+///    recover() re-enqueues journaled-but-unfinished jobs, and, every
+///    stage being deterministic, the replayed report is identical to an
+///    uninterrupted one.
 #pragma once
 
 #include <condition_variable>

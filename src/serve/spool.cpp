@@ -126,10 +126,6 @@ std::filesystem::path spool::report_file(std::uint64_t id) const {
     return dir_ / (std::string(kMetaPrefix) + std::to_string(id) + ".report");
 }
 
-std::filesystem::path spool::checkpoint_dir(std::uint64_t id) const {
-    return dir_ / (std::string(kMetaPrefix) + std::to_string(id) + ".ckpt");
-}
-
 void spool::write_meta(const spool_entry& entry) {
     util::atomic_write_file(meta_file(entry.id), std::string_view{meta_json(entry)});
 }

@@ -8,17 +8,16 @@
 ///   job-<id>.json   metadata: id, state (accepted|done|failed), payload
 ///                   digest + size, error text for failed jobs
 ///   job-<id>.report the finished analyst report (written once, at done)
-///   job-<id>.ckpt/  the session's checkpoint directory (ftc::ckpt)
 ///
 /// All writes go through util::atomic_write_file (tmp + fsync + rename), so
 /// a crash at any instant leaves complete files or none. On restart,
 /// scan() walks the directory: jobs not yet `done`/`failed` are the replay
-/// set, and because each carries its checkpoint directory, re-running one
-/// costs at most the stage that was in flight — and, every stage being
-/// bitwise deterministic, produces output identical to an uninterrupted
-/// run. Damaged metadata or a payload whose digest no longer matches is
-/// quarantined through ftc::diag (category spool) — one corrupt spool file
-/// fails one job, typed, never the daemon.
+/// set, so kill -9 re-runs the jobs in flight from their journaled
+/// payloads — and, every stage being bitwise deterministic, each replay
+/// produces output identical to an uninterrupted run. Damaged metadata or
+/// a payload whose digest no longer matches is quarantined through
+/// ftc::diag (category spool) — one corrupt spool file fails one job,
+/// typed, never the daemon.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +87,6 @@ public:
     std::filesystem::path payload_file(std::uint64_t id) const;
     std::filesystem::path meta_file(std::uint64_t id) const;
     std::filesystem::path report_file(std::uint64_t id) const;
-    std::filesystem::path checkpoint_dir(std::uint64_t id) const;
 
     const std::filesystem::path& dir() const { return dir_; }
 

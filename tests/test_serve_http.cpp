@@ -143,6 +143,42 @@ TEST(ServeHttp, PeerDisappearingMidBodyIsEof) {
     EXPECT_EQ(read_request(pair.fds[1], http_limits{}, request), read_status::eof);
 }
 
+TEST(ServeHttp, ExpectContinueGetsTheInterimLineBeforeTheBody) {
+    // curl sends this head for bodies over 1 KB, then holds the body back
+    // for a second unless the interim line arrives first.
+    sock_pair pair;
+    http_request request;
+    read_status status = read_status::eof;
+    std::thread server([&] { status = read_request(pair.fds[1], http_limits{}, request); });
+    pair.send_text("POST /jobs HTTP/1.1\r\nContent-Length: 5\r\nExpect: 100-Continue\r\n\r\n");
+    const timeval patience{0, 500 * 1000};
+    ::setsockopt(pair.fds[0], SOL_SOCKET, SO_RCVTIMEO, &patience, sizeof patience);
+    const std::string_view interim = "HTTP/1.1 100 Continue\r\n\r\n";
+    std::string got(interim.size(), '\0');
+    const ssize_t n = ::recv(pair.fds[0], got.data(), got.size(), MSG_WAITALL);
+    EXPECT_EQ(n, static_cast<ssize_t>(interim.size()));
+    EXPECT_EQ(got, interim);
+    pair.send_text("hello");
+    server.join();
+    EXPECT_EQ(status, read_status::ok);
+    EXPECT_EQ(std::string(request.body.begin(), request.body.end()), "hello");
+}
+
+TEST(ServeHttp, NoInterimLineForHttp10OrABodyAlreadySent) {
+    const char* cases[] = {
+        "POST /jobs HTTP/1.0\r\nContent-Length: 5\r\nExpect: 100-continue\r\n\r\nhello",
+        "POST /jobs HTTP/1.1\r\nContent-Length: 5\r\nExpect: 100-continue\r\n\r\nhello",
+    };
+    for (const char* text : cases) {
+        sock_pair pair;
+        pair.send_text(text);
+        http_request request;
+        ASSERT_EQ(read_request(pair.fds[1], http_limits{}, request), read_status::ok) << text;
+        char byte = 0;
+        EXPECT_EQ(::recv(pair.fds[0], &byte, 1, MSG_DONTWAIT), -1) << text;
+    }
+}
+
 TEST(ServeHttp, WriteResponseFramesStatusHeadersAndBody) {
     sock_pair pair;
     EXPECT_TRUE(write_response(pair.fds[1], 503, "application/json", "{\"error\":\"x\"}",

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 
 #include "core/pipeline.hpp"
@@ -15,6 +16,7 @@
 #include "segmentation/segment.hpp"
 #include "serve/session.hpp"
 #include "serve_test_util.hpp"
+#include "util/interrupt.hpp"
 #include "util/stopwatch.hpp"
 
 namespace ftc::serve {
@@ -78,6 +80,14 @@ TEST(ServeSession, CompletedJobMatchesBatchReportByteForByte) {
     ASSERT_TRUE(status.has_value());
     EXPECT_EQ(status->state, job_state::done);
     EXPECT_EQ(slurp(journal.report_file(verdict.id)), batch_report(raw, small_options()));
+
+    // The journal is the whole durable state of a job: no stage
+    // checkpoints, no torn temporaries.
+    std::set<std::string> files;
+    for (const fs::directory_entry& entry : fs::directory_iterator(journal.dir())) {
+        files.insert(entry.path().filename().string());
+    }
+    EXPECT_EQ(files, (std::set<std::string>{"job-1.json", "job-1.pcap", "job-1.report"}));
 }
 
 TEST(ServeSession, MalformedPayloadIsTypedPerJobFailure) {
@@ -141,6 +151,44 @@ TEST(ServeSession, RecoverReplaysJournaledJobsToIdenticalReports) {
         spool journal(dir);
         (void)journal.append(byte_view{raw.data(), raw.size()});
     }
+    spool journal(dir);
+    session_manager sessions(journal, small_options());
+    diag::error_sink sink(diag::policy::lenient);
+    EXPECT_EQ(sessions.recover(sink), 1u);
+    sessions.start();
+    sessions.drain();
+
+    const std::optional<job_status> status = sessions.status(1);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, job_state::done);
+    EXPECT_TRUE(status->recovered);
+    EXPECT_EQ(slurp(journal.report_file(1)), batch_report(raw, small_options()));
+}
+
+TEST(ServeSession, InterruptedSessionReplaysFromTheJournalAlone) {
+    const fs::path dir = fresh_dir("ftc_serve_session_interrupted");
+    const byte_vector raw = serve_test::make_capture_bytes("NTP", 40, 5);
+    {
+        const scoped_interrupt_clear guard;
+        request_interrupt();
+        spool journal(dir);
+        session_manager sessions(journal, small_options());
+        sessions.start();
+        const admission verdict = sessions.submit(byte_view{raw.data(), raw.size()});
+        ASSERT_TRUE(verdict.accepted) << verdict.reason;
+        sessions.drain();
+
+        // The stop request unwinds the session at its first cancellation
+        // point; the job is not failed, only left for the next start.
+        const std::optional<job_status> status = sessions.status(verdict.id);
+        ASSERT_TRUE(status.has_value());
+        EXPECT_EQ(status->state, job_state::queued);
+        diag::error_sink sink(diag::policy::lenient);
+        const std::vector<spool_entry> entries = journal.scan(sink);
+        ASSERT_EQ(entries.size(), 1u);
+        EXPECT_EQ(entries[0].phase, job_phase::accepted);
+    }  // the guard clears the stop request
+
     spool journal(dir);
     session_manager sessions(journal, small_options());
     diag::error_sink sink(diag::policy::lenient);

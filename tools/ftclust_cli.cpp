@@ -75,16 +75,15 @@
 ///       Run the clustering pipeline as a long-lived, crash-recoverable
 ///       daemon. Jobs are submitted as pcap bytes over local HTTP
 ///       (POST /jobs), each runs as a fault-isolated session — its own
-///       memory governor, diagnostics sink, wall-clock budget and
-///       checkpoint directory — on a bounded worker pool. Every accepted
-///       job is journaled to the spool directory before the 202 ack, so
-///       kill -9 at any instant costs at most the stage in flight: on
-///       restart the daemon replays unfinished jobs through their stage
-///       checkpoints and produces reports byte-identical to uninterrupted
-///       runs. Overload (full queue, memory pressure) is shed with
-///       503 + Retry-After, and pressure first degrades new sessions
-///       (sparse neighborhood, tightened per-session memory cap — both
-///       result-neutral) before refusing. GET /jobs/<id> returns status,
+///       memory governor, diagnostics sink and wall-clock budget — on a
+///       bounded worker pool. Every accepted job is journaled to the spool
+///       directory before the 202 ack, so kill -9 re-runs the jobs in
+///       flight from their journaled payloads: on restart the daemon
+///       replays unfinished jobs and produces reports byte-identical to
+///       uninterrupted runs. Overload (full queue, memory pressure) is
+///       shed with 503 + Retry-After, and pressure first degrades new
+///       sessions (sparse neighborhood, tightened per-session memory cap —
+///       both result-neutral) before refusing. GET /jobs/<id> returns status,
 ///       GET /jobs/<id>/report the finished report, GET /healthz the
 ///       queue/pressure snapshot and GET /metrics the Prometheus text
 ///       exposition. SIGINT/SIGTERM drain gracefully; in-flight sessions
@@ -550,9 +549,10 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
 
 /// Long-lived clustering daemon: accept captures over local HTTP, run
 /// each as a fault-isolated session, journal everything to the spool so
-/// kill -9 costs at most the stage in flight. See src/serve/*.hpp for the
-/// architecture; this function only parses flags and owns the lifetime
-/// order (spool -> sessions -> listener, torn down in reverse).
+/// kill -9 re-runs the jobs in flight from their journaled payloads. See
+/// src/serve/*.hpp for the architecture; this function only parses flags
+/// and owns the lifetime order (spool -> sessions -> listener, torn down
+/// in reverse).
 int cmd_serve(int argc, char** argv) {
     const char* spool_dir = flag_value(argc, argv, "--spool", nullptr);
     if (spool_dir == nullptr) {
