@@ -161,10 +161,9 @@ int main() {
         }
         serve::spool journal(root / "recovery");
         serve::session_manager sessions(journal, bench_options());
-        diag::error_sink sink(diag::policy::lenient);
         mem::reset_peak();
         const stopwatch total;
-        const std::size_t replayed = sessions.recover(sink);
+        const std::size_t replayed = sessions.recover();
         sessions.start();
         sessions.drain();
         const double recovery_seconds = total.elapsed_seconds();

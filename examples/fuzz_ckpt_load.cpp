@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 
 #include "ckpt/manager.hpp"
 #include "core/pipeline.hpp"
@@ -39,6 +40,13 @@ namespace {
 
 using namespace ftc;
 namespace fs = std::filesystem;
+
+/// Surviving indices of a segmentation that quarantined no message.
+std::vector<std::size_t> every_index(std::size_t n) {
+    std::vector<std::size_t> out(n);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return out;
+}
 
 /// Feed \p bytes straight into the section container and payload decoders.
 /// Returns a label for the outcome tally.
@@ -131,7 +139,7 @@ int main(int argc, char** argv) {
         for (const dissim::neighborhood_mode mode :
              {dissim::neighborhood_mode::dense, dissim::neighborhood_mode::sparse}) {
             ckpt::checkpoint_manager manager(base_dir, fp);
-            manager.on_segments(messages, segments);
+            manager.on_segments(segments, every_index(messages.size()));
             core::pipeline_options opt = options;
             opt.neighborhood = mode;
             opt.observer = &manager;

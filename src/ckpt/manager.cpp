@@ -89,10 +89,6 @@ checkpoint_manager::checkpoint_manager(std::filesystem::path dir, options_finger
     }
 }
 
-void checkpoint_manager::set_surviving(std::vector<std::size_t> surviving) {
-    surviving_ = std::move(surviving);
-}
-
 void checkpoint_manager::write_sections(const char* filename, std::vector<section> sections) {
     sections.insert(sections.begin(),
                     section{static_cast<std::uint32_t>(section_id::fingerprint),
@@ -129,17 +125,11 @@ void checkpoint_manager::write_manifest(const char* status, const char* stage) {
     util::atomic_write_file(dir_ / kManifestFile, std::string_view{w.take()});
 }
 
-void checkpoint_manager::on_segments(const std::vector<byte_vector>& messages,
-                                     const segmentation::message_segments& segments) {
+void checkpoint_manager::on_segments(const segmentation::message_segments& segments,
+                                     const std::vector<std::size_t>& surviving) {
     obs::span sp("ckpt.save.segments");
     segments_payload p;
-    p.surviving = surviving_;
-    if (p.surviving.empty()) {
-        p.surviving.resize(messages.size());
-        for (std::size_t i = 0; i < messages.size(); ++i) {
-            p.surviving[i] = i;
-        }
-    }
+    p.surviving = surviving;
     p.segments = segments;
     if (!snapshot_fits({segments_bytes(p)})) {
         return;
@@ -266,7 +256,6 @@ restored_state checkpoint_manager::load(const std::vector<byte_vector>& all_mess
             // messages — the one property digests cannot vouch for.
             segmentation::validate_segmentation(messages, p.segments);
             out.messages = std::move(messages);
-            out.surviving = std::move(p.surviving);
             out.seed.segments = std::move(p.segments);
             out.stages.emplace_back("segmentation");
         }

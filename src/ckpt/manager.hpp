@@ -49,8 +49,6 @@ struct restored_state {
     /// Surviving messages (reconstructed via the stored surviving indices)
     /// when segments were restored; empty otherwise.
     std::vector<byte_vector> messages;
-    /// Original indices of `messages` (segments restored only).
-    std::vector<std::size_t> surviving;
     /// Which stages were restored, pipeline order: any subset of
     /// "segmentation", "dissimilarity", "clustering".
     std::vector<std::string> stages;
@@ -66,11 +64,6 @@ public:
     /// that cannot checkpoint should fail before doing hours of work.
     checkpoint_manager(std::filesystem::path dir, options_fingerprint fp);
 
-    /// Surviving-message indices to record with the segmentation snapshot
-    /// (lenient ingestion may drop messages; resume must know which). The
-    /// identity mapping is assumed when never called.
-    void set_surviving(std::vector<std::size_t> surviving);
-
     /// Restore whatever valid snapshots \p dir holds. \p all_messages is
     /// the full ingested message list (pre-quarantine); restored surviving
     /// indices are applied to it and the restored segmentation is validated
@@ -80,8 +73,8 @@ public:
     restored_state load(const std::vector<byte_vector>& all_messages, diag::error_sink& sink);
 
     // stage_observer: persist each stage the moment it completes.
-    void on_segments(const std::vector<byte_vector>& messages,
-                     const segmentation::message_segments& segments) override;
+    void on_segments(const segmentation::message_segments& segments,
+                     const std::vector<std::size_t>& surviving) override;
     void on_matrix(const dissim::unique_segments& unique,
                    const dissim::dissimilarity_matrix& matrix,
                    const std::vector<std::vector<double>>& knn_curves) override;
@@ -108,7 +101,6 @@ private:
 
     std::filesystem::path dir_;
     options_fingerprint fp_;
-    std::vector<std::size_t> surviving_;
     std::string last_stage_ = "none";
 };
 

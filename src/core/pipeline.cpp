@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <numeric>
 #include <optional>
 
 #include "dissim/sparse.hpp"
@@ -55,12 +56,14 @@ resource_budget make_budget(const pipeline_options& options) {
     throw budget_exceeded_error(e.what(), std::move(partial));
 }
 
-pipeline_result analyze_seeded_budgeted(const std::vector<byte_vector>& messages,
-                                        const segmentation::segmenter* segmenter,
-                                        pipeline_seed seed, const pipeline_options& options,
-                                        resource_budget& budget) {
+}  // namespace
+
+pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
+                               const segmentation::segmenter* segmenter, pipeline_seed seed,
+                               const pipeline_options& options, diag::error_sink& sink) {
     expects(!messages.empty(), "analyze: empty trace");
     const stopwatch watch;
+    resource_budget budget = make_budget(options);
     const deadline& dl = budget.wall_clock();
     stage_observer* hook = options.observer;
 
@@ -75,27 +78,40 @@ pipeline_result analyze_seeded_budgeted(const std::vector<byte_vector>& messages
     }
 
     pipeline_result result;
+    // The messages result.segments indexes: the input itself, or the
+    // survivors when lenient segmentation quarantined some of them.
+    std::vector<byte_vector> kept;
+    const std::vector<byte_vector>* segmented = &messages;
 
     const char* stage = "segmentation";
     try {
-        // Segmentation: adopt the seeded segmentation, or run the segmenter.
+        // Segmentation: adopt the seeded segmentation, or run the segmenter
+        // under the run's budget, quarantining per message into the sink.
         if (seed.segments.has_value()) {
             result.segments = std::move(*seed.segments);
+            result.surviving.resize(messages.size());
+            std::iota(result.surviving.begin(), result.surviving.end(), std::size_t{0});
         } else {
             expects(segmenter != nullptr,
                     "analyze_seeded: need a segmenter when no segmentation is seeded");
-            obs::span sp("segmentation");
-            sp.count("messages", messages.size());
-            result.segments = segmenter->run(messages, dl);
+            segmentation::lenient_segmentation out =
+                segmentation::segment_lenient(*segmenter, messages, dl, sink);
+            expects(!out.messages.empty(), "analyze: empty trace");
+            if (out.messages.size() < messages.size()) {
+                kept = std::move(out.messages);
+                segmented = &kept;
+            }
+            result.surviving = std::move(out.surviving);
+            result.segments = std::move(out.segments);
             if (hook != nullptr) {
-                hook->on_segments(messages, result.segments);
+                hook->on_segments(result.segments, result.surviving);
             }
         }
 
         stage = "dissimilarity";
         std::size_t total_bytes = 0;
         std::size_t total_segments = 0;
-        for (const byte_vector& m : messages) {
+        for (const byte_vector& m : *segmented) {
             total_bytes += m.size();
         }
         for (const auto& segs : result.segments) {
@@ -146,9 +162,9 @@ pipeline_result analyze_seeded_budgeted(const std::vector<byte_vector>& messages
                 static_cast<std::uint64_t>(total_segments) * sizeof(segmentation::segment);
             const bool elide = mem::would_exceed(occurrence_bytes);
             result.unique =
-                elide ? dissim::condense_weighted(messages, result.segments,
+                elide ? dissim::condense_weighted(*segmented, result.segments,
                                                   options.min_segment_length)
-                      : dissim::condense(messages, result.segments,
+                      : dissim::condense(*segmented, result.segments,
                                          options.min_segment_length);
             expects(result.unique.size() >= 3,
                     "analyze: fewer than 3 unique segments; trace too uniform to cluster");
@@ -277,8 +293,6 @@ pipeline_result analyze_seeded_budgeted(const std::vector<byte_vector>& messages
     return result;
 }
 
-}  // namespace
-
 pipeline_result analyze_segments(const std::vector<byte_vector>& messages,
                                  segmentation::message_segments segments,
                                  const pipeline_options& options) {
@@ -296,8 +310,8 @@ pipeline_result analyze(const std::vector<byte_vector>& messages,
 pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
                                const segmentation::segmenter* segmenter, pipeline_seed seed,
                                const pipeline_options& options) {
-    resource_budget budget = make_budget(options);
-    return analyze_seeded_budgeted(messages, segmenter, std::move(seed), options, budget);
+    diag::error_sink strict(diag::policy::strict);
+    return analyze_seeded(messages, segmenter, std::move(seed), options, strict);
 }
 
 }  // namespace ftc::core

@@ -36,10 +36,11 @@ class stage_observer {
 public:
     virtual ~stage_observer() = default;
 
-    /// Segmentation finished: \p segments is a valid segmentation of
-    /// \p messages.
-    virtual void on_segments(const std::vector<byte_vector>& /*messages*/,
-                             const segmentation::message_segments& /*segments*/) {}
+    /// Segmentation finished: \p segments[i] segments the input message
+    /// \p surviving[i] (lenient segmentation may quarantine messages; a
+    /// resume must know which ones survived).
+    virtual void on_segments(const segmentation::message_segments& /*segments*/,
+                             const std::vector<std::size_t>& /*surviving*/) {}
 
     /// Dissimilarity stage finished: condensed unique segments, the full
     /// pairwise matrix, and the batched k-NN curves
@@ -155,6 +156,10 @@ struct pipeline_options {
 
 /// Everything the pipeline produced, stage by stage.
 struct pipeline_result {
+    /// Input index of each segmented message: segments[i] segments
+    /// messages[surviving[i]]. The identity unless a lenient sink
+    /// quarantined messages during segmentation.
+    std::vector<std::size_t> surviving;
     segmentation::message_segments segments;      ///< segmenter output
     dissim::unique_segments unique;               ///< >=2-byte unique values
     cluster::auto_cluster_result clustering;      ///< auto-config + DBSCAN
@@ -181,8 +186,17 @@ pipeline_result analyze_segments(const std::vector<byte_vector>& messages,
 /// Run the pipeline starting from whatever stage outputs \p seed already
 /// carries (checkpoint resume): present stages are adopted verbatim,
 /// absent ones computed. \p segmenter may be null when seed.segments is
-/// present; otherwise it performs the segmentation stage. analyze and
-/// analyze_segments are thin wrappers over this entry point.
+/// present; otherwise it performs the segmentation stage through
+/// segmentation::segment_lenient, which quarantines unsegmentable messages
+/// into \p sink under its policy. One budget (options.budget_seconds and
+/// the caps) bounds the whole run, segmentation included. This is the one
+/// job path: `ftclust run` and every serve session call it.
+pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
+                               const segmentation::segmenter* segmenter, pipeline_seed seed,
+                               const pipeline_options& options, diag::error_sink& sink);
+
+/// The same with a strict sink. analyze and analyze_segments are thin
+/// wrappers over this entry point.
 pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
                                const segmentation::segmenter* segmenter, pipeline_seed seed,
                                const pipeline_options& options = {});

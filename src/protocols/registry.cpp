@@ -141,10 +141,14 @@ pcap::capture trace_to_capture(const trace& input) {
 }
 
 std::vector<byte_vector> capture_payloads(const pcap::capture& cap) {
+    diag::error_sink discard;
+    return capture_payloads(cap, discard);
+}
+
+std::vector<byte_vector> capture_payloads(const pcap::capture& cap, diag::error_sink& sink) {
     std::vector<byte_vector> out;
-    for (pcap::datagram& d : pcap::extract_datagrams(cap)) {
-        byte_vector payload = std::move(d.payload);
-        out.push_back(std::move(payload));
+    for (pcap::datagram& d : pcap::extract_datagrams(cap, {}, sink)) {
+        out.push_back(std::move(d.payload));
     }
     return out;
 }

@@ -52,6 +52,10 @@ pcap::capture trace_to_capture(const trace& input);
 /// Extract the application payloads of a capture in record order.
 std::vector<byte_vector> capture_payloads(const pcap::capture& cap);
 
+/// The same, reporting malformed and skipped frames into \p sink (see
+/// pcap::extract_datagrams) — the decode step of every analysis job.
+std::vector<byte_vector> capture_payloads(const pcap::capture& cap, diag::error_sink& sink);
+
 /// Re-annotate raw payloads with the protocol's dissector, producing a
 /// ground-truth trace from wire bytes alone (the "Wireshark" path).
 trace trace_from_payloads(std::string_view protocol, const std::vector<byte_vector>& payloads);

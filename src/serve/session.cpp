@@ -7,12 +7,11 @@
 #include "mem/mem.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
-#include "pcap/decap.hpp"
 #include "pcap/pcap.hpp"
+#include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace ftc::serve {
 
@@ -42,9 +41,9 @@ session_manager::session_manager(spool& sp, serve_options options)
 
 session_manager::~session_manager() { stop(); }
 
-std::size_t session_manager::recover(diag::error_sink& sink) {
+std::size_t session_manager::recover() {
     std::size_t replayed = 0;
-    for (const spool_entry& entry : spool_.scan(sink)) {
+    for (const spool_entry& entry : spool_.entries()) {
         job_status status;
         status.id = entry.id;
         status.recovered = true;
@@ -253,42 +252,26 @@ void session_manager::run_session(const pending_job& job) {
                                            : diag::policy::strict);
     try {
         const byte_vector raw = spool_.read_payload(job.id, job.digest);
+        const std::vector<byte_vector> messages =
+            protocols::capture_payloads(pcap::from_pcap_bytes(raw, sink), sink);
+        if (messages.size() < 3) {
+            throw parse_error("not enough messages to analyze");
+        }
 
+        // The batch job path: the pipeline runs segmentation under the
+        // session's one budget and installs its memory governor on this
+        // worker thread, so every tracked charge of the session is checked
+        // against the session cap.
         core::pipeline_options opt;
         opt.budget_seconds = options_.session_budget_seconds;
         opt.threads = options_.pipeline_threads;
         opt.neighborhood = status.degraded ? dissim::neighborhood_mode::sparse
                                            : options_.neighborhood;
         opt.max_memory = session_memory_cap(pressure);
-
-        // Per-session governor on this worker thread: every tracked charge
-        // the session makes is checked against the shared footprint, so the
-        // combined sessions can never push it past the process ceiling.
-        std::optional<mem::governor> governor;
-        if (opt.max_memory > 0) {
-            governor.emplace(opt.max_memory);
-        }
-
-        const pcap::capture cap = pcap::from_pcap_bytes(raw, sink);
-        std::vector<byte_vector> messages;
-        for (pcap::datagram& d : pcap::extract_datagrams(cap, {}, sink)) {
-            messages.push_back(std::move(d.payload));
-        }
-        if (messages.size() < 3) {
-            throw parse_error("not enough messages to analyze");
-        }
-
         const auto segmenter =
             segmentation::make_segmenter(options_.segmenter, options_.pipeline_threads);
-        const deadline dl = options_.session_budget_seconds > 0
-                                ? deadline(options_.session_budget_seconds)
-                                : deadline();
-        segmentation::lenient_segmentation segmented =
-            segmentation::segment_lenient(*segmenter, messages, dl, sink);
-        core::pipeline_seed seed;
-        seed.segments = std::move(segmented.segments);
         const core::pipeline_result result =
-            core::analyze_seeded(segmented.messages, nullptr, std::move(seed), opt);
+            core::analyze_seeded(messages, segmenter.get(), {}, opt, sink);
 
         // The report bytes are exactly what `ftclust analyze --report-out`
         // writes for the same capture and options — the crash-recovery
@@ -307,6 +290,12 @@ void session_manager::run_session(const pending_job& job) {
         status.state = job_state::queued;
         set_status(status);
         return;
+    } catch (const budget_exceeded_error& e) {
+        // Say where the job stopped, as `ftclust run` prints it.
+        status.error = e.what();
+        if (!e.partial_report().empty()) {
+            status.error += "; partial progress: " + e.partial_report();
+        }
     } catch (const ftc::error& e) {
         status.error = e.what();
     } catch (const std::exception& e) {

@@ -4,13 +4,15 @@
 ///
 /// The manager owns a bounded job queue and a small pool of worker
 /// threads. Each accepted job is journaled to the spool *before* the
-/// caller hears "accepted", then executed as one *session*: the exact
-/// batch-analyze flow (ingest, segmentation, seeded pipeline) run under
-/// its own nested mem::governor, its own diag::error_sink and its own
-/// wall-clock budget. The isolation contract:
+/// caller hears "accepted", then executed as one *session*: decode, then
+/// core::analyze_seeded — the entry point `ftclust run` calls — with its
+/// own diag::error_sink, its own budget (segmentation through refinement)
+/// and its own memory cap, which the pipeline enforces with a governor on
+/// the worker thread. The isolation contract:
 ///
 ///  - a session failure is a typed, per-job outcome (journaled as
-///    `failed` with the error text) — it never unwinds the daemon;
+///    `failed` with the error text, plus the stage reached when a budget
+///    tripped) — it never unwinds the daemon;
 ///  - admission control sheds *before* accepting: a full queue, a
 ///    stopping daemon or a memory projection past the process ceiling is
 ///    a polite refusal (the daemon answers 503 + Retry-After), never an
@@ -40,7 +42,6 @@
 #include "dissim/neighborhood.hpp"
 #include "serve/spool.hpp"
 #include "util/byteio.hpp"
-#include "util/diag.hpp"
 
 namespace ftc::serve {
 
@@ -76,7 +77,7 @@ struct job_status {
     job_state state = job_state::queued;
     bool degraded = false;   ///< ran with pressure-forced sparse neighborhood
     bool recovered = false;  ///< replayed from the spool after a restart
-    std::string error;       ///< failed jobs: the typed error text
+    std::string error;       ///< failed jobs: the typed error text (+ partial progress)
 };
 
 /// Outcome of submit(): accepted (with the journaled id) or shed.
@@ -99,10 +100,11 @@ public:
     session_manager(const session_manager&) = delete;
     session_manager& operator=(const session_manager&) = delete;
 
-    /// Scan the spool and adopt every journaled job: done/failed entries
-    /// become queryable statuses, unfinished ones are re-enqueued (marked
-    /// recovered). Returns the number re-enqueued. Call before start().
-    std::size_t recover(diag::error_sink& sink);
+    /// Adopt every job the spool read back when it was constructed:
+    /// done/failed entries become queryable statuses, unfinished ones are
+    /// re-enqueued (marked recovered). Returns the number re-enqueued.
+    /// Call once, before start().
+    std::size_t recover();
 
     void start();
     void stop() noexcept;

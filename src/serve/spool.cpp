@@ -225,6 +225,11 @@ std::vector<spool_entry> spool::scan(diag::error_sink& sink) const {
     return out;
 }
 
+std::vector<spool_entry> spool::entries() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return entries_;
+}
+
 byte_vector spool::read_payload(std::uint64_t id, std::uint64_t expected_digest) const {
     byte_vector payload = read_file_bytes(payload_file(id));
     const std::uint64_t digest = obs::fnv1a64(payload.data(), payload.size());

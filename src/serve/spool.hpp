@@ -80,6 +80,11 @@ public:
     /// the loss per job.
     std::vector<spool_entry> scan(diag::error_sink& sink) const;
 
+    /// The jobs journaled so far: what construction read back from the
+    /// directory (scan() with a lenient sink), plus later appends and
+    /// transitions. Sorted by id.
+    std::vector<spool_entry> entries() const;
+
     /// The payload bytes of job \p id; throws ftc::parse_error when the
     /// file is unreadable or its digest does not match \p expected_digest.
     byte_vector read_payload(std::uint64_t id, std::uint64_t expected_digest) const;

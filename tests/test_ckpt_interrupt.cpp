@@ -7,6 +7,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <random>
 #include <string>
 
@@ -24,6 +25,13 @@ namespace ftc {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Surviving indices of a segmentation that quarantined no message.
+std::vector<std::size_t> every_index(std::size_t n) {
+    std::vector<std::size_t> out(n);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return out;
+}
 
 struct scenario {
     std::vector<byte_vector> messages;
@@ -58,7 +66,7 @@ TEST(CkptInterrupt, DeadlineMidMatrixParallelReportsConsistentProgress) {
 
     obs::scoped_recorder recorder;
     ckpt::checkpoint_manager manager(dir, {1, 2});
-    manager.on_segments(s.messages, s.segments);
+    manager.on_segments(s.segments, every_index(s.messages.size()));
 
     core::pipeline_options opt;
     opt.budget_seconds = 1e-6;  // trips during the matrix fan-out
@@ -120,7 +128,7 @@ TEST(CkptInterrupt, StopRequestRaisesInterruptedErrorAndResumeCompletes) {
     {
         scoped_interrupt_clear guard;
         ckpt::checkpoint_manager manager(dir, {1, 2});
-        manager.on_segments(s.messages, s.segments);
+        manager.on_segments(s.segments, every_index(s.messages.size()));
         core::pipeline_options opt;
         opt.observer = &manager;
         core::pipeline_seed seed;
@@ -187,9 +195,9 @@ class sigterm_after_snapshot final : public core::stage_observer {
 public:
     explicit sigterm_after_snapshot(core::stage_observer& inner) : inner_(inner) {}
 
-    void on_segments(const std::vector<byte_vector>& messages,
-                     const segmentation::message_segments& segments) override {
-        inner_.on_segments(messages, segments);
+    void on_segments(const segmentation::message_segments& segments,
+                     const std::vector<std::size_t>& surviving) override {
+        inner_.on_segments(segments, surviving);
     }
     void on_matrix(const dissim::unique_segments& unique,
                    const dissim::dissimilarity_matrix& matrix,
@@ -246,7 +254,7 @@ TEST(CkptInterrupt, SigtermAfterSnapshotLandsLeavesNoTornFiles) {
     {
         scoped_interrupt_clear guard;
         ckpt::checkpoint_manager manager(dir, fp);
-        manager.on_segments(s.messages, s.segments);
+        manager.on_segments(s.segments, every_index(s.messages.size()));
         sigterm_after_snapshot killer(manager);
         core::pipeline_options observed = opt;
         observed.observer = &killer;

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 
 #include "core/pipeline.hpp"
 #include "protocols/registry.hpp"
@@ -19,6 +21,13 @@ namespace ftc::ckpt {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Surviving indices of a segmentation that quarantined no message.
+std::vector<std::size_t> every_index(std::size_t n) {
+    std::vector<std::size_t> out(n);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return out;
+}
 
 struct scenario {
     std::vector<byte_vector> messages;
@@ -45,7 +54,7 @@ core::pipeline_result reference_run(const scenario& s) {
 /// Checkpointed run: snapshot every stage into \p dir, like the CLI does.
 core::pipeline_result checkpointed_run(const scenario& s, const fs::path& dir) {
     checkpoint_manager manager(dir, s.fp);
-    manager.on_segments(s.messages, s.segments);
+    manager.on_segments(s.segments, every_index(s.messages.size()));
     core::pipeline_options opt = s.options;
     opt.observer = &manager;
     core::pipeline_seed seed;
@@ -230,6 +239,37 @@ TEST_F(CkptResume, ManifestTracksLifecycle) {
                                std::istreambuf_iterator<char>()};
     EXPECT_NE(manifest.find("\"status\":\"complete\""), std::string::npos) << manifest;
     EXPECT_NE(manifest.find("\"stage\":\"clustering\""), std::string::npos) << manifest;
+}
+
+TEST_F(CkptResume, PipelineRecordsWhichMessagesSurvivedSegmentation) {
+    // The pipeline segments leniently and hands the survivors' input
+    // indices to the manager; resume rebuilds exactly those messages.
+    const scenario s = make_scenario();
+    std::vector<byte_vector> messages = s.messages;
+    messages.insert(messages.begin() + 5, byte_vector{});
+    const auto segmenter = segmentation::make_segmenter("NEMESYS");
+    diag::error_sink sink(diag::policy::lenient);
+    core::pipeline_result fresh;
+    {
+        checkpoint_manager manager(dir_, s.fp);
+        core::pipeline_options opt = s.options;
+        opt.observer = &manager;
+        fresh = core::analyze_seeded(messages, segmenter.get(), {}, opt, sink);
+    }
+    EXPECT_EQ(sink.count(diag::category::segmentation), 1u);
+    std::vector<std::size_t> expected(messages.size() - 1);
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    std::for_each(expected.begin() + 5, expected.end(), [](std::size_t& i) { ++i; });
+    EXPECT_EQ(fresh.surviving, expected);
+
+    checkpoint_manager manager(dir_, s.fp);
+    diag::error_sink resume_sink(diag::policy::lenient);
+    restored_state restored = manager.load(messages, resume_sink);
+    ASSERT_TRUE(restored.has_segments());
+    EXPECT_EQ(restored.messages, s.messages);
+    const core::pipeline_result resumed =
+        core::analyze_seeded(restored.messages, nullptr, std::move(restored.seed), s.options);
+    expect_identical(fresh, resumed);
 }
 
 }  // namespace

@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <thread>
+
 #include "core/metrics.hpp"
+#include "core/report.hpp"
+#include "pcap/pcap.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/nemesys.hpp"
+#include "testing/corrupter.hpp"
 #include "util/check.hpp"
 
 namespace ftc::core {
@@ -140,6 +147,134 @@ TEST(Pipeline, BudgetExceededCarriesPartialProgress) {
         EXPECT_NE(e.partial_report().find("reached stage"), std::string::npos)
             << e.partial_report();
         EXPECT_NE(e.partial_report().find("segments "), std::string::npos);
+    }
+}
+
+/// Sleeps past the job's budget without polling its deadline, then
+/// segments like NEMESYS: only the pipeline's own checks can stop the run.
+class sleeping_segmenter final : public segmentation::segmenter {
+public:
+    std::string_view name() const override { return "sleeping"; }
+    segmentation::message_segments run(const std::vector<byte_vector>& messages,
+                                       const deadline& /*dl*/) const override {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        return segmentation::nemesys_segmenter{}.run(messages, deadline());
+    }
+};
+
+TEST(Pipeline, OneBudgetCoversSegmentationAndTheStagesAfterIt) {
+    const protocols::trace t = protocols::generate_trace("NTP", 60, 3);
+    const auto messages = segmentation::message_bytes(t);
+    pipeline_options opt;
+    opt.budget_seconds = 0.2;
+    const sleeping_segmenter segmenter;
+    diag::error_sink sink(diag::policy::lenient);
+    try {
+        (void)analyze_seeded(messages, &segmenter, {}, opt, sink);
+        FAIL() << "expected budget_exceeded_error";
+    } catch (const budget_exceeded_error& e) {
+        // Segmentation spent the budget, so a later stage trips it.
+        const std::string& partial = e.partial_report();
+        EXPECT_NE(partial.find("reached stage"), std::string::npos) << partial;
+        EXPECT_EQ(partial.find("reached stage segmentation"), std::string::npos) << partial;
+    }
+}
+
+/// The job sequence `ftclust run` and every serve session ran before the
+/// pipeline took the run's sink: segment_lenient on a deadline of its own,
+/// then a seeded run over the survivors. Kept as the oracle of the one path.
+pipeline_result segment_then_analyze(const std::vector<byte_vector>& messages,
+                                     const segmentation::segmenter& segmenter,
+                                     const pipeline_options& opt, diag::error_sink& sink) {
+    segmentation::lenient_segmentation segmented = segmentation::segment_lenient(
+        segmenter, messages, deadline(opt.budget_seconds), sink);
+    pipeline_seed seed;
+    seed.segments = std::move(segmented.segments);
+    pipeline_result r = analyze_seeded(segmented.messages, nullptr, std::move(seed), opt);
+    r.surviving = std::move(segmented.surviving);
+    return r;
+}
+
+/// What one job left behind: the error it threw or its results, and every
+/// diagnostic in its sink.
+struct job_outcome {
+    std::string error;
+    std::vector<std::size_t> surviving;
+    std::vector<int> labels;
+    std::string report;
+    std::vector<std::string> diagnostics;
+
+    bool operator==(const job_outcome&) const = default;
+};
+
+/// Run \p job with a fresh \p mode sink that starts from the decode
+/// diagnostics in \p decoded.
+template <typename Job>
+job_outcome outcome_of(const diag::error_sink& decoded, diag::policy mode, Job job) {
+    diag::error_sink sink(mode);
+    sink.merge(decoded);
+    job_outcome out;
+    try {
+        const pipeline_result r = job(sink);
+        out.surviving = r.surviving;
+        out.labels = r.final_labels.labels;
+        out.report = render_report(summarize_clusters(r));
+    } catch (const ftc::error& e) {
+        out.error = e.what();
+    }
+    for (const diag::diagnostic& d : sink.diagnostics()) {
+        out.diagnostics.push_back(message(diag::category_name(d.cat), '/',
+                                          diag::severity_name(d.sev), " #", d.record_index,
+                                          " @", d.byte_offset, ": ", d.detail));
+    }
+    return out;
+}
+
+TEST(Pipeline, OnePathMatchesSegmentLenientThenSeededRun) {
+    for (const auto& [protocol, segmenter_name] :
+         {std::pair{"DNS", "NEMESYS"}, std::pair{"NTP", "Netzob"}}) {
+        const byte_vector clean = pcap::to_pcap_bytes(
+            protocols::trace_to_capture(protocols::generate_trace(protocol, 60, 5)));
+        testing::corruption_options damage;
+        damage.seed = 5;
+        const byte_vector damaged = testing::corrupt_pcap_bytes(clean, damage);
+        for (const bool with_empty : {false, true}) {
+            for (const byte_vector* capture : {&clean, &damaged}) {
+                diag::error_sink decoded(diag::policy::lenient);
+                std::vector<byte_vector> messages = protocols::capture_payloads(
+                    pcap::from_pcap_bytes(*capture, decoded), decoded);
+                if (with_empty) {
+                    // Lenient segmentation quarantines an empty payload.
+                    messages.insert(messages.begin() + 3, byte_vector{});
+                }
+                for (const diag::policy mode : {diag::policy::strict, diag::policy::lenient}) {
+                    for (const std::size_t threads : {1u, 2u}) {
+                        SCOPED_TRACE(message(protocol, capture == &clean ? " clean" : " damaged",
+                                             with_empty ? " +empty" : "",
+                                             mode == diag::policy::lenient ? " lenient"
+                                                                           : " strict",
+                                             " threads ", threads));
+                        const auto segmenter =
+                            segmentation::make_segmenter(segmenter_name, threads);
+                        pipeline_options opt;
+                        opt.budget_seconds = 120;
+                        opt.threads = threads;
+                        const job_outcome one = outcome_of(decoded, mode, [&](auto& sink) {
+                            return analyze_seeded(messages, segmenter.get(), {}, opt, sink);
+                        });
+                        const job_outcome oracle = outcome_of(decoded, mode, [&](auto& sink) {
+                            return segment_then_analyze(messages, *segmenter, opt, sink);
+                        });
+                        EXPECT_EQ(one, oracle) << one.error << " | " << oracle.error;
+                        if (mode == diag::policy::lenient) {
+                            EXPECT_TRUE(one.error.empty()) << one.error;
+                            EXPECT_EQ(one.surviving.size() + (with_empty ? 1 : 0),
+                                      messages.size());
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

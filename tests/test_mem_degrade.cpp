@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,13 @@ namespace ftc {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Surviving indices of a segmentation that quarantined no message.
+std::vector<std::size_t> every_index(std::size_t n) {
+    std::vector<std::size_t> out(n);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return out;
+}
 
 struct scenario {
     std::vector<byte_vector> messages;
@@ -175,7 +183,7 @@ double counter(const obs::scoped_recorder& recorder, const char* name) {
 std::vector<int> checkpointed_run(const scenario& s, const core::pipeline_options& opt,
                                   const fs::path& dir, const ckpt::options_fingerprint& fp) {
     ckpt::checkpoint_manager manager(dir, fp);
-    manager.on_segments(s.messages, s.segments);
+    manager.on_segments(s.segments, every_index(s.messages.size()));
     core::pipeline_options observed = opt;
     observed.observer = &manager;
     core::pipeline_seed seed;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <numeric>
 #include <vector>
 
 #include "ckpt/manager.hpp"
@@ -21,6 +22,13 @@ namespace ftc {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Surviving indices of a segmentation that quarantined no message.
+std::vector<std::size_t> every_index(std::size_t n) {
+    std::vector<std::size_t> out(n);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return out;
+}
 
 struct scenario {
     std::vector<byte_vector> messages;
@@ -122,7 +130,7 @@ TEST(AllocFaults, CheckpointFilesNeverTorn) {
                 testing::alloc_fault_injector::fail_nth(nth);
             try {
                 ckpt::checkpoint_manager manager(dir, fp);
-                manager.on_segments(s.messages, s.segments);
+                manager.on_segments(s.segments, every_index(s.messages.size()));
                 core::pipeline_options opt;
                 opt.observer = &manager;
                 core::pipeline_seed seed;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,13 @@ namespace ftc {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Surviving indices of a segmentation that quarantined no message.
+std::vector<std::size_t> every_index(std::size_t n) {
+    std::vector<std::size_t> out(n);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return out;
+}
 
 struct scenario {
     std::vector<byte_vector> messages;
@@ -130,7 +138,7 @@ TEST_F(PipelineSparseCkpt, SparseRunResumesThroughNeighborsCkpt) {
 
     {
         ckpt::checkpoint_manager manager(dir_, fp);
-        manager.on_segments(s.messages, s.segments);
+        manager.on_segments(s.segments, every_index(s.messages.size()));
         core::pipeline_options copt = opt;
         copt.observer = &manager;
         core::pipeline_seed seed;
@@ -173,7 +181,7 @@ TEST_F(PipelineSparseCkpt, SparseSnapshotResumesIdenticallyIntoADenseModeRun) {
 
     {
         ckpt::checkpoint_manager manager(dir_, fp_sparse);
-        manager.on_segments(s.messages, s.segments);
+        manager.on_segments(s.segments, every_index(s.messages.size()));
         core::pipeline_options copt = opt;
         copt.observer = &manager;
         core::pipeline_seed seed;

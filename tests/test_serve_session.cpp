@@ -11,6 +11,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "obs/obs.hpp"
 #include "pcap/decap.hpp"
 #include "pcap/pcap.hpp"
 #include "segmentation/segment.hpp"
@@ -153,8 +154,7 @@ TEST(ServeSession, RecoverReplaysJournaledJobsToIdenticalReports) {
     }
     spool journal(dir);
     session_manager sessions(journal, small_options());
-    diag::error_sink sink(diag::policy::lenient);
-    EXPECT_EQ(sessions.recover(sink), 1u);
+    EXPECT_EQ(sessions.recover(), 1u);
     sessions.start();
     sessions.drain();
 
@@ -191,8 +191,7 @@ TEST(ServeSession, InterruptedSessionReplaysFromTheJournalAlone) {
 
     spool journal(dir);
     session_manager sessions(journal, small_options());
-    diag::error_sink sink(diag::policy::lenient);
-    EXPECT_EQ(sessions.recover(sink), 1u);
+    EXPECT_EQ(sessions.recover(), 1u);
     sessions.start();
     sessions.drain();
 
@@ -201,6 +200,68 @@ TEST(ServeSession, InterruptedSessionReplaysFromTheJournalAlone) {
     EXPECT_EQ(status->state, job_state::done);
     EXPECT_TRUE(status->recovered);
     EXPECT_EQ(slurp(journal.report_file(1)), batch_report(raw, small_options()));
+}
+
+TEST(ServeSession, RestartAdoptsTheSpoolScanAndCountsEachQuarantineOnce) {
+    const fs::path dir = fresh_dir("ftc_serve_session_damaged");
+    const byte_vector raw = serve_test::make_capture_bytes("NTP", 40, 5);
+    {
+        spool seeded(dir);
+        for (int i = 0; i < 3; ++i) {
+            (void)seeded.append(byte_view{raw.data(), raw.size()});
+        }
+        // Job 2's metadata is damaged, job 3's payload rots on disk.
+        std::ofstream meta(seeded.meta_file(2), std::ios::binary | std::ios::trunc);
+        meta << "{\"schema\":";
+        std::fstream payload(seeded.payload_file(3),
+                             std::ios::binary | std::ios::in | std::ios::out);
+        char byte = 0;
+        payload.seekg(40);
+        payload.get(byte);
+        payload.seekp(40);
+        payload.put(static_cast<char>(byte ^ 0x40));
+    }
+    const obs::scoped_recorder recorder;
+    spool journal(dir);
+    session_manager sessions(journal, small_options());
+    EXPECT_EQ(sessions.recover(), 1u);
+    sessions.start();
+    sessions.drain();
+
+    // Each damaged file is quarantined once, by the spool's one scan.
+    const obs::metrics_snapshot metrics = recorder.rec().metrics().snapshot();
+    EXPECT_EQ(metrics.counters.at("diag.quarantined_total"), 2.0);
+    EXPECT_FALSE(sessions.status(2).has_value());
+    const std::optional<job_status> rotted = sessions.status(3);
+    ASSERT_TRUE(rotted.has_value());
+    EXPECT_EQ(rotted->state, job_state::failed);
+    EXPECT_NE(rotted->error.find("digest"), std::string::npos) << rotted->error;
+    const std::optional<job_status> good = sessions.status(1);
+    ASSERT_TRUE(good.has_value());
+    EXPECT_EQ(good->state, job_state::done);
+    EXPECT_EQ(slurp(journal.report_file(1)), batch_report(raw, small_options()));
+}
+
+TEST(ServeSession, BudgetTripNamesTheStageReached) {
+    spool journal(fresh_dir("ftc_serve_session_budget"));
+    serve_options options = small_options();
+    options.session_budget_seconds = 1e-6;
+    session_manager sessions(journal, options);
+    sessions.start();
+    const byte_vector raw = serve_test::make_capture_bytes("NTP", 40, 5);
+    const admission verdict = sessions.submit(byte_view{raw.data(), raw.size()});
+    ASSERT_TRUE(verdict.accepted) << verdict.reason;
+    sessions.drain();
+
+    // The job fails like `ftclust run` does: the error, then where it got.
+    const std::optional<job_status> status = sessions.status(verdict.id);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, job_state::failed);
+    EXPECT_NE(status->error.find("reached stage"), std::string::npos) << status->error;
+    diag::error_sink sink(diag::policy::lenient);
+    const std::vector<spool_entry> entries = journal.scan(sink);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].error, status->error);
 }
 
 TEST(ServeSession, PressureDegradesSessionsResultNeutrally) {
@@ -219,8 +280,7 @@ TEST(ServeSession, PressureDegradesSessionsResultNeutrally) {
     options.sessions = 1;
     options.queue_depth = 2;
     session_manager sessions(journal, options);
-    diag::error_sink sink(diag::policy::lenient);
-    EXPECT_EQ(sessions.recover(sink), 2u);
+    EXPECT_EQ(sessions.recover(), 2u);
     EXPECT_EQ(sessions.pressure_level(), 1);
     sessions.start();
     sessions.drain();
@@ -261,7 +321,7 @@ TEST(ServeSession, StopLeavesQueuedJobsJournaledForReplay) {
     }
     spool reopened(journal.dir());
     session_manager second(reopened, options);
-    EXPECT_EQ(second.recover(sink), unfinished);
+    EXPECT_EQ(second.recover(), unfinished);
     second.start();
     second.drain();
     EXPECT_EQ(second.status(a.id)->state, job_state::done);

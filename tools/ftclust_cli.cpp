@@ -128,7 +128,6 @@
 #include "obs/httpd.hpp"
 #include "obs/obs.hpp"
 #include "obs/sampler.hpp"
-#include "pcap/decap.hpp"
 #include "pcap/pcap.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
@@ -315,10 +314,7 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
 
     const byte_vector raw = read_input_bytes(path);
     const pcap::capture cap = pcap::from_pcap_bytes(raw, sink);
-    std::vector<byte_vector> messages;
-    for (pcap::datagram& d : pcap::extract_datagrams(cap, {}, sink)) {
-        messages.push_back(std::move(d.payload));
-    }
+    const std::vector<byte_vector> messages = protocols::capture_payloads(cap, sink);
     std::printf("loaded %zu packets -> %zu application messages (%s mode)\n",
                 cap.packets.size(), messages.size(), lenient ? "lenient" : "strict");
 
@@ -436,22 +432,16 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
 
     const auto segmenter = segmentation::make_segmenter(segmenter_name, opt.threads);
 
-    // Messages surviving ingestion + segmentation quarantine — whether
-    // restored from the checkpoint or produced by a fresh segmentation.
-    std::vector<byte_vector> segmented_messages;
-
     // Resume: adopt every checkpoint snapshot that validates against the
     // current fingerprint; a damaged or mismatched file is quarantined
-    // (category checkpoint) and only its stage recomputed.
+    // (category checkpoint) and only its stage recomputed. A restored
+    // segmentation indexes the messages that survived its quarantine.
     core::pipeline_seed seed;
+    ckpt::restored_state restored;
     if (manager.has_value() && resume) {
-        ckpt::restored_state restored = manager->load(messages, sink);
+        restored = manager->load(messages, sink);
         restored_stages = restored.stages;
         seed = std::move(restored.seed);
-        if (restored.has_segments()) {
-            segmented_messages = std::move(restored.messages);
-            manager->set_surviving(std::move(restored.surviving));
-        }
         if (!restored_stages.empty()) {
             std::string joined;
             for (const std::string& s : restored_stages) {
@@ -460,40 +450,13 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
             std::printf("resumed from %s: restored %s\n", checkpoint_dir, joined.c_str());
         }
     }
+    const std::vector<byte_vector>& input =
+        seed.segments.has_value() ? restored.messages : messages;
 
-    // Lenient mode quarantines unsegmentable messages instead of aborting.
-    const deadline dl = budget > 0 ? deadline(budget) : deadline();
+    // One budget bounds the whole job, segmentation through refinement.
     core::pipeline_result result;
     try {
-        if (!seed.segments.has_value()) {
-            segmentation::lenient_segmentation segmented;
-            try {
-                segmented = segmentation::segment_lenient(*segmenter, messages, dl, sink);
-            } catch (const budget_exceeded_error& e) {
-                if (!e.partial_report().empty()) {
-                    throw;
-                }
-                // Segmenters raise bare deadline errors; attach the progress
-                // the exit handler expects so a bounded run still reports
-                // where it got — preserving the stop-request type.
-                const std::string partial =
-                    message("messages ", messages.size(), "; reached stage segmentation");
-                if (dynamic_cast<const interrupted_error*>(&e) != nullptr) {
-                    throw interrupted_error(e.what(), partial);
-                }
-                throw budget_exceeded_error(e.what(), partial);
-            }
-            segmented_messages = std::move(segmented.messages);
-            if (manager.has_value()) {
-                // The pipeline only announces stages it computes, and
-                // segmentation happened here in the CLI — snapshot it before
-                // the expensive stages start.
-                manager->set_surviving(segmented.surviving);
-                manager->on_segments(segmented_messages, segmented.segments);
-            }
-            seed.segments = std::move(segmented.segments);
-        }
-        result = core::analyze_seeded(segmented_messages, nullptr, std::move(seed), opt);
+        result = core::analyze_seeded(input, segmenter.get(), std::move(seed), opt, sink);
     } catch (const budget_exceeded_error& e) {
         // A bounded or interrupted run still leaves its trace, metrics and
         // a manifest behind — that is when they matter most. The final
@@ -502,9 +465,6 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
         const bool stopped = dynamic_cast<const interrupted_error*>(&e) != nullptr;
         const bool memory =
             dynamic_cast<const memory_budget_exceeded_error*>(&e) != nullptr;
-        if (stopped && manager.has_value() && !seed.segments.has_value()) {
-            manager->on_interrupted("segmentation");
-        }
         const char* status = stopped ? "interrupted"
                                      : (memory ? "memory-exceeded" : "budget-exceeded");
         if (sampler.has_value()) {
@@ -523,7 +483,7 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
                 segmenter_name.c_str(), result.unique.size(),
                 result.final_labels.cluster_count, result.clustering.config.epsilon,
                 result.clustering.config.min_samples, result.elapsed_seconds);
-    write_outputs(&result, segmented_messages.size(), "ok");
+    write_outputs(&result, result.surviving.size(), "ok");
     const std::string quarantine = core::render_quarantine(sink);
     if (!quarantine.empty()) {
         std::fputs(quarantine.c_str(), stdout);
@@ -536,9 +496,12 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
     std::fputs(report.c_str(), stdout);
 
     if (has_flag(argc, argv, "--semantics")) {
+        std::vector<byte_vector> segmented;
+        for (const std::size_t i : result.surviving) {
+            segmented.push_back(input[i]);
+        }
         std::printf("\ndeduced semantics:\n%s",
-                    core::render_semantics(
-                        core::deduce_semantics(segmented_messages, result))
+                    core::render_semantics(core::deduce_semantics(segmented, result))
                         .c_str());
     }
     if (sampler.has_value()) {
@@ -610,8 +573,7 @@ int cmd_serve(int argc, char** argv) {
 
     serve::spool journal{std::filesystem::path{spool_dir}};
     serve::session_manager sessions(journal, opt);
-    diag::error_sink recovery_sink(diag::policy::lenient);
-    const std::size_t replayed = sessions.recover(recovery_sink);
+    const std::size_t replayed = sessions.recover();
     if (replayed > 0) {
         std::printf("recovered %zu unfinished job%s from %s\n", replayed,
                     replayed == 1 ? "" : "s", spool_dir);
