@@ -1,15 +1,18 @@
 #include "serve/daemon.hpp"
 
+#include <charconv>
 #include <fstream>
 
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
-#include "util/error.hpp"
-#include "util/net.hpp"
 
 namespace ftc::serve {
 
 namespace {
+
+using util::http::error_response;
+using util::http::http_request;
+using util::http::http_response;
 
 /// Parse "/jobs/<digits>[/report]" — returns false for anything else.
 bool parse_job_target(std::string_view target, std::uint64_t& id, bool& want_report) {
@@ -25,27 +28,9 @@ bool parse_job_target(std::string_view target, std::uint64_t& id, bool& want_rep
         want_report = true;
         target.remove_suffix(kReport.size());
     }
-    if (target.empty() || target.size() > 19) {
-        return false;
-    }
-    std::uint64_t value = 0;
-    for (char c : target) {
-        if (c < '0' || c > '9') {
-            return false;
-        }
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    id = value;
-    return true;
-}
-
-std::string error_json(std::string_view reason) {
-    obs::json_writer w;
-    w.begin_object();
-    w.key("error");
-    w.value(reason);
-    w.end_object();
-    return w.take();
+    const char* end = target.data() + target.size();
+    return !target.empty() && target.size() <= 19 &&
+           std::from_chars(target.data(), end, id).ptr == end;
 }
 
 std::string status_json(const job_status& status) {
@@ -67,94 +52,33 @@ std::string status_json(const job_status& status) {
     return w.take();
 }
 
+/// serve.requests_total counts every connection whose request read ended,
+/// serve.http_errors_total the ones that end in an error or unanswered.
+void count_event(util::http::server_event event) {
+    obs::counter_add(event == util::http::server_event::request ? "serve.requests_total"
+                                                                : "serve.http_errors_total",
+                     1.0);
+}
+
 }  // namespace
 
-daemon::daemon(session_manager& sessions, obs::recorder* recorder, daemon_options options)
-    : sessions_(sessions), recorder_(recorder), options_(std::move(options)) {
-    listen_fd_ = util::net::listen_tcp(options_.host, options_.port, 16, &port_,
-                                       "serve-listen");
-    if (options_.io_threads == 0) {
-        options_.io_threads = 1;
-    }
-    io_threads_.reserve(options_.io_threads);
-    for (std::size_t i = 0; i < options_.io_threads; ++i) {
-        io_threads_.emplace_back([this] { io_loop(); });
-    }
-}
+daemon::daemon(session_manager& sessions, obs::recorder* recorder,
+               const daemon_options& options)
+    : sessions_(sessions),
+      recorder_(recorder),
+      server_({options.host, options.port}, options.io_threads, options.limits,
+              [this](const http_request& request) { return route(request); }, count_event,
+              "serve-listen") {}
 
-daemon::~daemon() { stop(); }
-
-void daemon::stop() noexcept {
-    if (stopping_.exchange(true, std::memory_order_relaxed)) {
-        return;
-    }
-    for (std::thread& t : io_threads_) {
-        if (t.joinable()) {
-            t.join();
-        }
-    }
-    io_threads_.clear();
-    util::net::close_fd(listen_fd_);
-    listen_fd_ = -1;
-}
-
-void daemon::io_loop() {
-    while (!stopping_.load(std::memory_order_relaxed)) {
-        const int client = util::net::accept_client(listen_fd_, 200);
-        if (client < 0) {
-            continue;  // timeout or transient accept error: keep serving
-        }
-        // One connection is one bounded request/response exchange; any
-        // exception is a that-connection problem, never the daemon's.
-        try {
-            handle_connection(client);
-        } catch (const std::exception&) {
-            obs::counter_add("serve.http_errors_total", 1.0);
-        }
-        util::net::close_fd(client);
-    }
-}
-
-void daemon::respond_json(
-    int fd, int status, const std::string& body,
-    const std::vector<std::pair<std::string, std::string>>& extra) {
-    if (status >= 400) {
-        obs::counter_add("serve.http_errors_total", 1.0);
-    }
-    write_response(fd, status, "application/json", body, extra,
-                   options_.limits.io_deadline_ms);
-}
-
-void daemon::handle_connection(int fd) {
-    http_request request;
-    const read_status rs = read_request(fd, options_.limits, request);
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add("serve.requests_total", 1.0);
-    switch (rs) {
-        case read_status::ok:
-            break;
-        case read_status::bad_request:
-            respond_json(fd, 400, error_json("malformed request"));
-            return;
-        case read_status::too_large:
-            respond_json(fd, 413, error_json("request exceeds configured limits"));
-            return;
-        default:
-            // eof / timeout / reset: the peer is gone or stalled; there is
-            // nobody left worth writing an error to.
-            obs::counter_add("serve.http_errors_total", 1.0);
-            return;
-    }
-
+http_response daemon::route(const http_request& request) {
     if (request.method == "POST" && request.target == "/jobs") {
         const admission verdict = sessions_.submit(
             byte_view{request.body.data(), request.body.size()});
         if (!verdict.accepted) {
-            respond_json(
-                fd, 503, error_json(verdict.reason),
-                {{"Retry-After",
-                  std::to_string(sessions_.options().retry_after_seconds)}});
-            return;
+            http_response shed = error_response(503, verdict.reason);
+            shed.headers.emplace_back("Retry-After",
+                                      std::to_string(sessions_.options().retry_after_seconds));
+            return shed;
         }
         obs::json_writer w;
         w.begin_object();
@@ -163,40 +87,29 @@ void daemon::handle_connection(int fd) {
         w.key("state");
         w.value("queued");
         w.end_object();
-        respond_json(fd, 202, w.take());
-        return;
+        return {202, "application/json", w.take(), {}};
     }
 
     std::uint64_t id = 0;
     bool want_report = false;
     if (parse_job_target(request.target, id, want_report)) {
         if (request.method != "GET") {
-            respond_json(fd, 405, error_json("use GET"));
-            return;
+            return error_response(405, "use GET");
         }
         const std::optional<job_status> status = sessions_.status(id);
         if (!status.has_value()) {
-            respond_json(fd, 404, error_json("unknown job"));
-            return;
+            return error_response(404, "unknown job");
         }
-        if (!want_report) {
-            respond_json(fd, 200, status_json(*status));
-            return;
-        }
-        if (status->state != job_state::done) {
-            respond_json(fd, 409, status_json(*status));
-            return;
+        if (status->state != job_state::done || !want_report) {
+            return {want_report ? 409 : 200, "application/json", status_json(*status), {}};
         }
         std::ifstream in(sessions_.journal().report_file(id), std::ios::binary);
         std::string report((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
         if (!in.is_open()) {
-            respond_json(fd, 404, error_json("report file missing"));
-            return;
+            return error_response(404, "report file missing");
         }
-        write_response(fd, 200, "text/plain; charset=utf-8", report, {},
-                       options_.limits.io_deadline_ms);
-        return;
+        return {200, "text/plain; charset=utf-8", std::move(report), {}};
     }
 
     if (request.method == "GET" && request.target == "/healthz") {
@@ -211,22 +124,11 @@ void daemon::handle_connection(int fd) {
         w.key("pressure");
         w.value(static_cast<std::int64_t>(sessions_.pressure_level()));
         w.end_object();
-        respond_json(fd, 200, w.take());
-        return;
+        return {200, "application/json", w.take(), {}};
     }
 
-    if (request.method == "GET" && request.target == "/metrics") {
-        if (recorder_ == nullptr) {
-            respond_json(fd, 404, error_json("metrics recorder not enabled"));
-            return;
-        }
-        const std::string body = obs::to_prometheus(recorder_->metrics().snapshot());
-        write_response(fd, 200, "text/plain; version=0.0.4", body, {},
-                       options_.limits.io_deadline_ms);
-        return;
-    }
-
-    respond_json(fd, 404, error_json("no such endpoint"));
+    // GET /metrics, and 404 for every other request.
+    return util::http::metrics_route(recorder_, request);
 }
 
 }  // namespace ftc::serve

@@ -14,21 +14,19 @@
 ///   GET  /metrics           Prometheus text exposition (404 when the
 ///                           daemon runs without a metrics recorder)
 ///
-/// Every connection is bounded: head and body caps, one deadline for the
-/// whole request head (slow-loris defense), deadline-bounded writes. A
-/// misbehaving client costs one connection, never a worker session. The
-/// daemon never exits on a connection error; stop() (or destruction)
-/// closes the listener and joins the I/O threads.
+/// Every connection is bounded by util::http::server: head and body caps,
+/// one deadline for the whole request head (slow-loris defense),
+/// deadline-bounded writes, typed 400/413 answers. A misbehaving client
+/// costs one connection, never a worker session; the daemon keeps only its
+/// routes. stop() (or destruction) closes the listener and joins the I/O
+/// threads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "serve/http.hpp"
 #include "serve/session.hpp"
+#include "util/http.hpp"
 
 namespace ftc::obs {
 class recorder;
@@ -41,7 +39,7 @@ struct daemon_options {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;  ///< 0 = ephemeral, read back via port()
     std::size_t io_threads = 2;
-    http_limits limits;
+    util::http::http_limits limits;
 };
 
 class daemon {
@@ -49,34 +47,19 @@ public:
     /// Binds the listener (throws ftc::error on failure) and starts the
     /// I/O threads. \p recorder may be nullptr: /metrics then answers 404
     /// and counters fall back to the ambient obs hooks.
-    daemon(session_manager& sessions, obs::recorder* recorder, daemon_options options);
-    ~daemon();
+    daemon(session_manager& sessions, obs::recorder* recorder, const daemon_options& options);
 
-    daemon(const daemon&) = delete;
-    daemon& operator=(const daemon&) = delete;
-
-    std::uint16_t port() const { return port_; }
-    std::uint64_t requests_served() const {
-        return requests_.load(std::memory_order_relaxed);
-    }
+    std::uint16_t port() const { return server_.port(); }
 
     /// Stop accepting, close the listener, join the I/O threads.
-    void stop() noexcept;
+    void stop() noexcept { server_.stop(); }
 
 private:
-    void io_loop();
-    void handle_connection(int fd);
-    void respond_json(int fd, int status, const std::string& body,
-                      const std::vector<std::pair<std::string, std::string>>& extra = {});
+    util::http::http_response route(const util::http::http_request& request);
 
     session_manager& sessions_;
     obs::recorder* recorder_;
-    daemon_options options_;
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
-    std::atomic<bool> stopping_{false};
-    std::atomic<std::uint64_t> requests_{0};
-    std::vector<std::thread> io_threads_;
+    util::http::server server_;  ///< last: its threads call route()
 };
 
 }  // namespace ftc::serve

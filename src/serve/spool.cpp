@@ -1,6 +1,7 @@
 #include "serve/spool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <system_error>
 
@@ -77,6 +78,62 @@ spool_entry parse_meta(const std::string& text) {
     return entry;
 }
 
+/// The id a spool file name `job-<id>.<ext>` names, or 0 for other names.
+std::uint64_t job_file_id(const std::string& name) {
+    if (!name.starts_with(kMetaPrefix)) {
+        return 0;
+    }
+    const char* end = name.data() + name.size();
+    std::uint64_t id = 0;
+    const auto [ptr, ec] = std::from_chars(name.data() + kMetaPrefix.size(), end, id);
+    return ec == std::errc{} && ptr != end && *ptr == '.' ? id : 0;
+}
+
+/// Every parseable metadata file in \p dir, sorted by id; the rest is
+/// quarantined through \p sink.
+std::vector<spool_entry> read_metadata(const std::filesystem::path& dir,
+                                       diag::error_sink& sink) {
+    std::vector<spool_entry> out;
+    std::error_code ec;
+    for (const auto& dirent : std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = dirent.path().filename().string();
+        if (!name.starts_with(kMetaPrefix) || !name.ends_with(kMetaSuffix)) {
+            continue;
+        }
+        try {
+            const byte_vector raw = read_file_bytes(dirent.path());
+            out.push_back(parse_meta(std::string(raw.begin(), raw.end())));
+        } catch (const ftc::error& e) {
+            sink.fail({diag::category::spool, diag::severity::error, 0, 0,
+                       "spool metadata " + name + ": " + e.what()});
+            // lenient: the job is lost but named; strict threw
+        }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const spool_entry& a, const spool_entry& b) { return a.id < b.id; });
+    return out;
+}
+
+/// Verify that an accepted job's payload is still the bytes that were
+/// journaled. A mismatch downgrades the job to failed (typed, per job)
+/// instead of feeding damaged input into a session; returns whether it did.
+bool downgrade_if_damaged(const spool& journal, spool_entry& entry,
+                          diag::error_sink& sink) {
+    if (entry.phase != job_phase::accepted) {
+        return false;
+    }
+    try {
+        (void)journal.read_payload(entry.id, entry.payload_digest);
+        return false;
+    } catch (const ftc::error& e) {
+        sink.fail({diag::category::spool, diag::severity::error, 0, 0,
+                   "spool payload of job " + std::to_string(entry.id) + ": " + e.what()});
+        entry.phase = job_phase::failed;
+        entry.error = std::string("spool payload damaged: ") + e.what();
+        return true;
+    }
+}
+
 }  // namespace
 
 std::string_view job_phase_name(job_phase phase) {
@@ -105,12 +162,20 @@ spool::spool(std::filesystem::path dir) : dir_(std::move(dir)) {
     std::filesystem::remove(probe, ec);
 
     // Adopt the journaled entries (replayed jobs transition through
-    // mark_done/mark_failed like fresh ones) and continue ids after the
-    // highest, so replayed and new jobs never collide.
+    // mark_done/mark_failed like fresh ones). A damaged payload's downgrade
+    // is journaled at once, so later restarts neither re-hash nor
+    // re-quarantine it.
     diag::error_sink ignore(diag::policy::lenient);
-    entries_ = scan(ignore);
-    for (const spool_entry& entry : entries_) {
-        next_id_ = std::max(next_id_, entry.id + 1);
+    entries_ = read_metadata(dir_, ignore);
+    for (spool_entry& entry : entries_) {
+        if (downgrade_if_damaged(*this, entry, ignore)) {
+            write_meta(entry);
+        }
+    }
+    // Ids continue after the highest any job file names, so a new job never
+    // takes over the files of one whose metadata is damaged.
+    for (const auto& dirent : std::filesystem::directory_iterator(dir_, ec)) {
+        next_id_ = std::max(next_id_, job_file_id(dirent.path().filename().string()) + 1);
     }
 }
 
@@ -186,42 +251,10 @@ void spool::mark_failed(std::uint64_t id, std::string_view error) {
 }
 
 std::vector<spool_entry> spool::scan(diag::error_sink& sink) const {
-    std::vector<spool_entry> out;
-    std::error_code ec;
-    for (const auto& dirent : std::filesystem::directory_iterator(dir_, ec)) {
-        const std::string name = dirent.path().filename().string();
-        if (name.rfind(kMetaPrefix, 0) != 0 || name.size() <= kMetaSuffix.size() ||
-            name.compare(name.size() - kMetaSuffix.size(), kMetaSuffix.size(),
-                         kMetaSuffix) != 0) {
-            continue;
-        }
-        spool_entry entry;
-        try {
-            const byte_vector raw = read_file_bytes(dirent.path());
-            entry = parse_meta(std::string(raw.begin(), raw.end()));
-        } catch (const ftc::error& e) {
-            sink.fail({diag::category::spool, diag::severity::error, 0, 0,
-                       "spool metadata " + name + ": " + e.what()});
-            continue;  // lenient: the job is lost but named; strict threw
-        }
-        // Verify the payload is still the bytes that were journaled. A
-        // mismatch downgrades the job to failed (typed, per job) instead of
-        // feeding damaged input into a session.
-        if (entry.phase == job_phase::accepted) {
-            try {
-                (void)read_payload(entry.id, entry.payload_digest);
-            } catch (const ftc::error& e) {
-                sink.fail({diag::category::spool, diag::severity::error, 0, 0,
-                           "spool payload of job " + std::to_string(entry.id) + ": " +
-                               e.what()});
-                entry.phase = job_phase::failed;
-                entry.error = std::string("spool payload damaged: ") + e.what();
-            }
-        }
-        out.push_back(std::move(entry));
+    std::vector<spool_entry> out = read_metadata(dir_, sink);
+    for (spool_entry& entry : out) {
+        (void)downgrade_if_damaged(*this, entry, sink);
     }
-    std::sort(out.begin(), out.end(),
-              [](const spool_entry& a, const spool_entry& b) { return a.id < b.id; });
     return out;
 }
 

@@ -17,7 +17,8 @@
 /// produces output identical to an uninterrupted run. Damaged metadata or
 /// a payload whose digest no longer matches is quarantined through
 /// ftc::diag (category spool) — one corrupt spool file fails one job,
-/// typed, never the daemon.
+/// typed, never the daemon. The startup scan journals a payload's
+/// downgrade, so each damaged file is quarantined by one restart only.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +58,9 @@ public:
     /// Creates \p dir (and parents) if needed; throws ftc::error when it
     /// cannot be created or written — a daemon that cannot journal must
     /// fail at startup, not on the first job. Existing entries are kept
-    /// (that is the point); new ids continue after the highest on disk.
+    /// (that is the point), an accepted job whose payload fails its digest
+    /// check is journaled failed, and new ids continue after the highest
+    /// id that any `job-<id>.*` file names.
     explicit spool(std::filesystem::path dir);
 
     spool(const spool&) = delete;

@@ -26,8 +26,6 @@ namespace {
 // the operation sites.
 std::atomic<std::uint64_t> g_fail_countdown{0};
 std::atomic<int> g_fail_kind{static_cast<int>(io_fault::none)};
-std::atomic<std::uint64_t> g_socket_ops{0};
-std::atomic<std::uint64_t> g_spool_ops{0};
 
 /// Milliseconds left until \p deadline (clamped to >= 0).
 int remaining_ms(std::chrono::steady_clock::time_point deadline) noexcept {
@@ -51,11 +49,6 @@ io_fault_plan get_io_fault_plan() noexcept {
 }
 
 io_fault consume_io_fault(io_op op) noexcept {
-    if (op == io_op::spool_op) {
-        g_spool_ops.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        g_socket_ops.fetch_add(1, std::memory_order_relaxed);
-    }
     const io_fault kind = static_cast<io_fault>(g_fail_kind.load(std::memory_order_relaxed));
     if (kind == io_fault::none) {
         return io_fault::none;
@@ -74,14 +67,6 @@ io_fault consume_io_fault(io_op op) noexcept {
         return kind;
     }
     return io_fault::none;
-}
-
-std::uint64_t socket_ops_observed() noexcept {
-    return g_socket_ops.load(std::memory_order_relaxed);
-}
-
-std::uint64_t spool_ops_observed() noexcept {
-    return g_spool_ops.load(std::memory_order_relaxed);
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -269,6 +254,11 @@ io_result write_all(int fd, const void* buf, std::size_t len, int timeout_ms) no
     return {io_result::status::ok, sent};
 }
 
+bool readable_now(int fd) noexcept {
+    char byte = 0;
+    return recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
+}
+
 void close_fd(int fd) noexcept {
     if (fd < 0) {
         return;
@@ -292,6 +282,7 @@ io_result read_some(int, void*, std::size_t, int) noexcept {
 io_result write_all(int, const void*, std::size_t, int) noexcept {
     return {io_result::status::reset, 0};
 }
+bool readable_now(int) noexcept { return false; }
 void close_fd(int) noexcept {}
 
 #endif

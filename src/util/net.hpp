@@ -1,6 +1,7 @@
 /// \file net.hpp
-/// Hardened POSIX socket primitives shared by every network-facing surface
-/// (the obs scrape endpoint, the serve daemon's request router).
+/// Hardened POSIX socket primitives under util::http::server, the one
+/// HTTP stack that the serve daemon and the `--metrics-listen` scrape
+/// endpoint share. Its accept threads are the only accept_client loop.
 ///
 /// Raw send()/recv() have three classic failure modes a long-lived daemon
 /// must survive: EINTR (any signal interrupts the syscall), partial
@@ -74,18 +75,11 @@ void set_io_fault_plan(const io_fault_plan& plan) noexcept;
 /// The currently installed plan (countdown state included).
 io_fault_plan get_io_fault_plan() noexcept;
 
-/// Consult the plan for one tracked operation: counts it, and returns the
-/// fault the operation must observe (io_fault::none almost always). The
-/// socket helpers call this internally; the serve spool calls it with
-/// spool_op around journal writes.
+/// Consult the plan for one tracked operation: returns the fault the
+/// operation must observe (io_fault::none almost always). The socket
+/// helpers call this internally; the serve spool calls it with spool_op
+/// around journal writes.
 io_fault consume_io_fault(io_op op) noexcept;
-
-/// Tracked socket operations (accept/recv/send) observed so far — sweeps
-/// size their ordinal range from a reference run's count.
-std::uint64_t socket_ops_observed() noexcept;
-
-/// Tracked spool journal writes observed so far.
-std::uint64_t spool_ops_observed() noexcept;
 
 // ---------------------------------------------------------------------------
 // Socket primitives
@@ -128,6 +122,10 @@ io_result read_some(int fd, void* buf, std::size_t cap, int timeout_ms) noexcept
 /// send()s and EINTR. SIGPIPE is suppressed (MSG_NOSIGNAL); a vanished
 /// peer maps to status::reset with the byte count that made it out.
 io_result write_all(int fd, const void* buf, std::size_t len, int timeout_ms) noexcept;
+
+/// Whether a byte is waiting on \p fd right now. A peek: it consumes
+/// nothing, never waits, and the fault plan does not count it.
+bool readable_now(int fd) noexcept;
 
 /// close() the fd, retrying EINTR; no-op for negative fds.
 void close_fd(int fd) noexcept;

@@ -12,7 +12,8 @@ cd "$(dirname "$0")"
   echo '  get_filename_component(name ${src} NAME_WE)'
   echo '  add_executable(${name} ${src})'
   echo '  target_link_libraries(${name} PRIVATE'
-  echo '    ftc_core ftc_fieldhunter ftc_warnings GTest::gtest GTest::gtest_main)'
+  echo '    ftc_core ftc_ckpt ftc_fieldhunter ftc_serve ftc_telemetry ftc_testing ftc_warnings'
+  echo '    GTest::gtest GTest::gtest_main)'
   echo '  add_test(NAME ${name} COMMAND ${name})'
   echo 'endforeach()'
 } > CMakeLists.txt

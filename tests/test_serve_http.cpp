@@ -20,10 +20,10 @@
 #include <unistd.h>
 #endif
 
-#include "serve/http.hpp"
+#include "util/http.hpp"
 #include "util/net.hpp"
 
-namespace ftc::serve {
+namespace ftc::util::http {
 namespace {
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -298,4 +298,4 @@ TEST(ServeHttp, StatusReasonsCoverEmittedCodes) {
 }
 
 }  // namespace
-}  // namespace ftc::serve
+}  // namespace ftc::util::http

@@ -5,11 +5,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #if defined(__unix__)
 #include <unistd.h>
 #endif
 
+#include "obs/obs.hpp"
 #include "serve/spool.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
@@ -21,6 +23,11 @@ namespace fs = std::filesystem;
 
 byte_vector bytes(std::string_view text) {
     return byte_vector(text.begin(), text.end());
+}
+
+std::string slurp(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 fs::path fresh_dir(const char* name) {
@@ -96,17 +103,15 @@ TEST(ServeSpool, DamagedMetadataIsQuarantinedPerJob) {
 
 TEST(ServeSpool, PayloadDigestMismatchDowngradesToFailed) {
     const fs::path dir = fresh_dir("ftc_serve_spool_rot");
-    std::uint64_t id = 0;
-    {
-        spool journal(dir);
-        id = journal.append(bytes("pristine payload"));
-    }
+    // The payload rots under an open spool: a reopen would journal the
+    // downgrade itself (PayloadDowngradeIsJournaledOnce).
+    spool journal(dir);
+    const std::uint64_t id = journal.append(bytes("pristine payload"));
     {
         std::fstream f(dir / "job-1.pcap", std::ios::binary | std::ios::in | std::ios::out);
         f.seekp(0);
         f.put('X');  // bit rot
     }
-    spool journal(dir);
     diag::error_sink sink(diag::policy::lenient);
     const std::vector<spool_entry> entries = journal.scan(sink);
     ASSERT_EQ(entries.size(), 1u);
@@ -115,6 +120,56 @@ TEST(ServeSpool, PayloadDigestMismatchDowngradesToFailed) {
     EXPECT_EQ(sink.count(diag::category::spool), 1u);
     EXPECT_THROW((void)journal.read_payload(id, entries[0].payload_digest),
                  ftc::parse_error);
+}
+
+TEST(ServeSpool, PayloadDowngradeIsJournaledOnce) {
+    const fs::path dir = fresh_dir("ftc_serve_spool_rot_journaled");
+    {
+        spool journal(dir);
+        (void)journal.append(bytes("pristine payload"));
+    }
+    {
+        std::fstream f(dir / "job-1.pcap", std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(3);
+        f.put('X');  // bit rot
+    }
+    const obs::scoped_recorder recorder;
+    {
+        const spool first(dir);
+        ASSERT_EQ(first.entries().size(), 1u);
+        EXPECT_EQ(first.entries()[0].phase, job_phase::failed);
+    }
+    // The first open wrote the downgrade; the second adopts it as is.
+    const std::string meta = slurp(dir / "job-1.json");
+    EXPECT_NE(meta.find("\"state\":\"failed\""), std::string::npos) << meta;
+    EXPECT_NE(meta.find("digest mismatch"), std::string::npos) << meta;
+    const spool second(dir);
+    ASSERT_EQ(second.entries().size(), 1u);
+    EXPECT_EQ(second.entries()[0].phase, job_phase::failed);
+    EXPECT_NE(second.entries()[0].error.find("digest"), std::string::npos);
+    const obs::metrics_snapshot metrics = recorder.rec().metrics().snapshot();
+    EXPECT_EQ(metrics.counters.at("diag.quarantined_total"), 1.0);
+}
+
+TEST(ServeSpool, IdsNeverReuseTheFilesOfADamagedJob) {
+    const fs::path dir = fresh_dir("ftc_serve_spool_reuse");
+    {
+        spool journal(dir);
+        (void)journal.append(bytes("first"));
+        (void)journal.append(bytes("second payload"));
+        journal.mark_done(1);
+        journal.mark_done(2);
+    }
+    fs::resize_file(dir / "job-2.json", 20);  // truncated metadata
+    {
+        std::ofstream orphan(dir / "job-3.pcap", std::ios::binary);
+        orphan << "crashed before its metadata";
+    }
+    spool reopened(dir);
+    ASSERT_EQ(reopened.entries().size(), 1u);  // job 2 is quarantined
+    EXPECT_EQ(reopened.append(bytes("fourth")), 4u);
+    EXPECT_EQ(slurp(dir / "job-2.pcap"), "second payload");
+    EXPECT_EQ(slurp(dir / "job-3.pcap"), "crashed before its metadata");
 }
 
 TEST(ServeSpool, UnwritableDirectoryFailsAtConstruction) {

@@ -66,8 +66,8 @@
 ///       --progress renders a live stage/rate/ETA line on stderr (an
 ///       in-place line on a TTY, rate-limited plain lines otherwise).
 ///       --metrics-listen HOST:PORT serves the live Prometheus text
-///       exposition over HTTP while the run lasts (port 0 = ephemeral,
-///       the bound port is printed). All three are observational only:
+///       exposition on GET /metrics while the run lasts (port 0 =
+///       ephemeral, the bound port is printed). All three are observational only:
 ///       clustering output is bitwise identical with them on, off or
 ///       compiled out.
 ///
@@ -111,6 +111,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -125,7 +126,6 @@
 #include "dissim/neighborhood.hpp"
 #include "mem/mem.hpp"
 #include "obs/export.hpp"
-#include "obs/httpd.hpp"
 #include "obs/obs.hpp"
 #include "obs/sampler.hpp"
 #include "pcap/pcap.hpp"
@@ -139,6 +139,7 @@
 #include "util/build_info.hpp"
 #include "util/check.hpp"
 #include "util/diag.hpp"
+#include "util/http.hpp"
 #include "util/interrupt.hpp"
 #include "util/parse.hpp"
 #include "util/thread_pool.hpp"
@@ -306,9 +307,10 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
         sampler.emplace(recorder.has_value() ? &recorder->rec() : nullptr, std::move(sopt));
         sampler->set_status("error");
     }
-    std::optional<obs::metrics_server> scrape;
+    std::unique_ptr<util::http::server> scrape;
     if (metrics_listen != nullptr) {
-        scrape.emplace(&recorder->rec(), obs::parse_listen_address(metrics_listen));
+        scrape = util::http::serve_metrics(
+            recorder->rec(), util::http::parse_listen_address(metrics_listen, "--metrics-listen"));
         std::printf("serving metrics on port %u\n", scrape->port());
     }
 
@@ -544,8 +546,8 @@ int cmd_serve(int argc, char** argv) {
         util::parse_u64(flag_value(argc, argv, "--retry-after", "1"), "--retry-after"));
 
     serve::daemon_options dopt;
-    const obs::listen_address listen =
-        obs::parse_listen_address(flag_value(argc, argv, "--listen", "127.0.0.1:0"));
+    const util::http::listen_address listen = util::http::parse_listen_address(
+        flag_value(argc, argv, "--listen", "127.0.0.1:0"), "--listen");
     dopt.host = listen.host;
     dopt.port = listen.port;
     dopt.limits.max_body_bytes = static_cast<std::size_t>(util::parse_size_bytes(
