@@ -32,6 +32,7 @@
 
 #include "ckpt/manager.hpp"
 #include "core/pipeline.hpp"
+#include "dissim/sparse.hpp"
 #include "protocols/registry.hpp"
 #include "testing/corrupter.hpp"
 #include "util/rng.hpp"
@@ -124,10 +125,11 @@ int main(int argc, char** argv) {
     try {
         rng rand(seed);
 
-        // Real checkpoints as the mutation corpus: every file kind, with
-        // payloads genuine pipeline runs produced — a dense run for the
-        // matrix snapshot, a sparse one for the neighbor lists (the
-        // snapshot every memory-pressured run writes).
+        // Real checkpoints as the mutation corpus: every file kind. A
+        // genuine pipeline run writes the segments, matrix and clustering
+        // snapshots (the capture is small, so it builds the matrix); the
+        // sparse engine over the same unique values supplies the neighbor
+        // lists every memory-pressured or large run writes instead.
         const protocols::trace t = protocols::generate_trace("DNS", 40, 5);
         const std::vector<byte_vector> messages = segmentation::message_bytes(t);
         const segmentation::message_segments segments =
@@ -136,16 +138,20 @@ int main(int argc, char** argv) {
         const ckpt::options_fingerprint fp = ckpt::fingerprint(options, "true", 5);
         const fs::path base_dir = fs::temp_directory_path() / "ftc_fuzz_ckpt_base";
         fs::remove_all(base_dir);
-        for (const dissim::neighborhood_mode mode :
-             {dissim::neighborhood_mode::dense, dissim::neighborhood_mode::sparse}) {
+        {
             ckpt::checkpoint_manager manager(base_dir, fp);
             manager.on_segments(segments, every_index(messages.size()));
             core::pipeline_options opt = options;
-            opt.neighborhood = mode;
             opt.observer = &manager;
             core::pipeline_seed pseed;
             pseed.segments = segments;
-            (void)core::analyze_seeded(messages, nullptr, std::move(pseed), opt);
+            const core::pipeline_result run =
+                core::analyze_seeded(messages, nullptr, std::move(pseed), opt);
+            dissim::sparse_build_options sopts;
+            sopts.knn_cap = cluster::knn_k_max(run.unique.size());
+            const dissim::sparse_neighborhood sparse(run.unique.values, sopts);
+            manager.on_neighbors(run.unique, sparse.capped(),
+                                 sparse.kth_nn_many(sopts.knn_cap));
             manager.mark_complete();
         }
         const char* kFiles[] = {ckpt::checkpoint_manager::kSegmentsFile,

@@ -305,7 +305,7 @@ restored_state checkpoint_manager::load(const std::vector<byte_vector>& all_mess
         quarantine(kMatrixFile, e.what());
     }
 
-    // neighbors.ckpt -> seed.unique + seed.neighbors (sparse-mode snapshot).
+    // neighbors.ckpt -> seed.unique + seed.neighbors (sparse-engine snapshot).
     // The matrix snapshot wins when both restored: it carries every pair,
     // not just the capped lists. Either seeds a bitwise-identical resume.
     try {

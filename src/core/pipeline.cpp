@@ -139,11 +139,11 @@ pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
             obs::gauge_set("pipeline.unique_segments",
                            static_cast<double>(result.unique.size()));
         } else if (seed.unique.has_value() && seed.neighbors.has_value()) {
-            // Sparse-mode snapshot: adopt the capped lists verbatim (the
+            // Sparse-engine snapshot: adopt the capped lists verbatim (the
             // adopt constructor revalidates shape; the ckpt decoder already
             // enforced the deep invariants). The adopted source serves the
             // same bits a fresh build would, so the resumed run is
-            // byte-identical — regardless of the mode this run requested.
+            // byte-identical — whichever engine a fresh run would build.
             result.unique = std::move(*seed.unique);
             sparse_storage.emplace(result.unique.values, std::move(*seed.neighbors));
             if (seed.knn_curves.has_value()) {
@@ -175,26 +175,21 @@ pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
             obs::gauge_set("pipeline.unique_segments",
                            static_cast<double>(result.unique.size()));
 
-            // Neighborhood mode: the sparse engine when forced, when auto
-            // crosses the scale threshold, or — degradation rung 2, in every
-            // mode — when the dense n*n matrix would not fit the governor;
-            // the matrix otherwise. Both produce byte-identical cluster
-            // reports (DESIGN.md §13), so this choice moves cost, never
-            // results. If even the sparse engine cannot fit, its tracked
-            // charges raise memory_budget_exceeded_error — rung 3, the typed
-            // exit.
+            // The engine: sparse at scale or — degradation rung 2 — when
+            // the dense n*n matrix would not fit the governor; the matrix
+            // otherwise. Both produce byte-identical cluster reports
+            // (DESIGN.md §13), so this choice moves cost, never results. If
+            // even the sparse engine cannot fit, its tracked charges raise
+            // memory_budget_exceeded_error — rung 3, the typed exit.
             const std::size_t n = result.unique.size();
-            const bool mode_wants_sparse =
-                options.neighborhood == dissim::neighborhood_mode::sparse ||
-                (options.neighborhood == dissim::neighborhood_mode::auto_ &&
-                 n >= dissim::kSparseAutoUniques);
+            const bool at_scale = n >= dissim::kSparseAutoUniques;
             const bool dense_fits =
                 !mem::would_exceed(static_cast<std::uint64_t>(n) * n * sizeof(float));
             if (elide) {
                 obs::counter_add("mem.degrade.dedup_total", 1.0);
             }
-            if (mode_wants_sparse || !dense_fits) {
-                if (!mode_wants_sparse) {
+            if (at_scale || !dense_fits) {
+                if (!at_scale) {
                     obs::counter_add("mem.degrade.sparse_total", 1.0);
                 }
                 dissim::sparse_build_options sopts;

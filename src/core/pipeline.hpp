@@ -45,16 +45,16 @@ public:
     /// Dissimilarity stage finished: condensed unique segments, the full
     /// pairwise matrix, and the batched k-NN curves
     /// (kth_nn_many(cluster::knn_k_max(n))) the epsilon sweep consumes.
-    /// Fires only when the matrix was built; sparse builds (by mode or
+    /// Fires only when the matrix was built; sparse builds (at scale or
     /// under memory pressure) announce on_neighbors.
     virtual void on_matrix(const dissim::unique_segments& /*unique*/,
                            const dissim::dissimilarity_matrix& /*matrix*/,
                            const std::vector<std::vector<double>>& /*knn_curves*/) {}
 
-    /// Dissimilarity stage finished in sparse mode: condensed unique
+    /// Dissimilarity stage finished on the sparse engine: condensed unique
     /// segments, the capped neighbor lists (the persistable substrate of
     /// the sparse source), and the batched k-NN curves. The dense/sparse
-    /// split mirrors what each mode materializes — an observer persisting
+    /// split mirrors what each engine materializes — an observer persisting
     /// snapshots stores the matrix in one case and the lists in the other,
     /// and either snapshot resumes into a bitwise-identical run.
     virtual void on_neighbors(const dissim::unique_segments& /*unique*/,
@@ -84,11 +84,11 @@ struct pipeline_seed {
     std::optional<segmentation::message_segments> segments;
     std::optional<dissim::unique_segments> unique;
     std::optional<dissim::dissimilarity_matrix> matrix;
-    /// Sparse-mode dissimilarity snapshot (capped neighbor lists). Requires
-    /// `unique`; when both `matrix` and `neighbors` are present the matrix
-    /// wins (it carries strictly more information). Adopted regardless of
-    /// pipeline_options::neighborhood — the modes are result-identical, so
-    /// a snapshot from either is a valid seed for both.
+    /// Sparse-engine dissimilarity snapshot (capped neighbor lists).
+    /// Requires `unique`; when both `matrix` and `neighbors` are present the
+    /// matrix wins (it carries strictly more information). Either is
+    /// adopted whichever engine a fresh run would build — the engines are
+    /// result-identical, so a snapshot from one is a valid seed for both.
     std::optional<dissim::capped_neighbors> neighbors;
     std::optional<std::vector<std::vector<double>>> knn_curves;
     std::optional<cluster::auto_cluster_result> clustering;
@@ -127,22 +127,12 @@ struct pipeline_options {
     /// already installed one — the innermost governor wins). Under
     /// projected pressure the pipeline degrades instead of dying: weighted
     /// condensation (occurrence lists elided, counts kept), then the sparse
-    /// engine in place of a dense matrix that would not fit, in every
-    /// neighborhood mode — both provably result-identical — and only when
-    /// even the degraded footprint cannot fit does the run end in
-    /// ftc::memory_budget_exceeded_error with a partial-progress report
-    /// (DESIGN.md §11). A limit never changes clustering output, only how
-    /// (or whether) the run reaches it.
+    /// engine in place of a dense matrix that would not fit — both provably
+    /// result-identical — and only when even the degraded footprint cannot
+    /// fit does the run end in ftc::memory_budget_exceeded_error with a
+    /// partial-progress report (DESIGN.md §11). A limit never changes
+    /// clustering output, only how (or whether) the run reaches it.
     std::size_t max_memory = 0;
-    /// Which epsilon-neighborhood construction feeds DBSCAN and autoconf
-    /// (DESIGN.md §13): dense builds the pairwise matrix, sparse always
-    /// builds capped neighbor lists, auto picks sparse at scale
-    /// (>= dissim::kSparseAutoUniques unique segments) and dense below. A
-    /// matrix that would not fit max_memory is never built in any mode.
-    /// Result-neutral by construction — byte-identical cluster reports
-    /// either way — so it is NOT part of the checkpoint fingerprint,
-    /// exactly like the thread count.
-    dissim::neighborhood_mode neighborhood = dissim::neighborhood_mode::auto_;
     /// Worker threads for the dissimilarity-matrix, k-NN and epsilon-sweep
     /// hot paths: 0 = one lane per hardware thread, 1 = the exact legacy
     /// serial path. The parallel stages are pure fan-outs over independent
@@ -185,12 +175,17 @@ pipeline_result analyze_segments(const std::vector<byte_vector>& messages,
 
 /// Run the pipeline starting from whatever stage outputs \p seed already
 /// carries (checkpoint resume): present stages are adopted verbatim,
-/// absent ones computed. \p segmenter may be null when seed.segments is
-/// present; otherwise it performs the segmentation stage through
-/// segmentation::segment_lenient, which quarantines unsegmentable messages
-/// into \p sink under its policy. One budget (options.budget_seconds and
-/// the caps) bounds the whole run, segmentation included. This is the one
-/// job path: `ftclust run` and every serve session call it.
+/// absent ones computed. A computed dissimilarity stage builds the sparse
+/// engine when there are at least dissim::kSparseAutoUniques unique
+/// segments or the dense n² float matrix would not fit the active memory
+/// governor, and the matrix otherwise (DESIGN.md §13); this is the one
+/// place that picks the engine. \p segmenter may be null when
+/// seed.segments is present; otherwise it performs the segmentation stage
+/// through segmentation::segment_lenient, which quarantines unsegmentable
+/// messages into \p sink under its policy. One budget
+/// (options.budget_seconds and the caps) bounds the whole run,
+/// segmentation included. This is the one job path: `ftclust run` and
+/// every serve session call it.
 pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
                                const segmentation::segmenter* segmenter, pipeline_seed seed,
                                const pipeline_options& options, diag::error_sink& sink);

@@ -62,7 +62,7 @@ struct stats {
 /// Add \p st to the `dissim.kernel.*` counters of the active ftc::obs
 /// recorder (no-op without one). The matrix build and the sparse engine
 /// publish through here, so dashboards see one kernel workload whichever
-/// neighborhood mode ran.
+/// engine ran.
 void publish(const stats& st);
 
 /// The shared 256×256 row-major term table: term_table()[x*256 + y] is the

@@ -9,32 +9,6 @@
 
 namespace ftc::dissim {
 
-const char* neighborhood_mode_name(neighborhood_mode mode) {
-    switch (mode) {
-        case neighborhood_mode::dense:
-            return "dense";
-        case neighborhood_mode::sparse:
-            return "sparse";
-        case neighborhood_mode::auto_:
-            return "auto";
-    }
-    return "auto";
-}
-
-neighborhood_mode parse_neighborhood_mode(std::string_view text) {
-    if (text == "dense") {
-        return neighborhood_mode::dense;
-    }
-    if (text == "sparse") {
-        return neighborhood_mode::sparse;
-    }
-    if (text == "auto") {
-        return neighborhood_mode::auto_;
-    }
-    throw precondition_error(message("unknown neighborhood mode '", text,
-                                     "' (expected dense, sparse or auto)"));
-}
-
 std::size_t neighborhood_source::expand_within(std::size_t i, double epsilon,
                                               std::size_t min_count,
                                               std::span<const std::uint64_t> skip,

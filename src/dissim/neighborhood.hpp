@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "dissim/matrix.hpp"
@@ -82,30 +81,13 @@ struct capped_neighbors {
     std::size_t size() const { return lists.size(); }
 };
 
-/// Which neighborhood construction the pipeline uses (--neighborhood).
-/// Result-neutral by construction — both paths produce byte-identical
-/// cluster reports — so the mode is deliberately NOT part of the checkpoint
-/// fingerprint, exactly like thread counts.
-/// Whatever the mode, a dense matrix the memory budget cannot hold is
-/// never built: the pipeline takes the sparse engine instead.
-enum class neighborhood_mode {
-    dense,   ///< build the full dissimilarity matrix when it fits
-    sparse,  ///< always build capped neighbor lists (ftc::dissim::sparse)
-    auto_,   ///< sparse at scale (>= auto threshold uniques), dense below
-};
-
-/// Unique-segment count at which neighborhood_mode::auto_ switches to the
-/// sparse engine. Below it the dense matrix is small enough that the O(n²)
-/// build is not the bottleneck and its unlimited k horizon keeps every
-/// legacy path available.
+/// Unique-segment count at which core::analyze_seeded builds the sparse
+/// engine instead of the dense matrix. Below it the dense matrix is small
+/// enough that the O(n²) build is not the bottleneck and its unlimited k
+/// horizon keeps every legacy path available. A matrix the memory budget
+/// cannot hold is never built, whatever the count. The engines serve
+/// bitwise-identical values, so the choice moves cost, never results.
 inline constexpr std::size_t kSparseAutoUniques = 4096;
-
-/// Stable lower-case name ("dense", "sparse", "auto").
-const char* neighborhood_mode_name(neighborhood_mode mode);
-
-/// Parse a --neighborhood value; throws ftc::precondition_error on anything
-/// but "dense", "sparse" or "auto".
-neighborhood_mode parse_neighborhood_mode(std::string_view text);
 
 /// The epsilon-neighborhood queries the clustering layer consumes (contract
 /// in the file comment). Every query is a pure read and safe to call from

@@ -197,15 +197,11 @@ void span::end() noexcept {
 }
 
 scoped_recorder::scoped_recorder() {
-#ifndef FTC_OBS_DISABLE
     previous_ = detail::g_recorder.exchange(&rec_, std::memory_order_acq_rel);
-#endif
 }
 
 scoped_recorder::~scoped_recorder() {
-#ifndef FTC_OBS_DISABLE
     detail::g_recorder.store(previous_, std::memory_order_release);
-#endif
 }
 
 std::uint64_t peak_rss_bytes() {

@@ -19,10 +19,8 @@
 ///    text dump and the per-run manifest.
 ///  - ftc::obs::recorder + scoped_recorder — the active sink. Instrumentation
 ///    is *passive*: when no recorder is installed every hook reduces to one
-///    atomic pointer load and a branch, and compiling with FTC_OBS_DISABLE
-///    turns current() into a constant nullptr so the optimizer deletes the
-///    hooks entirely (the compiled-in no-op sink). Either way clustering
-///    output is bitwise identical (tests/test_obs_determinism.cpp).
+///    atomic pointer load and a branch, and clustering output is bitwise
+///    identical with or without one (tests/test_obs_determinism.cpp).
 #pragma once
 
 #include <array>
@@ -47,11 +45,7 @@ extern std::atomic<recorder*> g_recorder;
 /// The active recorder, or nullptr when observability is off. This is the
 /// whole cost of the disabled path: one relaxed-consistency pointer load.
 inline recorder* current() noexcept {
-#ifdef FTC_OBS_DISABLE
-    return nullptr;
-#else
     return detail::g_recorder.load(std::memory_order_acquire);
-#endif
 }
 
 /// Histogram bucket upper bounds in seconds; one implicit +Inf bucket
@@ -233,8 +227,6 @@ private:
 
 /// Install a recorder as the process-global sink for the current scope;
 /// restores the previously installed recorder (usually none) on exit.
-/// Under FTC_OBS_DISABLE the recorder still exists (tests can poke it
-/// directly) but is never installed, so instrumented code sees nullptr.
 class scoped_recorder {
 public:
     scoped_recorder();

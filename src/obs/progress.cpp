@@ -1,7 +1,5 @@
 #include "obs/progress.hpp"
 
-#ifndef FTC_OBS_DISABLE
-
 namespace ftc::obs {
 
 namespace {
@@ -51,5 +49,3 @@ progress_snapshot progress_now() noexcept {
 }
 
 }  // namespace ftc::obs
-
-#endif  // FTC_OBS_DISABLE

@@ -18,8 +18,6 @@
 ///  - Progress is *observational only*: no pipeline decision may read it,
 ///    so clustering output is bitwise identical whether or not anyone
 ///    looks (tests/test_obs_sampler.cpp proves it end to end).
-///  - Under -DFTC_OBS_DISABLE=ON every hook compiles to nothing and
-///    progress_now() returns an empty snapshot.
 ///
 /// \p stage must be a string literal (or otherwise outlive all readers):
 /// only the pointer is stored, matching the obs::span convention.
@@ -31,21 +29,13 @@
 namespace ftc::obs {
 
 /// One coherent view of the progress state. `stage == nullptr` means no
-/// stage has been announced (or progress is compiled out).
+/// stage has been announced.
 struct progress_snapshot {
     const char* stage = nullptr;
     std::uint64_t stage_seq = 0;  ///< bumped on every progress_stage()
     std::uint64_t done = 0;
     std::uint64_t total = 0;  ///< 0 = unknown amount of work
 };
-
-#ifdef FTC_OBS_DISABLE
-
-inline void progress_stage(const char*, std::uint64_t) noexcept {}
-inline void progress_add(std::uint64_t) noexcept {}
-inline progress_snapshot progress_now() noexcept { return {}; }
-
-#else
 
 /// Announce a new stage with \p total work items (0 = unknown); resets the
 /// done counter. Call from the thread that owns the stage, before fan-out.
@@ -57,7 +47,5 @@ void progress_add(std::uint64_t delta) noexcept;
 
 /// Coherent snapshot of the current stage's progress.
 progress_snapshot progress_now() noexcept;
-
-#endif
 
 }  // namespace ftc::obs

@@ -15,8 +15,8 @@
 /// Determinism contract (DESIGN.md §12): the sampler only ever *reads*
 /// pipeline state — registry snapshots, relaxed atomic loads — and writes
 /// exclusively to its own output stream. Clustering output is bitwise
-/// identical with the sampler running, absent, or compiled out
-/// (tests/test_obs_sampler.cpp proves all three, serial and parallel).
+/// identical with the sampler running or absent (tests/test_obs_sampler.cpp
+/// proves both, serial and parallel).
 #pragma once
 
 #include <atomic>
@@ -67,8 +67,9 @@ std::string render_progress_line(const progress_snapshot& p, const progress_esti
 class sampler {
 public:
     /// \p rec is the recorder to snapshot counters/gauges from; may be
-    /// nullptr (e.g. under FTC_OBS_DISABLE), in which case samples carry
-    /// only time, memory and progress. Not owned; must outlive the sampler.
+    /// nullptr (no observability output requested), in which case samples
+    /// carry only time, memory and progress. Not owned; must outlive the
+    /// sampler.
     sampler(const recorder* rec, sampler_options options);
 
     /// Joins the thread and flushes the final sample (idempotent with a

@@ -237,11 +237,14 @@ void session_manager::run_session(const pending_job& job) {
     status.recovered = job.recovered;
 
     // The degradation decision is taken once, at session start, so the
-    // whole session runs one consistent configuration. Both knobs are
+    // whole session runs one consistent configuration. The halved cap is
     // result-neutral: a job that kill -9 re-runs from its journaled payload
     // ends in the same bytes whether or not the replay degrades.
     const int pressure = pressure_level();
-    status.degraded = pressure >= 1;
+    const std::size_t memory_cap = session_memory_cap(pressure);
+    // Without a session cap there is nothing to halve: the session runs as
+    // an unpressured one would, so it is not counted as degraded.
+    status.degraded = pressure >= 1 && memory_cap > 0;
     set_status(status);
     if (status.degraded) {
         obs::counter_add("serve.sessions_degraded_total", 1.0);
@@ -265,9 +268,7 @@ void session_manager::run_session(const pending_job& job) {
         core::pipeline_options opt;
         opt.budget_seconds = options_.session_budget_seconds;
         opt.threads = options_.pipeline_threads;
-        opt.neighborhood = status.degraded ? dissim::neighborhood_mode::sparse
-                                           : options_.neighborhood;
-        opt.max_memory = session_memory_cap(pressure);
+        opt.max_memory = memory_cap;
         const auto segmenter =
             segmentation::make_segmenter(options_.segmenter, options_.pipeline_threads);
         const core::pipeline_result result =

@@ -18,10 +18,11 @@
 ///    a polite refusal (the daemon answers 503 + Retry-After), never an
 ///    OOM later;
 ///  - under pressure (deep queue or high tracked footprint) sessions are
-///    degraded first — the epsilon-neighborhood engine is forced to
-///    sparse and the per-session memory cap tightened — and only when
-///    degradation cannot help are submissions refused. Every degradation
-///    step is result-neutral: the engines are bitwise-identical, so
+///    degraded first — they run under the halved session memory cap, so
+///    the pipeline's own memory ladder (dedup, then the sparse engine in
+///    place of a matrix that would not fit) engages earlier — and only
+///    when degradation cannot help are submissions refused. Degradation is
+///    result-neutral: every rung of the ladder is bitwise-identical, so
 ///    reports match an unpressured run byte for byte;
 ///  - kill -9 re-runs the jobs in flight from their journaled payloads:
 ///    recover() re-enqueues journaled-but-unfinished jobs, and, every
@@ -39,7 +40,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dissim/neighborhood.hpp"
 #include "serve/spool.hpp"
 #include "util/byteio.hpp"
 
@@ -53,10 +53,9 @@ struct serve_options {
     bool lenient = true;                ///< quarantine malformed input per job
     double session_budget_seconds = 120;  ///< per-session wall clock (0 = none)
     std::size_t pipeline_threads = 1;     ///< --threads of each session's pipeline
-    dissim::neighborhood_mode neighborhood = dissim::neighborhood_mode::auto_;
     std::size_t max_memory = 0;  ///< process-wide tracked-heap ceiling (0 = off)
     /// Tracked-footprint ceiling a single session's charges may reach;
-    /// 0 derives it from max_memory. Tightened further when degraded.
+    /// 0 derives it from max_memory. Halved when degraded.
     std::size_t session_max_memory = 0;
     int retry_after_seconds = 1;  ///< advisory Retry-After on shed responses
 };
@@ -75,7 +74,7 @@ std::string_view job_state_name(job_state state);
 struct job_status {
     std::uint64_t id = 0;
     job_state state = job_state::queued;
-    bool degraded = false;   ///< ran with pressure-forced sparse neighborhood
+    bool degraded = false;   ///< ran under the halved session memory cap
     bool recovered = false;  ///< replayed from the spool after a restart
     std::string error;       ///< failed jobs: the typed error text (+ partial progress)
 };
@@ -116,8 +115,8 @@ public:
     /// Status of a known job (journaled or in flight), or nullopt.
     std::optional<job_status> status(std::uint64_t id) const;
 
-    /// 0 = normal, 1 = degraded (new sessions forced to sparse
-    /// neighborhood + tightened memory cap). Published as a health field.
+    /// 0 = normal, 1 = under pressure (new sessions run under the halved
+    /// session memory cap, when there is one). Published as a health field.
     int pressure_level() const;
 
     std::size_t queued() const;

@@ -6,7 +6,7 @@
 /// huge size_t counts when the caller casts — all three have bitten real
 /// tools. These helpers accept exactly one well-formed number spanning the
 /// whole string and throw ftc::error with a diagnostic naming the flag
-/// otherwise, so `--max-segments -1` or `--deadline-ms 10q` fail loudly
+/// otherwise, so `--max-segments -1` or `--budget 10q` fail loudly
 /// instead of silently bounding nothing.
 #pragma once
 

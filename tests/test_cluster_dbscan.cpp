@@ -415,9 +415,6 @@ TEST(DbscanBudget, BitRowsThatWouldExceedTheBudgetFallBackToRowScans) {
 }
 
 TEST(DbscanObs, MatrixPrepareSpanCountsTheRangeWork) {
-#ifdef FTC_OBS_DISABLE
-    GTEST_SKIP() << "spans are compiled out";
-#endif
     // Under a recorder, observed labels equal unobserved ones, and each
     // dissim.matrix.prepare span says what its prepare did: a full scan
     // of n² cells, a re-test of the bits the previous epsilon set, nothing

@@ -427,13 +427,5 @@ TEST(SparseAutoconf, UnderCappedSourceThrowsTypedError) {
     EXPECT_EQ(sparse.kth_nn(2).size(), values.size());
 }
 
-TEST(SparseNeighborhood, ParseAndNameRoundTripModes) {
-    EXPECT_EQ(parse_neighborhood_mode("dense"), neighborhood_mode::dense);
-    EXPECT_EQ(parse_neighborhood_mode("sparse"), neighborhood_mode::sparse);
-    EXPECT_EQ(parse_neighborhood_mode("auto"), neighborhood_mode::auto_);
-    EXPECT_STREQ(neighborhood_mode_name(neighborhood_mode::sparse), "sparse");
-    EXPECT_THROW(parse_neighborhood_mode("bogus"), precondition_error);
-}
-
 }  // namespace
 }  // namespace ftc::dissim

@@ -194,22 +194,18 @@ std::vector<int> checkpointed_run(const scenario& s, const core::pipeline_option
     return r.final_labels.labels;
 }
 
-TEST(MemDegrade, SparseRungPreservesClusteringInAutoAndDenseModes) {
+TEST(MemDegrade, SparseRungPreservesClustering) {
     const scenario s = make_scenario("DNS", 100);
     const labels_snapshot baseline = snapshot_run(s);
-    for (const dissim::neighborhood_mode mode :
-         {dissim::neighborhood_mode::auto_, dissim::neighborhood_mode::dense}) {
-        SCOPED_TRACE(dissim::neighborhood_mode_name(mode));
-        core::pipeline_options opt;
-        opt.neighborhood = mode;
-        opt.max_memory = cap_below_dense(baseline);
-        const obs::scoped_recorder recorder;
-        const labels_snapshot degraded = snapshot_run(s, opt);
+    core::pipeline_options opt;
+    opt.max_memory = cap_below_dense(baseline);
+    const obs::scoped_recorder recorder;
+    const labels_snapshot degraded = snapshot_run(s, opt);
 
-        expect_identical(baseline, degraded);
-        EXPECT_LE(degraded.peak_bytes, opt.max_memory);
-        EXPECT_EQ(counter(recorder, "mem.degrade.sparse_total"), 1.0);
-    }
+    expect_identical(baseline, degraded);
+    EXPECT_LE(degraded.peak_bytes, opt.max_memory);
+    EXPECT_EQ(counter(recorder, "mem.degrade.sparse_total"), 1.0);
+    EXPECT_EQ(counter(recorder, "dissim.sparse.builds_total"), 1.0);
 }
 
 TEST(MemDegrade, DedupRungPreservesClusteringBitwise) {

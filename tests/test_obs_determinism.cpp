@@ -1,8 +1,6 @@
 // Observability must never change a result: the full pipeline with the
 // recorder installed is bitwise identical to the uninstrumented run, at
 // threads=1 (legacy serial path) and threads=0 (all hardware lanes).
-// Under -DFTC_OBS_DISABLE=ON the same suite proves the compiled-in no-op
-// sink path as well.
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -1,7 +1,6 @@
 // The seqlock progress counters behind --progress and the telemetry
 // sampler. Writers are the pipeline stages (relaxed atomics per work
-// block); the single reader is the sampler thread. Under FTC_OBS_DISABLE
-// every hook is a no-op and progress_now() reports "no stage".
+// block); the single reader is the sampler thread.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -11,19 +10,6 @@
 
 namespace ftc::obs {
 namespace {
-
-#ifdef FTC_OBS_DISABLE
-
-TEST(ObsProgress, CompiledOutReportsNoStage) {
-    progress_stage("anything", 100);
-    progress_add(5);
-    const progress_snapshot p = progress_now();
-    EXPECT_EQ(p.stage, nullptr);
-    EXPECT_EQ(p.done, 0u);
-    EXPECT_EQ(p.total, 0u);
-}
-
-#else
 
 TEST(ObsProgress, StageAnnounceAndTick) {
     progress_stage("stage.one", 10);
@@ -85,8 +71,6 @@ TEST(ObsProgress, DoneMonotonicWithinStage) {
     }
     EXPECT_EQ(last, 100u);
 }
-
-#endif  // FTC_OBS_DISABLE
 
 }  // namespace
 }  // namespace ftc::obs

@@ -133,11 +133,6 @@ TEST(ObsRegistry, HooksAreNoOpsWithoutRecorder) {
 }
 
 TEST(ObsRegistry, ScopedRecorderInstallsAndRestores) {
-#ifdef FTC_OBS_DISABLE
-    // Compiled-in no-op sink: the recorder exists but is never installed.
-    scoped_recorder recorder;
-    EXPECT_EQ(current(), nullptr);
-#else
     ASSERT_EQ(current(), nullptr);
     {
         scoped_recorder recorder;
@@ -146,7 +141,6 @@ TEST(ObsRegistry, ScopedRecorderInstallsAndRestores) {
         EXPECT_DOUBLE_EQ(recorder.rec().metrics().snapshot().counters.at("seen"), 1.0);
     }
     EXPECT_EQ(current(), nullptr);
-#endif
 }
 
 TEST(ObsRegistry, SparseCountersHaveRegisteredHelp) {

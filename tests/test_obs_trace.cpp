@@ -182,9 +182,6 @@ TEST(ObsTrace, SpansRecordNestingDepth) {
         }
         snap = scoped.rec().trace();
     }
-#ifdef FTC_OBS_DISABLE
-    EXPECT_TRUE(snap.spans.empty());
-#else
     ASSERT_EQ(snap.spans.size(), 4u);
     // Sorted by (tid, start, depth): parent first, then children in order.
     EXPECT_EQ(snap.spans[0].name, "stage");
@@ -199,10 +196,7 @@ TEST(ObsTrace, SpansRecordNestingDepth) {
     EXPECT_LE(snap.spans[0].start_ns, snap.spans[1].start_ns);
     EXPECT_GE(snap.spans[0].start_ns + snap.spans[0].wall_ns,
               snap.spans[1].start_ns + snap.spans[1].wall_ns);
-#endif
 }
-
-#ifndef FTC_OBS_DISABLE
 
 TEST(ObsTrace, ThreadsGetDistinctTids) {
     scoped_recorder scoped;
@@ -283,8 +277,6 @@ TEST(ObsTrace, CollectStagesKeepsMainThreadOrder) {
     EXPECT_EQ(stages[1].name, "segmentation");
     EXPECT_EQ(stages[2].name, "dissimilarity");
 }
-
-#endif  // FTC_OBS_DISABLE
 
 TEST(ObsTrace, ManifestSerializesAllSections) {
     run_manifest m;

@@ -1,18 +1,25 @@
-// Integration tests of the --neighborhood modes through core::analyze and
-// the checkpoint manager: the sparse engine must leave every pipeline
-// output byte-identical to the dense default, the auto threshold must pick
-// dense for small corpora, and a sparse run must checkpoint/resume through
-// neighbors.ckpt exactly like a dense run does through matrix.ckpt.
+// Integration tests of the engine choice through core::analyze_seeded and
+// the checkpoint manager. The pipeline builds the sparse engine at or above
+// dissim::kSparseAutoUniques unique segments and the dense matrix below; a
+// fresh run must render the same report bytes as a run seeded with the
+// other engine's substrate, at any thread count; and the neighbor lists a
+// memory-pressured run checkpoints must resume, without the pressure, into
+// the unpressured run's report.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <numeric>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ckpt/manager.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "dissim/sparse.hpp"
+#include "mem/mem.hpp"
+#include "obs/obs.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
 #include "util/diag.hpp"
@@ -34,89 +41,93 @@ struct scenario {
     segmentation::message_segments segments;
 };
 
-scenario make_scenario(const char* protocol = "DNS", std::size_t count = 60,
-                       std::uint64_t seed = 7) {
+/// A generated capture segmented by NEMESYS, as `ftclust run` segments it.
+scenario nemesys_scenario(const char* protocol, std::size_t count, std::uint64_t seed) {
     const protocols::trace t = protocols::generate_trace(protocol, count, seed);
-    return {segmentation::message_bytes(t), segmentation::segments_from_annotations(t)};
+    scenario s{segmentation::message_bytes(t), {}};
+    s.segments = segmentation::make_segmenter("NEMESYS")->run(s.messages, deadline{});
+    return s;
 }
 
-core::pipeline_result run_with_mode(const scenario& s, dissim::neighborhood_mode mode,
-                                    std::size_t threads = 1) {
-    core::pipeline_options opt;
-    opt.neighborhood = mode;
-    opt.threads = threads;
-    return core::analyze_segments(s.messages, s.segments, opt);
+double counter(const obs::scoped_recorder& recorder, const char* name) {
+    const obs::metrics_snapshot m = recorder.rec().metrics().snapshot();
+    const auto it = m.counters.find(name);
+    return it == m.counters.end() ? 0.0 : it->second;
+}
+
+std::string report(const core::pipeline_result& result) {
+    return core::render_report(core::summarize_clusters(result));
 }
 
 void expect_identical(const core::pipeline_result& a, const core::pipeline_result& b) {
     EXPECT_EQ(a.unique.values, b.unique.values);
     EXPECT_EQ(a.clustering.labels.labels, b.clustering.labels.labels);
-    EXPECT_EQ(a.clustering.labels.cluster_count, b.clustering.labels.cluster_count);
     // Exact double equality on purpose: the engines promise bitwise parity.
     EXPECT_EQ(a.clustering.config.epsilon, b.clustering.config.epsilon);
     EXPECT_EQ(a.clustering.config.min_samples, b.clustering.config.min_samples);
     EXPECT_EQ(a.clustering.config.selected_k, b.clustering.config.selected_k);
+    EXPECT_EQ(a.clustering.reconfigurations, b.clustering.reconfigurations);
     EXPECT_EQ(a.final_labels.labels, b.final_labels.labels);
     EXPECT_EQ(a.final_labels.cluster_count, b.final_labels.cluster_count);
 }
 
-TEST(PipelineSparse, SparseAndDenseReportsAreByteIdentical) {
-    const scenario s = make_scenario();
-    const core::pipeline_result dense = run_with_mode(s, dissim::neighborhood_mode::dense);
-    const core::pipeline_result sparse = run_with_mode(s, dissim::neighborhood_mode::sparse);
-    expect_identical(dense, sparse);
-    const std::string dense_report =
-        core::render_report(core::summarize_clusters(dense));
-    const std::string sparse_report =
-        core::render_report(core::summarize_clusters(sparse));
-    EXPECT_EQ(dense_report, sparse_report);
-}
-
-TEST(PipelineSparse, SparseResultsIdenticalAcrossThreadCountsAndProtocols) {
-    for (const char* protocol : {"DHCP", "NTP"}) {
-        const scenario s = make_scenario(protocol, 50, 11);
-        const core::pipeline_result serial =
-            run_with_mode(s, dissim::neighborhood_mode::sparse, 1);
-        const core::pipeline_result parallel =
-            run_with_mode(s, dissim::neighborhood_mode::sparse, 4);
-        expect_identical(serial, parallel);
-        const core::pipeline_result dense =
-            run_with_mode(s, dissim::neighborhood_mode::dense, 1);
-        expect_identical(dense, serial);
-    }
-}
-
-/// Observer that records which dissimilarity snapshot hook fired.
-struct mode_probe : core::stage_observer {
-    bool saw_matrix = false;
-    bool saw_neighbors = false;
-    void on_matrix(const dissim::unique_segments&, const dissim::dissimilarity_matrix&,
-                   const std::vector<std::vector<double>>&) override {
-        saw_matrix = true;
-    }
-    void on_neighbors(const dissim::unique_segments&, const dissim::capped_neighbors&,
-                      const std::vector<std::vector<double>>&) override {
-        saw_neighbors = true;
-    }
+struct capture {
+    const char* protocol;
+    std::size_t count;
+    bool sparse;  ///< the engine a fresh run builds
 };
 
-TEST(PipelineSparse, AutoModePicksDenseBelowTheUniqueThreshold) {
-    const scenario s = make_scenario();
-    core::pipeline_options opt;
-    mode_probe probe;
-    opt.observer = &probe;
-    opt.neighborhood = dissim::neighborhood_mode::auto_;
-    (void)core::analyze_segments(s.messages, s.segments, opt);
-    EXPECT_TRUE(probe.saw_matrix);
-    EXPECT_FALSE(probe.saw_neighbors);
+void PrintTo(const capture& c, std::ostream* os) { *os << c.protocol << ' ' << c.count; }
 
-    mode_probe forced;
-    opt.observer = &forced;
-    opt.neighborhood = dissim::neighborhood_mode::sparse;
-    (void)core::analyze_segments(s.messages, s.segments, opt);
-    EXPECT_TRUE(forced.saw_neighbors);
-    EXPECT_FALSE(forced.saw_matrix);
+class PipelineEngines
+    : public ::testing::TestWithParam<std::tuple<capture, std::size_t>> {};
+
+TEST_P(PipelineEngines, FreshReportEqualsTheOtherEngineSeeded) {
+    const auto [c, threads] = GetParam();
+    const scenario s = nemesys_scenario(c.protocol, c.count, 17);
+    core::pipeline_options opt;
+    opt.threads = threads;
+
+    core::pipeline_result fresh;
+    {
+        const obs::scoped_recorder recorder;
+        fresh = core::analyze_segments(s.messages, s.segments, opt);
+        EXPECT_EQ(counter(recorder, "dissim.sparse.builds_total"), c.sparse ? 1.0 : 0.0);
+    }
+    ASSERT_EQ(fresh.unique.size() >= dissim::kSparseAutoUniques, c.sparse)
+        << fresh.unique.size() << " unique segments";
+
+    // The substrate of the engine the fresh run did not build, over the
+    // same unique values.
+    core::pipeline_seed seed;
+    seed.segments = s.segments;
+    seed.unique = dissim::condense(s.messages, s.segments, opt.min_segment_length);
+    if (c.sparse) {
+        seed.matrix.emplace(seed.unique->values, deadline{}, threads);
+    } else {
+        dissim::sparse_build_options sopts;
+        sopts.knn_cap = cluster::knn_k_max(seed.unique->size());
+        sopts.threads = threads;
+        seed.neighbors = dissim::sparse_neighborhood(seed.unique->values, sopts).capped();
+    }
+    const core::pipeline_result other =
+        core::analyze_seeded(s.messages, nullptr, std::move(seed), opt);
+    expect_identical(fresh, other);
+    EXPECT_EQ(report(fresh), report(other));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AboveAndBelowTheThreshold, PipelineEngines,
+    // On NTP 800 the first DBSCAN run prepares nearly every point, so the
+    // lanes of the sparse prepare carry almost all of the range work.
+    ::testing::Combine(::testing::Values(capture{"NTP", 800, true},
+                                         capture{"DHCP", 4000, false}),
+                       ::testing::Values(std::size_t{1}, std::size_t{4})),
+    [](const ::testing::TestParamInfo<std::tuple<capture, std::size_t>>& info) {
+        const capture& c = std::get<0>(info.param);
+        return std::string(c.protocol) + std::to_string(c.count) + "_t" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 class PipelineSparseCkpt : public ::testing::Test {
 protected:
@@ -129,17 +140,28 @@ protected:
     fs::path dir_;
 };
 
-TEST_F(PipelineSparseCkpt, SparseRunResumesThroughNeighborsCkpt) {
-    const scenario s = make_scenario();
-    core::pipeline_options opt;
-    opt.neighborhood = dissim::neighborhood_mode::sparse;
-    const ckpt::options_fingerprint fp = ckpt::fingerprint(opt, "true", 7);
-    const core::pipeline_result reference = core::analyze_segments(s.messages, s.segments, opt);
+TEST_F(PipelineSparseCkpt, PressuredSnapshotResumesIntoTheUnpressuredReport) {
+    // Annotated DNS 400 (487 unique segments) is far below the threshold:
+    // unpressured, it builds the matrix, which dwarfs every other tracked
+    // buffer. A cap a quarter matrix below that run's peak makes the
+    // checkpointed run build the sparse engine and write neighbors.ckpt.
+    const protocols::trace t = protocols::generate_trace("DNS", 400, 7);
+    const scenario s{segmentation::message_bytes(t), segmentation::segments_from_annotations(t)};
+    mem::reset_peak();
+    const core::pipeline_result reference = core::analyze_segments(s.messages, s.segments);
+    const std::uint64_t n = reference.unique.size();
+    const std::uint64_t dense_bytes = n * n * sizeof(float);
+    ASSERT_GT(mem::peak_bytes(), dense_bytes);
 
+    core::pipeline_options pressured;
+    pressured.max_memory = static_cast<std::size_t>(mem::peak_bytes() - dense_bytes / 4);
+    // max_memory is a speed knob, outside the fingerprint.
+    const ckpt::options_fingerprint fp = ckpt::fingerprint(pressured, "true", 7);
+    EXPECT_EQ(ckpt::fingerprint(core::pipeline_options{}, "true", 7), fp);
     {
         ckpt::checkpoint_manager manager(dir_, fp);
         manager.on_segments(s.segments, every_index(s.messages.size()));
-        core::pipeline_options copt = opt;
+        core::pipeline_options copt = pressured;
         copt.observer = &manager;
         core::pipeline_seed seed;
         seed.segments = s.segments;
@@ -160,45 +182,12 @@ TEST_F(PipelineSparseCkpt, SparseRunResumesThroughNeighborsCkpt) {
     ASSERT_TRUE(restored.seed.neighbors.has_value());
     EXPECT_FALSE(restored.seed.matrix.has_value());
 
-    core::pipeline_options ropt = opt;
+    core::pipeline_options ropt;
     ropt.observer = &manager;
     const core::pipeline_result resumed =
         core::analyze_seeded(restored.messages, nullptr, std::move(restored.seed), ropt);
     expect_identical(reference, resumed);
-}
-
-TEST_F(PipelineSparseCkpt, SparseSnapshotResumesIdenticallyIntoADenseModeRun) {
-    // The neighborhood mode is deliberately outside the ckpt fingerprint:
-    // a snapshot written by a sparse run must seed a dense-mode resume and
-    // still land on the same bits.
-    const scenario s = make_scenario();
-    core::pipeline_options opt;
-    opt.neighborhood = dissim::neighborhood_mode::sparse;
-    const ckpt::options_fingerprint fp_sparse = ckpt::fingerprint(opt, "true", 7);
-    core::pipeline_options dense_opt;
-    dense_opt.neighborhood = dissim::neighborhood_mode::dense;
-    EXPECT_EQ(ckpt::fingerprint(dense_opt, "true", 7), fp_sparse);
-
-    {
-        ckpt::checkpoint_manager manager(dir_, fp_sparse);
-        manager.on_segments(s.segments, every_index(s.messages.size()));
-        core::pipeline_options copt = opt;
-        copt.observer = &manager;
-        core::pipeline_seed seed;
-        seed.segments = s.segments;
-        (void)core::analyze_seeded(s.messages, nullptr, std::move(seed), copt);
-    }
-    fs::remove(dir_ / ckpt::checkpoint_manager::kClusteringFile);
-
-    diag::error_sink sink(diag::policy::lenient);
-    ckpt::checkpoint_manager manager(dir_, fp_sparse);
-    ckpt::restored_state restored = manager.load(s.messages, sink);
-    ASSERT_TRUE(restored.seed.neighbors.has_value());
-    const core::pipeline_result resumed =
-        core::analyze_seeded(restored.messages, nullptr, std::move(restored.seed), dense_opt);
-    const core::pipeline_result dense_reference =
-        core::analyze_segments(s.messages, s.segments, dense_opt);
-    expect_identical(dense_reference, resumed);
+    EXPECT_EQ(report(reference), report(resumed));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "mem/mem.hpp"
 #include "obs/obs.hpp"
 #include "pcap/decap.hpp"
 #include "pcap/pcap.hpp"
@@ -36,9 +37,8 @@ std::string slurp(const fs::path& path) {
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-/// What `ftclust analyze --report-out` writes for the same capture bytes
-/// and session options — the reference the daemon must hit byte for byte.
-std::string batch_report(const byte_vector& raw, const serve_options& options) {
+/// The batch run of the same capture bytes under the session options.
+core::pipeline_result batch_run(const byte_vector& raw, const serve_options& options) {
     diag::error_sink sink(diag::policy::lenient);
     const pcap::capture cap = pcap::from_pcap_bytes(raw, sink);
     std::vector<byte_vector> messages;
@@ -54,9 +54,13 @@ std::string batch_report(const byte_vector& raw, const serve_options& options) {
     opt.threads = options.pipeline_threads;
     core::pipeline_seed seed;
     seed.segments = std::move(segmented.segments);
-    const core::pipeline_result result =
-        core::analyze_seeded(segmented.messages, nullptr, std::move(seed), opt);
-    return core::render_report(core::summarize_clusters(result));
+    return core::analyze_seeded(segmented.messages, nullptr, std::move(seed), opt);
+}
+
+/// What `ftclust analyze --report-out` writes for the same capture bytes
+/// and session options — the reference the daemon must hit byte for byte.
+std::string batch_report(const byte_vector& raw, const serve_options& options) {
+    return core::render_report(core::summarize_clusters(batch_run(raw, options)));
 }
 
 serve_options small_options() {
@@ -275,10 +279,26 @@ TEST(ServeSession, PressureDegradesSessionsResultNeutrally) {
         (void)seeded.append(byte_view{raw.data(), raw.size()});
         (void)seeded.append(byte_view{raw.data(), raw.size()});
     }
+    // A session cap that holds the whole unpressured run, matrix included,
+    // but whose degraded half cannot hold the matrix.
+    std::string reference;
+    std::uint64_t dense_bytes = 0;
+    std::uint64_t batch_peak = 0;
+    {
+        mem::reset_peak();
+        const core::pipeline_result batch = batch_run(raw, small_options());
+        batch_peak = mem::peak_bytes();
+        const std::uint64_t n = batch.unique.size();
+        dense_bytes = n * n * sizeof(float);
+        reference = core::render_report(core::summarize_clusters(batch));
+    }
     spool journal(dir);
     serve_options options = small_options();
     options.sessions = 1;
     options.queue_depth = 2;
+    options.session_max_memory = static_cast<std::size_t>(2 * dense_bytes);
+    ASSERT_GE(options.session_max_memory, batch_peak);
+    const obs::scoped_recorder recorder;
     session_manager sessions(journal, options);
     EXPECT_EQ(sessions.recover(), 2u);
     EXPECT_EQ(sessions.pressure_level(), 1);
@@ -289,10 +309,16 @@ TEST(ServeSession, PressureDegradesSessionsResultNeutrally) {
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->state, job_state::done);
     EXPECT_TRUE(first->degraded);
-    EXPECT_EQ(sessions.status(2)->state, job_state::done);
-    // Degradation (sparse neighborhood, tightened cap) is result-neutral:
-    // both reports still match the unpressured batch reference.
-    const std::string reference = batch_report(raw, small_options());
+    const std::optional<job_status> second = sessions.status(2);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->state, job_state::done);
+    EXPECT_FALSE(second->degraded);
+    // Only the degraded job's halved cap pushed the pipeline onto the
+    // sparse engine; the other built the matrix.
+    const obs::metrics_snapshot m = recorder.rec().metrics().snapshot();
+    EXPECT_EQ(m.counters.at("dissim.sparse.builds_total"), 1.0);
+    // Degradation is result-neutral: both reports still match the
+    // unpressured batch reference.
     EXPECT_EQ(slurp(journal.report_file(1)), reference);
     EXPECT_EQ(slurp(journal.report_file(2)), reference);
 }

@@ -3,9 +3,7 @@
 // against an ephemeral port, clean idempotent shutdown, and what the
 // scrape endpoint inherits from the bounded stack (404 off its route, 413
 // past the head cap, a trickling client dropped on the head deadline).
-// Also the buffer-level parse against the socket reader. The registry is
-// poked directly (recorder exists even under FTC_OBS_DISABLE), so the
-// suite runs on every build.
+// Also the buffer-level parse against the socket reader.
 #include <gtest/gtest.h>
 
 #include <atomic>

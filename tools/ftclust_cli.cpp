@@ -5,35 +5,32 @@
 ///
 /// Subcommands:
 ///   ftclust analyze  <capture.pcap> [--segmenter NEMESYS|CSP|Netzob]
-///                    [--budget SECONDS] [--deadline-ms N] [--max-segments N]
+///                    [--budget SECONDS] [--max-segments N]
 ///                    [--max-bytes N] [--strict|--lenient] [--threads N]
-///                    [--neighborhood dense|sparse|auto] [--semantics]
-///                    [--trace-out FILE] [--metrics-out FILE]
+///                    [--semantics] [--trace-out FILE] [--metrics-out FILE]
 ///                    [--manifest-out FILE]
 ///       Cluster the capture's messages into pseudo data types and print
 ///       the analyst report. Works on UDP/TCP payloads (Ethernet/IPv4) and
 ///       raw/user0 captures. --lenient quarantines malformed pcap records
 ///       and frames (counted and reported) instead of aborting at the
 ///       first one; --strict (the default) keeps the legacy fail-fast
-///       behavior. --deadline-ms / --max-segments / --max-bytes bound the
+///       behavior. --budget / --max-segments / --max-bytes bound the
 ///       run; exceeding a bound exits with code 3 and a partial-progress
 ///       report. --max-memory caps the tracked heap footprint (suffixes
 ///       K/M/G/T accepted): under pressure the pipeline first dedups
 ///       segment occurrence lists, then builds the sparse engine in place
-///       of a dissimilarity matrix that would not fit (in every
-///       --neighborhood mode), and only when even the degraded footprint
-///       cannot fit exits with code 3, a partial-progress report and
-///       manifest status "memory-exceeded". Checkpoint snapshots that
-///       would not fit are skipped, never fatal.
+///       of a dissimilarity matrix that would not fit, and only when even
+///       the degraded footprint cannot fit exits with code 3, a
+///       partial-progress report and manifest status "memory-exceeded".
+///       Checkpoint snapshots that would not fit are skipped, never fatal.
 ///       --threads bounds the worker count of Netzob's pairwise
 ///       alignment and of the dissimilarity/auto-configuration stages
 ///       (0 = all hardware threads, 1 = serial); the result is identical
-///       either way.
-///       --neighborhood picks the epsilon-neighborhood engine: dense
-///       builds the full pairwise matrix, sparse builds capped per-point
-///       neighbor lists with length-bound bucket pruning, auto (the
-///       default) picks sparse for large inputs. The engines serve
-///       bitwise-identical values, so reports match across all three.
+///       either way. The pipeline picks the epsilon-neighborhood engine
+///       itself: the sparse engine (capped per-point neighbor lists with
+///       length-bound bucket pruning) at scale or under memory pressure,
+///       the full pairwise matrix otherwise. The engines serve
+///       bitwise-identical values, so the report is the same either way.
 ///       `ftclust run` is an alias for `analyze`. Any of --trace-out
 ///       (Chrome trace-event JSON for chrome://tracing), --metrics-out
 ///       (Prometheus-style text) and --manifest-out (machine-readable
@@ -67,9 +64,12 @@
 ///       in-place line on a TTY, rate-limited plain lines otherwise).
 ///       --metrics-listen HOST:PORT serves the live Prometheus text
 ///       exposition on GET /metrics while the run lasts (port 0 =
-///       ephemeral, the bound port is printed). All three are observational only:
-///       clustering output is bitwise identical with them on, off or
-///       compiled out.
+///       ephemeral, the bound port is printed). All three are observational
+///       only: clustering output is bitwise identical with them on or off.
+///
+///       Every subcommand rejects what it does not parse: an unknown
+///       --flag, a value flag without its value or a stray operand prints
+///       the usage and exits with code 2 before any input is read.
 ///
 ///   ftclust serve --spool DIR [--listen HOST:PORT] ...
 ///       Run the clustering pipeline as a long-lived, crash-recoverable
@@ -82,12 +82,12 @@
 ///       replays unfinished jobs and produces reports byte-identical to
 ///       uninterrupted runs. Overload (full queue, memory pressure) is
 ///       shed with 503 + Retry-After, and pressure first degrades new
-///       sessions (sparse neighborhood, tightened per-session memory cap —
-///       both result-neutral) before refusing. GET /jobs/<id> returns status,
-///       GET /jobs/<id>/report the finished report, GET /healthz the
-///       queue/pressure snapshot and GET /metrics the Prometheus text
-///       exposition. SIGINT/SIGTERM drain gracefully; in-flight sessions
-///       unwind at the next cancellation point and replay on restart.
+///       sessions (halved per-session memory cap — result-neutral) before
+///       refusing. GET /jobs/<id> returns status, GET /jobs/<id>/report the
+///       finished report, GET /healthz the queue/pressure snapshot and
+///       GET /metrics the Prometheus text exposition. SIGINT/SIGTERM drain
+///       gracefully; in-flight sessions unwind at the next cancellation
+///       point and replay on restart.
 ///
 ///   ftclust version [--json]
 ///       Print build provenance: version, git SHA, build type, and the
@@ -105,12 +105,14 @@
 ///       Generate a trace with ground truth and report clustering quality
 ///       (precision, recall, F1/4, coverage) for the chosen segmentation
 ///       ("true" = ground-truth fields).
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -123,7 +125,6 @@
 #include "core/report.hpp"
 #include "core/semantics.hpp"
 #include "dissim/kernel.hpp"
-#include "dissim/neighborhood.hpp"
 #include "mem/mem.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
@@ -152,10 +153,9 @@ int usage() {
     std::fputs(
         "usage:\n"
         "  ftclust analyze  <capture.pcap> [--segmenter NEMESYS|CSP|Netzob]\n"
-        "                   [--budget SECONDS] [--deadline-ms N] [--max-segments N]\n"
+        "                   [--budget SECONDS] [--max-segments N]\n"
         "                   [--max-bytes N] [--max-memory BYTES[K|M|G]]\n"
-        "                   [--strict|--lenient] [--threads N]\n"
-        "                   [--neighborhood dense|sparse|auto] [--semantics]\n"
+        "                   [--strict|--lenient] [--threads N] [--semantics]\n"
         "                   [--trace-out FILE] [--metrics-out FILE]\n"
         "                   [--manifest-out FILE] [--report-out FILE]\n"
         "                   [--checkpoint DIR] [--resume]\n"
@@ -167,9 +167,8 @@ int usage() {
         "                   [--session-max-memory BYTES[K|M|G]]\n"
         "                   [--io-deadline-ms N] [--retry-after SECONDS]\n"
         "                   [--segmenter NAME] [--budget SECONDS] [--threads N]\n"
-        "                   [--neighborhood dense|sparse|auto] [--strict]\n"
-        "                   [--max-memory BYTES[K|M|G]] [--telemetry-out FILE]\n"
-        "                   [--telemetry-interval-ms N]\n"
+        "                   [--strict] [--max-memory BYTES[K|M|G]]\n"
+        "                   [--telemetry-out FILE] [--telemetry-interval-ms N]\n"
         "  ftclust version  [--json]\n"
         "  ftclust generate <protocol> <messages> <out.pcap> [--seed N]\n"
         "  ftclust corrupt  <in.pcap> <out.pcap> [--fraction F] [--seed N]\n"
@@ -197,6 +196,40 @@ bool has_flag(int argc, char** argv, const char* flag) {
         }
     }
     return false;
+}
+
+/// Check a subcommand's argv against what it parses: \p operands leading
+/// tokens, then only flags from \p values (each followed by its value) and
+/// \p switches. Names the first token that breaks this on stderr and
+/// returns false; the caller then prints the usage and exits 2, before it
+/// reads any input.
+bool accepts(int argc, char** argv, int operands,
+             std::initializer_list<std::string_view> values,
+             std::initializer_list<std::string_view> switches = {}) {
+    const auto listed = [](std::initializer_list<std::string_view> set, std::string_view f) {
+        return std::find(set.begin(), set.end(), f) != set.end();
+    };
+    for (int i = 0; i < argc; ++i) {
+        const std::string_view token = argv[i];
+        const bool is_flag = token.starts_with("--");
+        if (i < operands) {
+            if (is_flag) {
+                std::fprintf(stderr, "missing operand before %s\n", argv[i]);
+                return false;
+            }
+        } else if (listed(values, token)) {
+            if (i + 1 == argc || std::string_view{argv[i + 1]}.starts_with("--")) {
+                std::fprintf(stderr, "%s needs a value\n", argv[i]);
+                return false;
+            }
+            ++i;
+        } else if (!listed(switches, token)) {
+            std::fprintf(stderr, "%s %s\n", is_flag ? "unknown flag" : "unexpected argument",
+                         argv[i]);
+            return false;
+        }
+    }
+    return true;
 }
 
 /// Read a whole file into memory; the CLI digests the raw bytes for the
@@ -248,17 +281,19 @@ void install_stop_handlers() {
 }
 
 int cmd_analyze(const char* cmd_name, int argc, char** argv) {
-    if (argc < 1) {
+    if (argc < 1 ||
+        !accepts(argc, argv, 1,
+                 {"--segmenter", "--budget", "--max-segments", "--max-bytes", "--max-memory",
+                  "--threads", "--trace-out", "--metrics-out", "--manifest-out",
+                  "--report-out", "--checkpoint", "--telemetry-out",
+                  "--telemetry-interval-ms", "--metrics-listen"},
+                 {"--strict", "--lenient", "--semantics", "--resume", "--progress"})) {
         return usage();
     }
     const std::string path = argv[0];
     const std::string segmenter_name = flag_value(argc, argv, "--segmenter", "NEMESYS");
-    double budget = util::parse_double(flag_value(argc, argv, "--budget", "120"), "--budget");
-    const double deadline_ms =
-        util::parse_double(flag_value(argc, argv, "--deadline-ms", "0"), "--deadline-ms");
-    if (deadline_ms > 0) {
-        budget = deadline_ms / 1000.0;
-    }
+    const double budget =
+        util::parse_double(flag_value(argc, argv, "--budget", "120"), "--budget");
     // --strict is the default; accepting it explicitly lets scripts pin the
     // policy, and an explicit --strict wins over a stray --lenient.
     const bool lenient =
@@ -330,8 +365,6 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
         flag_value(argc, argv, "--max-memory", "0"), "--max-memory"));
     opt.threads = static_cast<std::size_t>(
         util::parse_u64(flag_value(argc, argv, "--threads", "0"), "--threads"));
-    opt.neighborhood =
-        dissim::parse_neighborhood_mode(flag_value(argc, argv, "--neighborhood", "auto"));
 
     // Install the memory governor here rather than leaving it to the
     // pipeline: checkpoint loading below allocates matrix-sized buffers,
@@ -384,7 +417,6 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
             {"max_memory", std::to_string(opt.max_memory)},
             {"mode", lenient ? "lenient" : "strict"},
             {"threads", std::to_string(opt.threads)},
-            {"neighborhood", dissim::neighborhood_mode_name(opt.neighborhood)},
         };
         m.input_path = path;
         m.input_bytes = raw.size();
@@ -519,6 +551,14 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
 /// and owns the lifetime order (spool -> sessions -> listener, torn down
 /// in reverse).
 int cmd_serve(int argc, char** argv) {
+    if (!accepts(argc, argv, 0,
+                 {"--spool", "--listen", "--sessions", "--queue-depth", "--max-body",
+                  "--session-max-memory", "--io-deadline-ms", "--retry-after", "--segmenter",
+                  "--budget", "--threads", "--max-memory", "--telemetry-out",
+                  "--telemetry-interval-ms"},
+                 {"--strict"})) {
+        return usage();
+    }
     const char* spool_dir = flag_value(argc, argv, "--spool", nullptr);
     if (spool_dir == nullptr) {
         std::fputs("serve requires --spool DIR\n", stderr);
@@ -536,8 +576,6 @@ int cmd_serve(int argc, char** argv) {
         util::parse_double(flag_value(argc, argv, "--budget", "120"), "--budget");
     opt.pipeline_threads = static_cast<std::size_t>(
         util::parse_u64(flag_value(argc, argv, "--threads", "1"), "--threads"));
-    opt.neighborhood =
-        dissim::parse_neighborhood_mode(flag_value(argc, argv, "--neighborhood", "auto"));
     opt.max_memory = static_cast<std::size_t>(util::parse_size_bytes(
         flag_value(argc, argv, "--max-memory", "0"), "--max-memory"));
     opt.session_max_memory = static_cast<std::size_t>(util::parse_size_bytes(
@@ -601,6 +639,9 @@ int cmd_serve(int argc, char** argv) {
 }
 
 int cmd_version(int argc, char** argv) {
+    if (!accepts(argc, argv, 0, {}, {"--json"})) {
+        return usage();
+    }
     const bool as_json = has_flag(argc, argv, "--json");
     if (as_json) {
         obs::json_writer w;
@@ -626,7 +667,7 @@ int cmd_version(int argc, char** argv) {
 }
 
 int cmd_corrupt(int argc, char** argv) {
-    if (argc < 2) {
+    if (argc < 2 || !accepts(argc, argv, 2, {"--fraction", "--seed"})) {
         return usage();
     }
     testing::corruption_options opt;
@@ -644,7 +685,7 @@ int cmd_corrupt(int argc, char** argv) {
 }
 
 int cmd_generate(int argc, char** argv) {
-    if (argc < 3) {
+    if (argc < 3 || !accepts(argc, argv, 3, {"--seed"})) {
         return usage();
     }
     const std::string protocol = argv[0];
@@ -660,7 +701,7 @@ int cmd_generate(int argc, char** argv) {
 }
 
 int cmd_evaluate(int argc, char** argv) {
-    if (argc < 2) {
+    if (argc < 2 || !accepts(argc, argv, 2, {"--segmenter", "--seed", "--threads"})) {
         return usage();
     }
     const std::string protocol = argv[0];
