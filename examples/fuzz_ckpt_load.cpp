@@ -2,8 +2,10 @@
 /// Fuzz target for checkpoint loading: arbitrary bytes through the ckpt
 /// wire-format decoders and checkpoint_manager::load.
 ///
-/// The corpus is one file of every kind (segments, matrix, neighbors,
-/// clustering). Five input families per iteration, all derived from a
+/// The corpus is one file of every kind (segments, neighbors, clustering),
+/// and each must restore its stage unmutated before fuzzing starts, so a
+/// corpus the loader no longer accepts cannot silently fuzz only the
+/// rejection path. Five input families per iteration, all derived from a
 /// seeded ftc::rng so every run is reproducible:
 ///   1. pure random bytes (usually not even the FTCKPT01 magic),
 ///   2. a valid checkpoint file with random bit flips
@@ -29,6 +31,7 @@
 #include <fstream>
 #include <iterator>
 #include <numeric>
+#include <string>
 
 #include "ckpt/manager.hpp"
 #include "core/pipeline.hpp"
@@ -69,12 +72,6 @@ const char* decode(byte_view bytes) {
                     case ckpt::section_id::unique:
                         (void)ckpt::decode_unique(byte_view{s.payload});
                         break;
-                    case ckpt::section_id::matrix:
-                        (void)ckpt::decode_matrix(byte_view{s.payload});
-                        break;
-                    case ckpt::section_id::knn:
-                        (void)ckpt::decode_knn(byte_view{s.payload});
-                        break;
                     case ckpt::section_id::neighbors:
                         (void)ckpt::decode_neighbors(byte_view{s.payload});
                         break;
@@ -95,10 +92,12 @@ const char* decode(byte_view bytes) {
 }
 
 /// Plant \p bytes as \p filename inside \p dir and run a full lenient
-/// checkpoint_manager::load against it.
+/// checkpoint_manager::load against it. \p stages, when given, receives
+/// the stages it restored.
 const char* load_planted(const fs::path& dir, const char* filename, byte_view bytes,
                          const ckpt::options_fingerprint& fp,
-                         const std::vector<byte_vector>& messages) {
+                         const std::vector<byte_vector>& messages,
+                         std::vector<std::string>* stages = nullptr) {
     fs::remove_all(dir);
     fs::create_directories(dir);
     {
@@ -109,6 +108,9 @@ const char* load_planted(const fs::path& dir, const char* filename, byte_view by
     ckpt::checkpoint_manager manager(dir, fp);
     diag::error_sink sink(diag::policy::lenient);
     const ckpt::restored_state restored = manager.load(messages, sink);
+    if (stages != nullptr) {
+        *stages = restored.stages;
+    }
     if (sink.quarantined() > 0) {
         return "quarantined";
     }
@@ -126,10 +128,11 @@ int main(int argc, char** argv) {
         rng rand(seed);
 
         // Real checkpoints as the mutation corpus: every file kind. A
-        // genuine pipeline run writes the segments, matrix and clustering
-        // snapshots (the capture is small, so it builds the matrix); the
-        // sparse engine over the same unique values supplies the neighbor
-        // lists every memory-pressured or large run writes instead.
+        // genuine pipeline run writes the segments and clustering snapshots
+        // (the capture is small, so it builds the matrix, which is never
+        // persisted); the sparse engine over the same unique values
+        // supplies the neighbor lists every memory-pressured or large run
+        // writes.
         const protocols::trace t = protocols::generate_trace("DNS", 40, 5);
         const std::vector<byte_vector> messages = segmentation::message_bytes(t);
         const segmentation::message_segments segments =
@@ -155,21 +158,24 @@ int main(int argc, char** argv) {
             manager.mark_complete();
         }
         const char* kFiles[] = {ckpt::checkpoint_manager::kSegmentsFile,
-                                ckpt::checkpoint_manager::kMatrixFile,
                                 ckpt::checkpoint_manager::kNeighborsFile,
                                 ckpt::checkpoint_manager::kClusteringFile};
+        const char* kStages[] = {"segmentation", "dissimilarity", "clustering"};
         constexpr std::size_t kFileKinds = std::size(kFiles);
+        const fs::path fuzz_dir = fs::temp_directory_path() / "ftc_fuzz_ckpt_load";
         byte_vector base[kFileKinds];
         for (std::size_t f = 0; f < kFileKinds; ++f) {
             std::ifstream in(base_dir / kFiles[f], std::ios::binary);
             base[f].assign(std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>());
-            if (base[f].empty()) {
-                std::fprintf(stderr, "error: corpus file %s missing\n", kFiles[f]);
+            std::vector<std::string> stages;
+            load_planted(fuzz_dir, kFiles[f], byte_view{base[f]}, fp, messages, &stages);
+            if (stages != std::vector<std::string>{kStages[f]}) {
+                std::fprintf(stderr, "error: corpus file %s does not restore %s\n", kFiles[f],
+                             kStages[f]);
                 return 1;
             }
         }
-        const fs::path fuzz_dir = fs::temp_directory_path() / "ftc_fuzz_ckpt_load";
 
         std::size_t decoded = 0;
         std::size_t rejected = 0;

@@ -369,97 +369,6 @@ dissim::unique_segments decode_unique(byte_view payload) {
 }
 
 // ---------------------------------------------------------------------------
-// matrix
-// ---------------------------------------------------------------------------
-
-std::uint64_t matrix_bytes(std::size_t n) {
-    return 8 + 4 * (static_cast<std::uint64_t>(n) * (n - (n > 0 ? 1 : 0)) / 2);
-}
-
-byte_vector encode_matrix(const dissim::dissimilarity_matrix& matrix) {
-    const std::size_t n = matrix.size();
-    byte_vector out;
-    out.reserve(static_cast<std::size_t>(matrix_bytes(n)));
-    put_u64_le(out, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const float* row = matrix.row(i);
-        for (std::size_t j = i + 1; j < n; ++j) {
-            put_f32(out, row[j]);
-        }
-    }
-    return out;
-}
-
-dissim::dissimilarity_matrix decode_matrix(byte_view payload) {
-    reader r(payload);
-    const std::uint64_t n = r.u64();
-    // n*(n-1)/2 f32 entries must follow exactly; checking against the
-    // remaining bytes first keeps a forged n from driving an n*n alloc.
-    if (n < 3 || n > (1u << 24) || n * (n - 1) / 2 > r.remaining() / 4) {
-        throw parse_error(message("ckpt: implausible matrix size ", n));
-    }
-    const std::size_t pairs = static_cast<std::size_t>(n * (n - 1) / 2);
-    std::vector<float> upper;
-    upper.reserve(pairs);
-    for (std::size_t i = 0; i < pairs; ++i) {
-        const float d = r.f32();
-        if (!(d >= 0.0f && d <= 1.0f)) {  // NaN fails both comparisons
-            throw parse_error(message("ckpt: matrix entry ", i, " outside [0, 1]"));
-        }
-        upper.push_back(d);
-    }
-    r.expect_end();
-    return dissim::dissimilarity_matrix::from_upper(upper, static_cast<std::size_t>(n));
-}
-
-// ---------------------------------------------------------------------------
-// knn
-// ---------------------------------------------------------------------------
-
-std::uint64_t knn_bytes(const std::vector<std::vector<double>>& curves) {
-    std::uint64_t bytes = 8;
-    for (const std::vector<double>& curve : curves) {
-        bytes += 8 + 8 * curve.size();
-    }
-    return bytes;
-}
-
-byte_vector encode_knn(const std::vector<std::vector<double>>& curves) {
-    byte_vector out;
-    out.reserve(static_cast<std::size_t>(knn_bytes(curves)));
-    put_u64_le(out, curves.size());
-    for (const std::vector<double>& curve : curves) {
-        put_u64_le(out, curve.size());
-        for (double d : curve) {
-            put_f64(out, d);
-        }
-    }
-    return out;
-}
-
-std::vector<std::vector<double>> decode_knn(byte_view payload) {
-    reader r(payload);
-    const std::size_t count = r.count(8);
-    std::vector<std::vector<double>> curves;
-    curves.reserve(count);
-    for (std::size_t c = 0; c < count; ++c) {
-        const std::size_t len = r.count(8);
-        std::vector<double> curve;
-        curve.reserve(len);
-        for (std::size_t i = 0; i < len; ++i) {
-            const double d = r.f64();
-            if (!(d >= 0.0 && d <= 1.0)) {
-                throw parse_error("ckpt: k-NN distance outside [0, 1]");
-            }
-            curve.push_back(d);
-        }
-        curves.push_back(std::move(curve));
-    }
-    r.expect_end();
-    return curves;
-}
-
-// ---------------------------------------------------------------------------
 // neighbors
 // ---------------------------------------------------------------------------
 

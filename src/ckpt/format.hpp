@@ -44,17 +44,19 @@ inline constexpr char kMagic[8] = {'F', 'T', 'C', 'K', 'P', 'T', '0', '1'};
 
 /// Bumped on any incompatible layout change; loaders reject other versions.
 /// v2: unique payload gains a leading form byte (full occurrences vs.
-/// memory-degraded multiplicities). v3: the matrix is always one matrix
-/// section; ids 7 and 8 (spilled tiles of a triangular build) are retired.
+/// memory-degraded multiplicities). v3: ids 7 and 8 (spilled tiles of a
+/// triangular build) are retired.
 inline constexpr std::uint32_t kFormatVersion = 3;
 
-/// Section type tags.
+/// Section type tags. Ids 4 (dissimilarity matrix) and 5 (k-NN curves) are
+/// retired like 7 and 8 and are never reused: both are pure functions of
+/// the unique segments, cheaper to recompute than to load. Loaders find
+/// sections by id, so an older file that still carries one is read as if
+/// it did not.
 enum class section_id : std::uint32_t {
     fingerprint = 1,  ///< options + input digests (first section, mandatory)
     segments = 2,     ///< surviving indices + message segmentation
     unique = 3,       ///< condensed unique segments
-    matrix = 4,       ///< dissimilarity matrix upper triangle (f32)
-    knn = 5,          ///< batched k-NN curves for the epsilon sweep
     clustering = 6,   ///< auto-configuration + DBSCAN outcome
     neighbors = 9,    ///< capped sparse neighbor lists (sparse engine)
 };
@@ -124,19 +126,6 @@ segments_payload decode_segments(byte_view payload);
 std::uint64_t unique_bytes(const dissim::unique_segments& unique);
 byte_vector encode_unique(const dissim::unique_segments& unique);
 dissim::unique_segments decode_unique(byte_view payload);
-
-/// Matrix travels as its upper triangle in f32 (the storage precision), so
-/// the restored matrix is bitwise identical to the saved one. Decoding
-/// allocates the dense n*n matrix against the active ftc::mem governor; the
-/// checkpoint loader projects that first and skips a snapshot that would
-/// not fit (ckpt/manager.hpp).
-std::uint64_t matrix_bytes(std::size_t n);
-byte_vector encode_matrix(const dissim::dissimilarity_matrix& matrix);
-dissim::dissimilarity_matrix decode_matrix(byte_view payload);
-
-std::uint64_t knn_bytes(const std::vector<std::vector<double>>& curves);
-byte_vector encode_knn(const std::vector<std::vector<double>>& curves);
-std::vector<std::vector<double>> decode_knn(byte_view payload);
 
 /// Capped sparse neighbor lists (dissim::capped_neighbors): the persistable
 /// substrate of a sparse_neighborhood. Ids and distances travel as u32/f32

@@ -94,10 +94,10 @@ void checkpoint_manager::write_sections(const char* filename, std::vector<sectio
                     section{static_cast<std::uint32_t>(section_id::fingerprint),
                             encode_fingerprint(fp_)});
     const byte_vector file = encode_sections(sections);
-    // The serialized image is a real, sometimes matrix-sized buffer; charge
-    // it so the governor (and the fault injector) see checkpoint writes as
-    // the allocation spike they are. Scoped: released as soon as the write
-    // lands.
+    // The serialized image is a real buffer (megabytes of segments or
+    // neighbor lists at scale); charge it so the governor (and the fault
+    // injector) see checkpoint writes as the allocation spike they are.
+    // Scoped: released as soon as the write lands.
     const mem::charge file_charge(file.size(), "ckpt.write");
     util::atomic_write_file(dir_ / filename, byte_view{file});
     obs::counter_add("ckpt.files_written_total", 1.0);
@@ -140,57 +140,21 @@ void checkpoint_manager::on_segments(const segmentation::message_segments& segme
     write_manifest("in-progress", last_stage_.c_str());
 }
 
-void checkpoint_manager::on_matrix(const dissim::unique_segments& unique,
-                                   const dissim::dissimilarity_matrix& matrix,
-                                   const std::vector<std::vector<double>>& knn_curves) {
-    obs::span sp("ckpt.save.matrix");
-    std::vector<std::uint64_t> sizes{unique_bytes(unique), matrix_bytes(matrix.size())};
-    if (!knn_curves.empty()) {
-        sizes.push_back(knn_bytes(knn_curves));
-    }
-    if (!snapshot_fits(std::move(sizes))) {
-        return;
-    }
-    std::vector<section> sections;
-    sections.push_back(
-        {static_cast<std::uint32_t>(section_id::unique), encode_unique(unique)});
-    sections.push_back(
-        {static_cast<std::uint32_t>(section_id::matrix), encode_matrix(matrix)});
-    if (!knn_curves.empty()) {
-        sections.push_back(
-            {static_cast<std::uint32_t>(section_id::knn), encode_knn(knn_curves)});
-    }
-    write_sections(kMatrixFile, std::move(sections));
-    last_stage_ = "dissimilarity";
-    write_manifest("in-progress", last_stage_.c_str());
-}
-
 void checkpoint_manager::on_neighbors(const dissim::unique_segments& unique,
                                       const dissim::capped_neighbors& neighbors,
-                                      const std::vector<std::vector<double>>& knn_curves) {
+                                      const std::vector<std::vector<double>>& /*knn_curves*/) {
     obs::span sp("ckpt.save.neighbors");
-    // Sparse runs snapshot the capped lists instead of a matrix — typically
-    // orders of magnitude smaller, and it resumes into an adopted
-    // sparse_neighborhood serving bitwise the same values. Its own file
-    // (never matrix.ckpt) keeps pre-sparse loaders oblivious: they see no
-    // matrix snapshot and recompute, which is always correct.
-    std::vector<std::uint64_t> sizes{unique_bytes(unique), neighbors_bytes(neighbors)};
-    if (!knn_curves.empty()) {
-        sizes.push_back(knn_bytes(knn_curves));
-    }
-    if (!snapshot_fits(std::move(sizes))) {
+    // The capped lists are O(n·ln n) and stand for a sparse build that costs
+    // far more than their decode; they resume into an adopted
+    // sparse_neighborhood serving bitwise the same values. The k-NN curves
+    // are a column read of the lists, so they are not persisted.
+    if (!snapshot_fits({unique_bytes(unique), neighbors_bytes(neighbors)})) {
         return;
     }
-    std::vector<section> sections;
-    sections.push_back(
-        {static_cast<std::uint32_t>(section_id::unique), encode_unique(unique)});
-    sections.push_back({static_cast<std::uint32_t>(section_id::neighbors),
-                        encode_neighbors(neighbors)});
-    if (!knn_curves.empty()) {
-        sections.push_back(
-            {static_cast<std::uint32_t>(section_id::knn), encode_knn(knn_curves)});
-    }
-    write_sections(kNeighborsFile, std::move(sections));
+    write_sections(kNeighborsFile,
+                   {{static_cast<std::uint32_t>(section_id::unique), encode_unique(unique)},
+                    {static_cast<std::uint32_t>(section_id::neighbors),
+                     encode_neighbors(neighbors)}});
     last_stage_ = "dissimilarity";
     write_manifest("in-progress", last_stage_.c_str());
 }
@@ -265,72 +229,26 @@ restored_state checkpoint_manager::load(const std::vector<byte_vector>& all_mess
         quarantine(kSegmentsFile, e.what());
     }
 
-    // matrix.ckpt -> seed.unique + seed.matrix (+ optional seed.knn_curves).
-    // A dense matrix the governor cannot hold is not restored. That is
-    // neither damage nor quarantine, so a strict resume passes; the run
-    // rebuilds the stage on the sparse engine, as a fresh run under this
-    // budget would.
+    // neighbors.ckpt -> seed.unique + seed.neighbors (sparse-engine snapshot).
+    // Sections are found by id, so a file that still carries a retired
+    // section (section_id's comment) restores from the ones it needs.
     try {
-        if (const auto file = read_file(dir_ / kMatrixFile)) {
+        if (const auto file = read_file(dir_ / kNeighborsFile)) {
             std::vector<section> sections = checked_sections(*file, fp_);
             const section* uniq = find_section(sections, section_id::unique);
-            const section* mat = find_section(sections, section_id::matrix);
-            if (uniq == nullptr || mat == nullptr) {
-                throw parse_error("ckpt: unique/matrix section missing");
+            const section* nbrs = find_section(sections, section_id::neighbors);
+            if (uniq == nullptr || nbrs == nullptr) {
+                throw parse_error("ckpt: unique/neighbors section missing");
             }
             dissim::unique_segments unique = decode_unique(uniq->payload);
-            const std::uint64_t n = unique.size();
-            if (mem::would_exceed(n * n * sizeof(float))) {
-                obs::counter_add("ckpt.snapshots_skipped_total", 1.0);
-                sp.count("matrix_skipped", 1);
-            } else {
-                dissim::dissimilarity_matrix matrix = decode_matrix(mat->payload);
-                if (matrix.size() != unique.size()) {
-                    throw parse_error(message("ckpt: matrix of ", matrix.size(), " rows for ",
-                                              unique.size(), " unique segments"));
-                }
-                // k-NN curves are an optimization, not state: a damaged
-                // curve set costs one batched row scan, not the whole matrix.
-                if (const section* knn = find_section(sections, section_id::knn)) {
-                    out.seed.knn_curves = decode_knn(knn->payload);
-                }
-                out.seed.unique = std::move(unique);
-                out.seed.matrix = std::move(matrix);
-                out.stages.emplace_back("dissimilarity");
+            dissim::capped_neighbors neighbors = decode_neighbors(nbrs->payload);
+            if (neighbors.size() != unique.size()) {
+                throw parse_error(message("ckpt: neighbor lists for ", neighbors.size(),
+                                          " points but ", unique.size(), " unique segments"));
             }
-        }
-    } catch (const budget_exceeded_error&) {
-        throw;
-    } catch (const ftc::error& e) {
-        quarantine(kMatrixFile, e.what());
-    }
-
-    // neighbors.ckpt -> seed.unique + seed.neighbors (sparse-engine snapshot).
-    // The matrix snapshot wins when both restored: it carries every pair,
-    // not just the capped lists. Either seeds a bitwise-identical resume.
-    try {
-        if (!out.seed.matrix.has_value()) {
-            if (const auto file = read_file(dir_ / kNeighborsFile)) {
-                std::vector<section> sections = checked_sections(*file, fp_);
-                const section* uniq = find_section(sections, section_id::unique);
-                const section* nbrs = find_section(sections, section_id::neighbors);
-                if (uniq == nullptr || nbrs == nullptr) {
-                    throw parse_error("ckpt: unique/neighbors section missing");
-                }
-                dissim::unique_segments unique = decode_unique(uniq->payload);
-                dissim::capped_neighbors neighbors = decode_neighbors(nbrs->payload);
-                if (neighbors.size() != unique.size()) {
-                    throw parse_error(message("ckpt: neighbor lists for ", neighbors.size(),
-                                              " points but ", unique.size(),
-                                              " unique segments"));
-                }
-                if (const section* knn = find_section(sections, section_id::knn)) {
-                    out.seed.knn_curves = decode_knn(knn->payload);
-                }
-                out.seed.unique = std::move(unique);
-                out.seed.neighbors = std::move(neighbors);
-                out.stages.emplace_back("dissimilarity");
-            }
+            out.seed.unique = std::move(unique);
+            out.seed.neighbors = std::move(neighbors);
+            out.stages.emplace_back("dissimilarity");
         }
     } catch (const budget_exceeded_error&) {
         throw;
@@ -347,16 +265,11 @@ restored_state checkpoint_manager::load(const std::vector<byte_vector>& all_mess
                 throw parse_error("ckpt: clustering section missing");
             }
             cluster::auto_cluster_result clustering = decode_clustering(clu->payload);
-            // When the matrix was restored too, the label vector must index
-            // it; when it was not, the deterministic recompute reproduces
-            // the same unique-segment count (same input + options, enforced
-            // by the fingerprint), so the check happens where it can.
-            if (out.seed.matrix.has_value() &&
-                clustering.labels.labels.size() != out.seed.matrix->size()) {
-                throw parse_error(message("ckpt: ", clustering.labels.labels.size(),
-                                          " labels for a ", out.seed.matrix->size(),
-                                          "-row matrix"));
-            }
+            // When the neighbor lists were restored too, the label vector
+            // must index them; when they were not, the deterministic
+            // recompute reproduces the same unique-segment count (same input
+            // + options, enforced by the fingerprint), so the check happens
+            // where it can.
             if (out.seed.neighbors.has_value() &&
                 clustering.labels.labels.size() != out.seed.neighbors->size()) {
                 throw parse_error(message("ckpt: ", clustering.labels.labels.size(),

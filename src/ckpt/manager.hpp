@@ -6,10 +6,16 @@
 /// checkpoint directory —
 ///
 ///   segments.ckpt    surviving-message indices + segmentation
-///   matrix.ckpt      unique segments, dissimilarity matrix, k-NN curves
 ///   neighbors.ckpt   unique segments, capped neighbor lists (sparse engine)
 ///   clustering.ckpt  auto-configuration + DBSCAN outcome
 ///   manifest.json    status (in-progress | interrupted | complete) + stage
+///
+/// Only what loads faster than it computes is persisted. A dense run's
+/// matrix (and the k-NN curves read from it) is a pure function of the
+/// unique segments: a resume rebuilds it in about the time its quadratic
+/// snapshot took to load, and every checkpointed run is spared writing
+/// and holding that snapshot. So a dense checkpoint holds segments and
+/// clustering only, and its resume condenses and rebuilds the matrix.
 ///
 /// Every file is written atomically (ftc::util::atomic_write_file: tmp,
 /// fsync, rename), so a crash — or a SIGKILL — at any instant leaves either
@@ -24,12 +30,10 @@
 /// fingerprint (options digest + input digest): a missing, damaged or
 /// mismatched file is quarantined through ftc::diag::error_sink (category
 /// checkpoint) and only that stage is recomputed; the surviving snapshots
-/// still seed the run. A matrix.ckpt whose dense matrix the governor cannot
-/// hold is skipped, not quarantined: the run recomputes that stage on the
-/// sparse engine, as a fresh run under the same budget would. Because every
-/// pipeline stage is bitwise deterministic, mixing restored and recomputed
-/// stages yields output identical to an uninterrupted run — across thread
-/// counts and budgets (DESIGN.md §10, §11).
+/// still seed the run. Because every pipeline stage is bitwise
+/// deterministic, mixing restored and recomputed stages yields output
+/// identical to an uninterrupted run — across thread counts and budgets
+/// (DESIGN.md §10, §11).
 #pragma once
 
 #include <filesystem>
@@ -75,9 +79,6 @@ public:
     // stage_observer: persist each stage the moment it completes.
     void on_segments(const segmentation::message_segments& segments,
                      const std::vector<std::size_t>& surviving) override;
-    void on_matrix(const dissim::unique_segments& unique,
-                   const dissim::dissimilarity_matrix& matrix,
-                   const std::vector<std::vector<double>>& knn_curves) override;
     void on_neighbors(const dissim::unique_segments& unique,
                       const dissim::capped_neighbors& neighbors,
                       const std::vector<std::vector<double>>& knn_curves) override;
@@ -90,7 +91,6 @@ public:
     const std::filesystem::path& dir() const { return dir_; }
 
     static constexpr const char* kSegmentsFile = "segments.ckpt";
-    static constexpr const char* kMatrixFile = "matrix.ckpt";
     static constexpr const char* kNeighborsFile = "neighbors.ckpt";
     static constexpr const char* kClusteringFile = "clustering.ckpt";
     static constexpr const char* kManifestFile = "manifest.json";

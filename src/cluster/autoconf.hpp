@@ -37,9 +37,10 @@ struct autoconf_options {
     /// neighborhood_source::kth_nn_many(knn_k_max(n)): curve [k-1] holds
     /// every element's k-th-NN dissimilarity, k = 1..k_max. When non-null
     /// and shaped for the source at hand, the sweep copies these instead
-    /// of re-querying the source; a checkpointed resume (ftc::ckpt) and
-    /// the fresh computation are bitwise the same values (kth_nn_many is
-    /// deterministic), so the selected epsilon is unchanged either way.
+    /// of re-querying the source; the pipeline passes the curves it already
+    /// extracted for a stage observer, which are bitwise the values the
+    /// sweep would query (kth_nn_many is deterministic), so the selected
+    /// epsilon is unchanged either way.
     /// Null, or a shape mismatch, falls back to the source query (made
     /// once per auto_cluster call). Not owned; must outlive the call.
     const std::vector<std::vector<double>>* precomputed_knn = nullptr;
@@ -47,7 +48,7 @@ struct autoconf_options {
 
 /// The paper's candidate ceiling k_max = max(2, round(ln n)) — the number
 /// of k-NN curves auto_configure evaluates for an n-element matrix, and
-/// therefore the curve count a checkpoint must carry to be reusable.
+/// therefore the curve count a precomputed_knn must carry to be used.
 std::size_t knn_k_max(std::size_t n);
 
 /// Diagnostics of one k candidate (exposed for tests and the Fig. 2 bench).

@@ -121,11 +121,10 @@ pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
         budget.charge_segments(total_segments, "pipeline");
 
         // Dissimilarity stage: unique >=2-byte segments, pairwise matrix,
-        // and (when observed or seeded) the batched k-NN curves the epsilon
-        // sweep consumes — computed once here and handed both to the
-        // observer's snapshot and to auto-configuration below, so a
-        // checkpointed run does the extraction exactly as often as a plain
-        // one.
+        // and (when observed) the batched k-NN curves the epsilon sweep
+        // consumes — computed once here and handed both to the observer and
+        // to auto-configuration below, so an observed run does the
+        // extraction exactly as often as a plain one.
         const std::size_t threads = util::resolve_threads(options.threads);
         std::optional<dissim::dissimilarity_matrix> matrix_storage;
         std::optional<dissim::sparse_neighborhood> sparse_storage;
@@ -133,9 +132,6 @@ pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
         if (seed.unique.has_value() && seed.matrix.has_value()) {
             result.unique = std::move(*seed.unique);
             matrix_storage.emplace(std::move(*seed.matrix));
-            if (seed.knn_curves.has_value()) {
-                knn_curves = std::move(*seed.knn_curves);
-            }
             obs::gauge_set("pipeline.unique_segments",
                            static_cast<double>(result.unique.size()));
         } else if (seed.unique.has_value() && seed.neighbors.has_value()) {
@@ -146,9 +142,6 @@ pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
             // byte-identical — whichever engine a fresh run would build.
             result.unique = std::move(*seed.unique);
             sparse_storage.emplace(result.unique.values, std::move(*seed.neighbors));
-            if (seed.knn_curves.has_value()) {
-                knn_curves = std::move(*seed.knn_curves);
-            }
             obs::gauge_set("pipeline.unique_segments",
                            static_cast<double>(result.unique.size()));
         } else {

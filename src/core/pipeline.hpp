@@ -46,17 +46,18 @@ public:
     /// pairwise matrix, and the batched k-NN curves
     /// (kth_nn_many(cluster::knn_k_max(n))) the epsilon sweep consumes.
     /// Fires only when the matrix was built; sparse builds (at scale or
-    /// under memory pressure) announce on_neighbors.
+    /// under memory pressure) announce on_neighbors. The checkpoint manager
+    /// persists nothing here: a resume rebuilds the matrix in about the
+    /// time its quadratic snapshot took to load.
     virtual void on_matrix(const dissim::unique_segments& /*unique*/,
                            const dissim::dissimilarity_matrix& /*matrix*/,
                            const std::vector<std::vector<double>>& /*knn_curves*/) {}
 
     /// Dissimilarity stage finished on the sparse engine: condensed unique
     /// segments, the capped neighbor lists (the persistable substrate of
-    /// the sparse source), and the batched k-NN curves. The dense/sparse
-    /// split mirrors what each engine materializes — an observer persisting
-    /// snapshots stores the matrix in one case and the lists in the other,
-    /// and either snapshot resumes into a bitwise-identical run.
+    /// the sparse source), and the batched k-NN curves. The lists are the
+    /// one dissimilarity snapshot worth persisting: O(n·ln n) bytes that
+    /// resume into a bitwise-identical run without the sparse build.
     virtual void on_neighbors(const dissim::unique_segments& /*unique*/,
                               const dissim::capped_neighbors& /*neighbors*/,
                               const std::vector<std::vector<double>>& /*knn_curves*/) {}
@@ -74,28 +75,31 @@ public:
 /// ftc::ckpt::checkpoint_manager::load, or by tests). Each present stage is
 /// used verbatim and its computation skipped; absent stages are computed as
 /// usual. Consistency contract: `matrix` and `neighbors` require `unique`
-/// (they index its values), and `knn_curves` is used only with one of them.
-/// `clustering` may arrive without them (a skipped or damaged dissimilarity
-/// snapshot), in which case that stage is recomputed; it must label the
-/// unique segments either way. Because every stage is deterministic, a run
-/// seeded with any subset of a previous run's outputs produces
-/// bitwise-identical final results.
+/// (they index its values). The loader restores `segments`, `clustering`
+/// and, from a sparse run's snapshot, `unique` with `neighbors`; a dense
+/// resume condenses and rebuilds its matrix. `clustering` may arrive
+/// without a dissimilarity seed, in which case that stage is recomputed; it
+/// must label the unique segments either way. Because every stage is
+/// deterministic, a run seeded with any subset of a previous run's outputs
+/// produces bitwise-identical final results.
 struct pipeline_seed {
     std::optional<segmentation::message_segments> segments;
     std::optional<dissim::unique_segments> unique;
+    /// A dense substrate. No checkpoint carries one; it is the seam through
+    /// which tests seed a reference matrix (kernel = reference in
+    /// test_dissim_kernel, dense = sparse in test_pipeline_sparse).
     std::optional<dissim::dissimilarity_matrix> matrix;
     /// Sparse-engine dissimilarity snapshot (capped neighbor lists).
     /// Requires `unique`; when both `matrix` and `neighbors` are present the
     /// matrix wins (it carries strictly more information). Either is
     /// adopted whichever engine a fresh run would build — the engines are
-    /// result-identical, so a snapshot from one is a valid seed for both.
+    /// result-identical, so a substrate from one is a valid seed for both.
     std::optional<dissim::capped_neighbors> neighbors;
-    std::optional<std::vector<std::vector<double>>> knn_curves;
     std::optional<cluster::auto_cluster_result> clustering;
 
     bool empty() const {
         return !segments.has_value() && !unique.has_value() && !matrix.has_value() &&
-               !neighbors.has_value() && !knn_curves.has_value() && !clustering.has_value();
+               !neighbors.has_value() && !clustering.has_value();
     }
 };
 

@@ -229,29 +229,6 @@ dissimilarity_matrix dissimilarity_matrix::from_dense(std::span<const double> de
     return m;
 }
 
-dissimilarity_matrix dissimilarity_matrix::from_upper(std::span<const float> upper,
-                                                      std::size_t n) {
-    expects(upper.size() == n * (n - (n > 0 ? 1 : 0)) / 2,
-            "from_upper: need exactly n*(n-1)/2 entries");
-    dissimilarity_matrix m;
-    m.n_ = n;
-    for (const float d : upper) {
-        // The sliding-Canberra range guarantee; a checkpoint restoring
-        // values outside it is damaged in a way the digest cannot see
-        // (e.g. forged), and NaNs would poison DBSCAN comparisons.
-        expects(d >= 0.0f && d <= 1.0f, "from_upper: entry outside [0, 1]");
-    }
-    m.data_.assign(n * n, 0.0f);
-    std::size_t r = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j, ++r) {
-            m.data_[i * n + j] = upper[r];
-            m.data_[j * n + i] = upper[r];
-        }
-    }
-    return m;
-}
-
 void dissimilarity_matrix::gather_row(std::size_t i, float* out) const {
     const float* const cells = row(i);
     std::copy(cells, cells + i, out);

@@ -114,13 +114,6 @@ public:
     /// the input is square, symmetric and zero on the diagonal.
     static dissimilarity_matrix from_dense(std::span<const double> dense, std::size_t n);
 
-    /// Rebuild from an upper-triangle float dump in (i, j > i) row order —
-    /// the checkpoint wire form (ftc::ckpt). The exact float bit patterns
-    /// are restored into both triangles, so a matrix round-tripped through
-    /// the checkpoint is bitwise identical to the original. Throws unless
-    /// \p upper holds exactly n*(n-1)/2 entries, each finite and in [0, 1].
-    static dissimilarity_matrix from_upper(std::span<const float> upper, std::size_t n);
-
     std::size_t size() const { return n_; }
 
     /// Dissimilarity between values i and j (0 on the diagonal).

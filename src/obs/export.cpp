@@ -235,7 +235,7 @@ help_registry& helps() {
             {"ckpt.files_written_total", "Checkpoint section files written"},
             {"ckpt.interrupted_total", "Checkpoint saves cut short by an interrupt"},
             {"ckpt.sections_rejected_total", "Checkpoint sections rejected as stale or corrupt"},
-            {"ckpt.snapshots_skipped_total", "Checkpoint snapshots not written or not restored for the memory budget"},
+            {"ckpt.snapshots_skipped_total", "Checkpoint snapshots not written for the memory budget"},
             {"ckpt.stages_restored_total", "Pipeline stages restored from a checkpoint"},
             {"cluster.dbscan_runs_total", "DBSCAN executions including epsilon re-runs"},
             {"cluster.knn_reused_total", "Auto-configurations served from an extracted k-NN batch"},

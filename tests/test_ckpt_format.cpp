@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <limits>
 #include <utility>
 
 #include "protocols/registry.hpp"
@@ -36,15 +34,6 @@ dissim::unique_segments sample_unique() {
     };
     u.short_segments = 5;
     return u;
-}
-
-dissim::dissimilarity_matrix sample_matrix() {
-    const std::vector<double> dense = {
-        0.0, 0.25, 0.5,   //
-        0.25, 0.0, 0.125,  //
-        0.5, 0.125, 0.0,
-    };
-    return dissim::dissimilarity_matrix::from_dense(dense, 3);
 }
 
 cluster::auto_cluster_result sample_clustering() {
@@ -164,43 +153,6 @@ TEST(CkptFormat, UniqueRoundTrip) {
     EXPECT_EQ(out.short_segments, in.short_segments);
 }
 
-TEST(CkptFormat, MatrixRoundTripIsBitwise) {
-    const dissim::dissimilarity_matrix in = sample_matrix();
-    const dissim::dissimilarity_matrix out = decode_matrix(encode_matrix(in));
-    ASSERT_EQ(out.size(), in.size());
-    ASSERT_EQ(out.data().size(), in.data().size());
-    EXPECT_EQ(std::memcmp(out.data().data(), in.data().data(),
-                          in.data().size() * sizeof(float)),
-              0);
-}
-
-TEST(CkptFormat, MatrixRejectsOutOfRangeAndNaN) {
-    byte_vector payload = encode_matrix(sample_matrix());
-    // Overwrite the first f32 entry (after the u64 size) with 2.0f.
-    const float big = 2.0f;
-    std::memcpy(payload.data() + 8, &big, sizeof big);
-    EXPECT_THROW(decode_matrix(payload), parse_error);
-
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    std::memcpy(payload.data() + 8, &nan, sizeof nan);
-    EXPECT_THROW(decode_matrix(payload), parse_error);
-}
-
-TEST(CkptFormat, MatrixRejectsForgedSize) {
-    byte_vector payload = encode_matrix(sample_matrix());
-    payload[0] = 0xff;  // claims a huge n without the bytes to back it
-    payload[1] = 0xff;
-    EXPECT_THROW(decode_matrix(payload), parse_error);
-}
-
-TEST(CkptFormat, KnnRoundTripIsBitwise) {
-    const std::vector<std::vector<double>> in = {
-        {0.0, 0.1, 0.25},
-        {0.5, 0.50000000001, 1.0},
-    };
-    EXPECT_EQ(decode_knn(encode_knn(in)), in);
-}
-
 dissim::capped_neighbors sample_neighbors() {
     // Shape for n = 4, cap = 2: every list holds min(cap, n-1) = 2 entries,
     // ascending by (d, id), ids never the point itself.
@@ -284,20 +236,13 @@ TEST(CkptFormat, ClusteringRejectsOutOfRangeLabels) {
     EXPECT_THROW(decode_clustering(encode_clustering(c)), parse_error);
 }
 
-TEST(CkptFormat, RealMatrixRoundTripsLosslessly) {
-    // A matrix computed from a real synthesized trace, not a toy: the wire
-    // form must preserve every float bit pattern the kernel produced.
+TEST(CkptFormat, RealUniqueSegmentsRoundTripLosslessly) {
+    // Unique segments condensed from a real synthesized trace, not a toy:
+    // the wire form must preserve every value and occurrence.
     const protocols::trace t = protocols::generate_trace("DNS", 40, 3);
     const auto messages = segmentation::message_bytes(t);
     const auto segs = segmentation::segments_from_annotations(t);
     const dissim::unique_segments unique = dissim::condense(messages, segs);
-    const dissim::dissimilarity_matrix matrix(unique.values);
-
-    const dissim::dissimilarity_matrix back = decode_matrix(encode_matrix(matrix));
-    ASSERT_EQ(back.size(), matrix.size());
-    EXPECT_EQ(std::memcmp(back.data().data(), matrix.data().data(),
-                          matrix.data().size() * sizeof(float)),
-              0);
 
     const dissim::unique_segments unique_back = decode_unique(encode_unique(unique));
     EXPECT_EQ(unique_back.values, unique.values);
@@ -314,27 +259,21 @@ TEST(CkptFormat, ProjectedSizesEqualEncodedSizes) {
     weighted.occurrences_elided = true;
     weighted.occurrences.clear();
     weighted.multiplicities = {1, 2, 1};
-    const dissim::dissimilarity_matrix matrix = sample_matrix();
-    const std::vector<std::vector<double>> curves = {{0.0, 0.1, 0.25}, {0.5}};
     const dissim::capped_neighbors neighbors = sample_neighbors();
     const cluster::auto_cluster_result clustering = sample_clustering();
 
     EXPECT_EQ(segments_bytes(segs), encode_segments(segs).size());
     EXPECT_EQ(unique_bytes(unique), encode_unique(unique).size());
     EXPECT_EQ(unique_bytes(weighted), encode_unique(weighted).size());
-    EXPECT_EQ(matrix_bytes(matrix.size()), encode_matrix(matrix).size());
-    EXPECT_EQ(knn_bytes(curves), encode_knn(curves).size());
     EXPECT_EQ(neighbors_bytes(neighbors), encode_neighbors(neighbors).size());
     EXPECT_EQ(clustering_bytes(clustering), encode_clustering(clustering).size());
     EXPECT_EQ(kFingerprintBytes, encode_fingerprint({1, 2}).size());
 
     const std::vector<section> sections = {
         {static_cast<std::uint32_t>(section_id::unique), encode_unique(unique)},
-        {static_cast<std::uint32_t>(section_id::matrix), encode_matrix(matrix)},
-        {static_cast<std::uint32_t>(section_id::knn), encode_knn(curves)},
+        {static_cast<std::uint32_t>(section_id::neighbors), encode_neighbors(neighbors)},
     };
-    const std::vector<std::uint64_t> sizes = {unique_bytes(unique),
-                                              matrix_bytes(matrix.size()), knn_bytes(curves)};
+    const std::vector<std::uint64_t> sizes = {unique_bytes(unique), neighbors_bytes(neighbors)};
     EXPECT_EQ(file_bytes(sizes), encode_sections(sections).size());
 }
 

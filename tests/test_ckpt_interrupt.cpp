@@ -112,7 +112,7 @@ TEST(CkptInterrupt, DeadlineMidMatrixParallelReportsConsistentProgress) {
     EXPECT_NE(manifest.find("\"status\":\"interrupted\""), std::string::npos) << manifest;
     EXPECT_NE(manifest.find("\"stage\":\"dissimilarity\""), std::string::npos) << manifest;
     EXPECT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::kSegmentsFile));
-    EXPECT_FALSE(fs::exists(dir / ckpt::checkpoint_manager::kMatrixFile));
+    EXPECT_FALSE(fs::exists(dir / ckpt::checkpoint_manager::kClusteringFile));
     fs::remove_all(dir);
 }
 
@@ -198,12 +198,6 @@ public:
     void on_segments(const segmentation::message_segments& segments,
                      const std::vector<std::size_t>& surviving) override {
         inner_.on_segments(segments, surviving);
-    }
-    void on_matrix(const dissim::unique_segments& unique,
-                   const dissim::dissimilarity_matrix& matrix,
-                   const std::vector<std::vector<double>>& knn_curves) override {
-        inner_.on_matrix(unique, matrix, knn_curves);
-        landed();
     }
     void on_neighbors(const dissim::unique_segments& unique,
                       const dissim::capped_neighbors& neighbors,

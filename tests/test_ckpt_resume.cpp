@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 
 #include "core/pipeline.hpp"
+#include "dissim/sparse.hpp"
+#include "mem/mem.hpp"
 #include "protocols/registry.hpp"
 #include "testing/corrupter.hpp"
 #include "util/check.hpp"
@@ -87,6 +90,19 @@ core::pipeline_result resumed_run(const scenario& s, const fs::path& dir,
     return core::analyze_seeded(messages, nullptr, std::move(seed), opt);
 }
 
+/// Cap \p s a quarter matrix below its plain run's tracked peak (the
+/// PipelineSparseCkpt recipe): a checkpointed run of it then builds the
+/// sparse engine and writes neighbors.ckpt. Returns the plain run.
+core::pipeline_result pressure(scenario& s) {
+    mem::reset_peak();
+    core::pipeline_result plain = reference_run(s);
+    const std::uint64_t n = plain.unique.size();
+    const std::uint64_t dense_bytes = n * n * sizeof(float);
+    EXPECT_GT(mem::peak_bytes(), dense_bytes);
+    s.options.max_memory = static_cast<std::size_t>(mem::peak_bytes() - dense_bytes / 4);
+    return plain;
+}
+
 void expect_identical(const core::pipeline_result& a, const core::pipeline_result& b) {
     EXPECT_EQ(a.unique.values, b.unique.values);
     EXPECT_EQ(a.unique.occurrences, b.unique.occurrences);
@@ -118,10 +134,37 @@ TEST_F(CkptResume, CheckpointedRunMatchesPlainRunAndWritesAllFiles) {
     const core::pipeline_result observed = checkpointed_run(s, dir_);
     // Observing a run must not change it.
     expect_identical(plain, observed);
-    EXPECT_TRUE(fs::exists(dir_ / checkpoint_manager::kSegmentsFile));
-    EXPECT_TRUE(fs::exists(dir_ / checkpoint_manager::kMatrixFile));
-    EXPECT_TRUE(fs::exists(dir_ / checkpoint_manager::kClusteringFile));
-    EXPECT_TRUE(fs::exists(dir_ / checkpoint_manager::kManifestFile));
+    // A dense run persists no dissimilarity snapshot: a resume rebuilds
+    // its matrix.
+    std::vector<std::string> files;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+        files.push_back(entry.path().filename().string());
+    }
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, (std::vector<std::string>{checkpoint_manager::kClusteringFile,
+                                               checkpoint_manager::kManifestFile,
+                                               checkpoint_manager::kSegmentsFile}));
+}
+
+TEST_F(CkptResume, CheckpointingADenseRunKeepsThePlainPeak) {
+    // Checkpoints must not add a matrix-sized buffer to a dense run: its
+    // tracked peak stays within 1 % of the plain run's.
+    const scenario s = make_scenario("NTP", 600);
+    std::uint64_t plain_peak = 0;
+    {
+        mem::reset_peak();
+        const core::pipeline_result plain = reference_run(s);
+        plain_peak = mem::peak_bytes();
+    }
+    std::uint64_t observed_peak = 0;
+    {
+        mem::reset_peak();
+        const core::pipeline_result observed = checkpointed_run(s, dir_);
+        observed_peak = mem::peak_bytes();
+    }
+    ASSERT_FALSE(fs::exists(dir_ / checkpoint_manager::kNeighborsFile));  // dense
+    EXPECT_LE(observed_peak, plain_peak + plain_peak / 100)
+        << "plain " << plain_peak << " B, checkpointed " << observed_peak << " B";
 }
 
 TEST_F(CkptResume, FullResumeIsBitwiseIdentical) {
@@ -132,8 +175,7 @@ TEST_F(CkptResume, FullResumeIsBitwiseIdentical) {
     diag::error_sink sink(diag::policy::lenient);
     std::vector<std::string> restored;
     const core::pipeline_result resumed = resumed_run(s, dir_, sink, &restored);
-    EXPECT_EQ(restored,
-              (std::vector<std::string>{"segmentation", "dissimilarity", "clustering"}));
+    EXPECT_EQ(restored, (std::vector<std::string>{"segmentation", "clustering"}));
     EXPECT_TRUE(sink.empty());
     expect_identical(plain, resumed);
 }
@@ -143,33 +185,24 @@ TEST_F(CkptResume, ResumeIsIdenticalAcrossThreadCounts) {
     const core::pipeline_result plain = reference_run(s);
 
     // Checkpoint written once, resumed serially and on every hardware
-    // thread. Drop the matrix snapshot in a second pass so the recompute
-    // also crosses thread counts.
+    // thread; the matrix each resume rebuilds crosses thread counts too.
     checkpointed_run(s, dir_);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
         diag::error_sink sink(diag::policy::lenient);
         const core::pipeline_result resumed = resumed_run(s, dir_, sink, nullptr, threads);
         expect_identical(plain, resumed);
     }
-    fs::remove(dir_ / checkpoint_manager::kMatrixFile);
-    {
-        diag::error_sink sink(diag::policy::lenient);
-        std::vector<std::string> restored;
-        const core::pipeline_result resumed =
-            resumed_run(s, dir_, sink, &restored, /*threads=*/0);
-        EXPECT_EQ(restored, (std::vector<std::string>{"segmentation", "clustering"}));
-        expect_identical(plain, resumed);
-    }
 }
 
-TEST_F(CkptResume, CorruptedMatrixFileCostsOnlyThatStage) {
-    const scenario s = make_scenario();
-    const core::pipeline_result plain = reference_run(s);
+TEST_F(CkptResume, CorruptedNeighborsFileCostsOnlyThatStage) {
+    scenario s = make_scenario("DNS", 400);
+    const core::pipeline_result plain = pressure(s);
     checkpointed_run(s, dir_);
+    ASSERT_TRUE(fs::exists(dir_ / checkpoint_manager::kNeighborsFile));
 
-    // Mangle matrix.ckpt with the corrupter; the per-section digests must
-    // catch it, quarantine the file, and recompute only dissimilarity.
-    testing::flip_random_bits_in_file(dir_ / checkpoint_manager::kMatrixFile, 16, 99);
+    // Mangle neighbors.ckpt with the corrupter; the per-section digests
+    // must catch it, quarantine the file, and recompute only dissimilarity.
+    testing::flip_random_bits_in_file(dir_ / checkpoint_manager::kNeighborsFile, 16, 99);
 
     diag::error_sink sink(diag::policy::lenient);
     std::vector<std::string> restored;
@@ -177,6 +210,52 @@ TEST_F(CkptResume, CorruptedMatrixFileCostsOnlyThatStage) {
     EXPECT_EQ(restored, (std::vector<std::string>{"segmentation", "clustering"}));
     ASSERT_EQ(sink.quarantined(), 1u);
     EXPECT_EQ(sink.diagnostics()[0].cat, diag::category::checkpoint);
+    expect_identical(plain, resumed);
+}
+
+TEST_F(CkptResume, NeighborsFileWithRetiredKnnSectionStillRestores) {
+    // Earlier builds appended the k-NN curves to neighbors.ckpt as section
+    // 5. Loaders find sections by id, so such a file still restores.
+    scenario s = make_scenario("DNS", 400);
+    const core::pipeline_result plain = pressure(s);
+    checkpointed_run(s, dir_);
+    const fs::path path = dir_ / checkpoint_manager::kNeighborsFile;
+    std::vector<section> sections;
+    {
+        std::ifstream in(path, std::ios::binary);
+        const byte_vector file{std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()};
+        sections = decode_sections(file);
+    }
+    ASSERT_EQ(sections.size(), 3u);  // fingerprint, unique, neighbors
+    {
+        // The retired payload in its old layout: curve count, then per
+        // curve its length and f64 bit patterns. Scoped, so its tracked
+        // storage is gone before the capped resume.
+        const dissim::unique_segments unique = decode_unique(sections[1].payload);
+        const dissim::sparse_neighborhood source(unique.values,
+                                                 decode_neighbors(sections[2].payload));
+        byte_vector knn;
+        const auto curves = source.kth_nn_many(cluster::knn_k_max(unique.size()));
+        put_u64_le(knn, curves.size());
+        for (const std::vector<double>& curve : curves) {
+            put_u64_le(knn, curve.size());
+            for (const double d : curve) {
+                put_u64_le(knn, std::bit_cast<std::uint64_t>(d));
+            }
+        }
+        sections.push_back({5, std::move(knn)});
+        const byte_vector file = encode_sections(sections);
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(file.data()),
+                  static_cast<std::streamsize>(file.size()));
+    }
+    fs::remove(dir_ / checkpoint_manager::kClusteringFile);
+
+    diag::error_sink sink(diag::policy::strict);
+    std::vector<std::string> restored;
+    const core::pipeline_result resumed = resumed_run(s, dir_, sink, &restored);
+    EXPECT_EQ(restored, (std::vector<std::string>{"segmentation", "dissimilarity"}));
     expect_identical(plain, resumed);
 }
 
@@ -204,7 +283,7 @@ TEST_F(CkptResume, FingerprintMismatchRestoresNothing) {
     restored_state restored = manager.load(other.messages, sink);
     EXPECT_TRUE(restored.stages.empty());
     EXPECT_TRUE(restored.seed.empty());
-    EXPECT_EQ(sink.quarantined(), 3u);  // all three files rejected
+    EXPECT_EQ(sink.quarantined(), 2u);  // segments and clustering rejected
 }
 
 TEST_F(CkptResume, EmptyDirectoryRestoresNothingSilently) {
@@ -226,7 +305,7 @@ TEST_F(CkptResume, PartialCheckpointSeedsOnlyCompletedStages) {
     diag::error_sink sink(diag::policy::lenient);
     std::vector<std::string> restored;
     const core::pipeline_result resumed = resumed_run(s, dir_, sink, &restored);
-    EXPECT_EQ(restored, (std::vector<std::string>{"segmentation", "dissimilarity"}));
+    EXPECT_EQ(restored, (std::vector<std::string>{"segmentation"}));
     EXPECT_TRUE(sink.empty());
     expect_identical(plain, resumed);
 }

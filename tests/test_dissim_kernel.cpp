@@ -322,16 +322,19 @@ std::vector<byte_vector> unique_values(const std::string& protocol, std::size_t 
 }
 
 /// The matrix of \p values assembled from reference cells (canberra.cpp,
-/// narrowed to f32 like every stored cell) through from_upper.
+/// narrowed to f32 like every stored cell) through from_dense.
 dissimilarity_matrix reference_matrix(const std::vector<byte_vector>& values) {
-    std::vector<float> upper;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        for (std::size_t j = i + 1; j < values.size(); ++j) {
-            upper.push_back(
-                static_cast<float>(sliding_canberra_dissimilarity(values[i], values[j])));
+    const std::size_t n = values.size();
+    std::vector<double> dense(n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            const float cell =
+                static_cast<float>(sliding_canberra_dissimilarity(values[i], values[j]));
+            dense[i * n + j] = cell;
+            dense[j * n + i] = cell;
         }
     }
-    return dissimilarity_matrix::from_upper(upper, values.size());
+    return dissimilarity_matrix::from_dense(dense, n);
 }
 
 TEST(KernelMatrix, MatchesReferenceCellsAtEveryThreadCount) {

@@ -260,10 +260,9 @@ TEST(MemDegrade, PressuredCheckpointResumesFromNeighborLists) {
     opt.max_memory = cap_below_dense(baseline);
     const ckpt::options_fingerprint fp = ckpt::fingerprint(opt, "true", 7);
     EXPECT_EQ(checkpointed_run(s, opt, dir, fp), baseline.final_labels);
-    // The pressured run built the sparse engine, so its dissimilarity
-    // snapshot is the neighbor lists; no matrix existed to write.
+    // The pressured run built the sparse engine, so it wrote its
+    // dissimilarity snapshot: the neighbor lists.
     ASSERT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::kNeighborsFile));
-    EXPECT_FALSE(fs::exists(dir / ckpt::checkpoint_manager::kMatrixFile));
     // Make the resume cluster again from the restored lists.
     fs::remove(dir / ckpt::checkpoint_manager::kClusteringFile);
 
@@ -281,50 +280,16 @@ TEST(MemDegrade, PressuredCheckpointResumesFromNeighborLists) {
     fs::remove_all(dir);
 }
 
-TEST(MemDegrade, DenseSnapshotOverBudgetIsSkippedUnderStrictAndLenientResume) {
-    const scenario s = make_unique_scenario();
-    const fs::path dir = fs::temp_directory_path() / "ftc_test_mem_degrade_skip_load";
-    fs::remove_all(dir);
-    const labels_snapshot baseline = snapshot_run(s);
-
-    // An unpressured run leaves a dense matrix.ckpt.
-    const core::pipeline_options plain;
-    const ckpt::options_fingerprint fp = ckpt::fingerprint(plain, "true", 7);
-    EXPECT_EQ(checkpointed_run(s, plain, dir, fp), baseline.final_labels);
-    ASSERT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::kMatrixFile));
-    fs::remove(dir / ckpt::checkpoint_manager::kClusteringFile);
-
-    // Resumed under a cap that cannot hold that matrix, the snapshot is
-    // not restored — and not quarantined either, so strict passes — and
-    // the stage is rebuilt on the sparse engine with identical results.
-    core::pipeline_options opt;
-    opt.max_memory = cap_below_dense(baseline);
-    for (const diag::policy policy : {diag::policy::strict, diag::policy::lenient}) {
-        SCOPED_TRACE(policy == diag::policy::strict ? "strict" : "lenient");
-        const obs::scoped_recorder recorder;
-        diag::error_sink sink(policy);
-        ckpt::checkpoint_manager manager(dir, fp);
-        const mem::governor governor(opt.max_memory);
-        ckpt::restored_state restored = manager.load(s.messages, sink);
-        EXPECT_EQ(sink.quarantined(), 0u);
-        EXPECT_FALSE(restored.seed.matrix.has_value());
-        EXPECT_FALSE(restored.seed.unique.has_value());
-        ASSERT_TRUE(restored.has_segments());
-        EXPECT_EQ(counter(recorder, "ckpt.snapshots_skipped_total"), 1.0);
-        const core::pipeline_result resumed = core::analyze_seeded(
-            restored.messages, nullptr, std::move(restored.seed), opt);
-        EXPECT_EQ(resumed.final_labels.labels, baseline.final_labels);
-        EXPECT_EQ(resumed.clustering.config.epsilon, baseline.epsilon);
-        EXPECT_EQ(counter(recorder, "mem.degrade.sparse_total"), 1.0);
-    }
-    fs::remove_all(dir);
-}
-
 TEST(MemDegrade, SnapshotThatWouldNotFitIsSkippedNotFatal) {
-    // The cap is the run's own unobserved peak plus a few KB: the dense
-    // matrix fits, but the matrix snapshot's file image (half a matrix)
-    // does not. The snapshot must step aside instead of failing the run.
-    const scenario s = make_unique_scenario();
+    // NEMESYS on DNS 4000 builds the sparse engine (4,627 unique segments).
+    // Capped at the run's own unobserved peak plus 4 KB, a checkpointed run
+    // has room for its neighbor lists but not for the clustering snapshot's
+    // file image, written when the run's tracked bytes are near that peak.
+    // The snapshot must step aside instead of failing the run.
+    const protocols::trace t = protocols::generate_trace("DNS", 4000, 7);
+    scenario s;
+    s.messages = segmentation::message_bytes(t);
+    s.segments = segmentation::make_segmenter("NEMESYS")->run(s.messages, deadline{});
     const fs::path dir = fs::temp_directory_path() / "ftc_test_mem_degrade_skip_save";
     fs::remove_all(dir);
     const labels_snapshot baseline = snapshot_run(s);
@@ -337,9 +302,10 @@ TEST(MemDegrade, SnapshotThatWouldNotFitIsSkippedNotFatal) {
         EXPECT_EQ(checkpointed_run(s, opt, dir, fp), baseline.final_labels);
         EXPECT_EQ(counter(recorder, "ckpt.snapshots_skipped_total"), 1.0);
         EXPECT_EQ(counter(recorder, "mem.degrade.sparse_total"), 0.0);
+        EXPECT_EQ(counter(recorder, "dissim.sparse.builds_total"), 1.0);
     }
-    EXPECT_FALSE(fs::exists(dir / ckpt::checkpoint_manager::kMatrixFile));
-    ASSERT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::kClusteringFile));
+    EXPECT_TRUE(fs::exists(dir / ckpt::checkpoint_manager::kNeighborsFile));
+    EXPECT_FALSE(fs::exists(dir / ckpt::checkpoint_manager::kClusteringFile));
 
     // The resume restores what was written and recomputes only the
     // skipped stage.
@@ -347,7 +313,7 @@ TEST(MemDegrade, SnapshotThatWouldNotFitIsSkippedNotFatal) {
     ckpt::checkpoint_manager manager(dir, fp);
     const mem::governor governor(opt.max_memory);
     ckpt::restored_state restored = manager.load(s.messages, sink);
-    EXPECT_EQ(restored.stages, (std::vector<std::string>{"segmentation", "clustering"}));
+    EXPECT_EQ(restored.stages, (std::vector<std::string>{"segmentation", "dissimilarity"}));
     const core::pipeline_result resumed = core::analyze_seeded(
         restored.messages, nullptr, std::move(restored.seed), opt);
     EXPECT_EQ(resumed.final_labels.labels, baseline.final_labels);

@@ -41,9 +41,11 @@
 ///       report to a file as well as stdout. All output files are written
 ///       atomically (tmp + fsync + rename).
 ///
-///       --checkpoint DIR persists each completed stage into DIR
-///       (segments.ckpt, matrix.ckpt, clustering.ckpt, manifest.json;
-///       format in src/ckpt/format.hpp) so a crashed, killed or
+///       --checkpoint DIR persists each completed stage whose snapshot
+///       loads faster than it computes into DIR (segments.ckpt,
+///       neighbors.ckpt on the sparse engine, clustering.ckpt,
+///       manifest.json; format in src/ckpt/format.hpp; a dense matrix is
+///       rebuilt on resume) so a crashed, killed or
 ///       budget-tripped run can continue where it stopped: --resume
 ///       restores every snapshot that validates against the current
 ///       options and input, recomputes the rest, and — every stage being
@@ -367,9 +369,9 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
         util::parse_u64(flag_value(argc, argv, "--threads", "0"), "--threads"));
 
     // Install the memory governor here rather than leaving it to the
-    // pipeline: checkpoint loading below allocates matrix-sized buffers,
-    // and it skips a matrix snapshot the budget cannot hold by projecting
-    // against the active governor — both must run governed.
+    // pipeline: checkpoint loading below charges the unique segments it
+    // restores before the pipeline starts, and that charge must count
+    // against the run's budget.
     std::optional<mem::governor> governor;
     if (opt.max_memory > 0) {
         governor.emplace(opt.max_memory);
