@@ -192,10 +192,9 @@ public:
         w.begin_object();
         w.key("bench");
         w.value(name_);
-        // Run provenance: tools/bench_compare aligns and annotates bench
-        // history with these (which commit, host and kernel produced the
-        // numbers) — without them a regression report cannot say what
-        // changed between two files.
+        // Run provenance: which commit, build, host and kernel produced the
+        // numbers — without them two files cannot say what changed between
+        // them.
         w.key("meta");
         w.begin_object();
         w.key("git_sha");

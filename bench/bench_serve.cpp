@@ -14,8 +14,7 @@
 ///    of a kill -9 in steady state.
 ///
 /// The binary self-gates: a failed session, an unshed burst, or a lost
-/// recovery job exits non-zero, so CI catches broken serving even before
-/// bench_compare looks at the numbers.
+/// recovery job exits non-zero, so CI catches broken serving.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

@@ -6,42 +6,12 @@
 /// epsilon, precision, recall, F_{1/4}. Large traces use the paper's sizes
 /// (1000; 768 for AWDL; 123 for AU), small traces 100 messages.
 ///
-/// FTC_BENCH_TABLE1_SIZES (comma-separated, e.g. "100") replaces the paper
-/// sizes with a fixed list per protocol — CI uses it to regenerate the
-/// committed regression baseline (bench/baselines/) in seconds instead of
-/// minutes. Quality metrics are seed-deterministic, so the reduced table
-/// still diffs exactly against tools/bench_compare.
+/// The small rows and AU are pinned exactly, at full precision, by the
+/// tier-1 ledger (tests/ledger.json, EXPERIMENTS.md "Ledger").
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-/// Parse FTC_BENCH_TABLE1_SIZES; empty when unset/invalid (paper sizes).
-std::vector<std::size_t> sizes_override() {
-    std::vector<std::size_t> sizes;
-    const char* env = std::getenv("FTC_BENCH_TABLE1_SIZES");
-    if (env == nullptr) {
-        return sizes;
-    }
-    for (const char* p = env; *p != '\0';) {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p) {
-            break;  // not a number: stop parsing, keep what we have
-        }
-        if (v > 0) {
-            sizes.push_back(static_cast<std::size_t>(v));
-        }
-        p = (*end == ',') ? end + 1 : end;
-    }
-    return sizes;
-}
-
-}  // namespace
 
 int main() {
     using namespace ftc;
@@ -68,26 +38,15 @@ int main() {
                        format_fixed(r.elapsed_seconds, 1) + "s"});
     };
 
-    if (const std::vector<std::size_t> sizes = sizes_override(); !sizes.empty()) {
-        // CI baseline mode: a fixed size list per protocol, plus AU at its
-        // (small) paper size so the baseline covers every protocol family.
-        for (const std::size_t size : sizes) {
-            for (const char* proto : {"DHCP", "DNS", "NBNS", "NTP", "SMB", "AWDL"}) {
-                add_run(proto, size);
-            }
-        }
-        add_run("AU", protocols::paper_trace_size("AU"));
-    } else {
-        // Large traces (paper sizes).
-        for (const char* proto : {"DHCP", "DNS", "NBNS", "NTP", "SMB", "AWDL"}) {
-            add_run(proto, protocols::paper_trace_size(proto));
-        }
-        // Small traces (100 messages) plus the single AU trace.
-        for (const char* proto : {"DHCP", "DNS", "NBNS", "NTP", "SMB", "AWDL"}) {
-            add_run(proto, 100);
-        }
-        add_run("AU", protocols::paper_trace_size("AU"));
+    // Large traces (paper sizes).
+    for (const char* proto : {"DHCP", "DNS", "NBNS", "NTP", "SMB", "AWDL"}) {
+        add_run(proto, protocols::paper_trace_size(proto));
     }
+    // Small traces (100 messages) plus the single AU trace.
+    for (const char* proto : {"DHCP", "DNS", "NBNS", "NTP", "SMB", "AWDL"}) {
+        add_run(proto, 100);
+    }
+    add_run("AU", protocols::paper_trace_size("AU"));
 
     std::fputs(table.render().c_str(), stdout);
     const std::string json = report.write();

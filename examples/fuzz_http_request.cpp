@@ -83,7 +83,7 @@ std::string generate(rng& rand) {
     const std::string target =
         pick(rand, {"/metrics", "/jobs", "/jobs/1", "/jobs/7/report", "/healthz", "*", "",
                     "/a b", "/jobs/18446744073709551616/report",
-                    "/" + std::string(rand.uniform(0, 9000), 't')});
+                    std::string("/").append(rand.uniform(0, 9000), 't')});
     const std::string version =
         pick(rand, {"HTTP/1.0", "HTTP/1.0", "HTTP/1.1", "HTTP/1.1", "HTTP/2", "http/1.1",
                     "FTP/1.0", "HTTP/", ""});

@@ -124,8 +124,10 @@ pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
         // and (when observed) the batched k-NN curves the epsilon sweep
         // consumes — computed once here and handed both to the observer and
         // to auto-configuration below, so an observed run does the
-        // extraction exactly as often as a plain one.
+        // extraction exactly as often as a plain one. A resume that restored
+        // the clustering runs no sweep, so it extracts no curves.
         const std::size_t threads = util::resolve_threads(options.threads);
+        const bool extract_curves = hook != nullptr && !seed.clustering.has_value();
         std::optional<dissim::dissimilarity_matrix> matrix_storage;
         std::optional<dissim::sparse_neighborhood> sparse_storage;
         std::vector<std::vector<double>> knn_curves;
@@ -189,14 +191,18 @@ pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
                 sopts.knn_cap = cluster::knn_k_max(n);
                 sopts.threads = threads;
                 sparse_storage.emplace(result.unique.values, sopts, dl);
-                if (hook != nullptr) {
+                if (extract_curves) {
                     knn_curves = sparse_storage->kth_nn_many(cluster::knn_k_max(n), threads);
+                }
+                if (hook != nullptr) {
                     hook->on_neighbors(result.unique, sparse_storage->capped(), knn_curves);
                 }
             } else {
                 matrix_storage.emplace(result.unique.values, dl, threads);
-                if (hook != nullptr) {
+                if (extract_curves) {
                     knn_curves = matrix_storage->kth_nn_many(cluster::knn_k_max(n), threads);
+                }
+                if (hook != nullptr) {
                     hook->on_matrix(result.unique, *matrix_storage, knn_curves);
                 }
             }

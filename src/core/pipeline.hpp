@@ -44,18 +44,20 @@ public:
 
     /// Dissimilarity stage finished: condensed unique segments, the full
     /// pairwise matrix, and the batched k-NN curves
-    /// (kth_nn_many(cluster::knn_k_max(n))) the epsilon sweep consumes.
-    /// Fires only when the matrix was built; sparse builds (at scale or
-    /// under memory pressure) announce on_neighbors. The checkpoint manager
-    /// persists nothing here: a resume rebuilds the matrix in about the
-    /// time its quadratic snapshot took to load.
+    /// (kth_nn_many(cluster::knn_k_max(n))) the epsilon sweep consumes —
+    /// empty when the run was seeded with its clustering, which runs no
+    /// sweep. Fires only when the matrix was built; sparse builds (at scale
+    /// or under memory pressure) announce on_neighbors. The checkpoint
+    /// manager persists nothing here: a resume rebuilds the matrix in about
+    /// the time its quadratic snapshot took to load.
     virtual void on_matrix(const dissim::unique_segments& /*unique*/,
                            const dissim::dissimilarity_matrix& /*matrix*/,
                            const std::vector<std::vector<double>>& /*knn_curves*/) {}
 
     /// Dissimilarity stage finished on the sparse engine: condensed unique
     /// segments, the capped neighbor lists (the persistable substrate of
-    /// the sparse source), and the batched k-NN curves. The lists are the
+    /// the sparse source), and the batched k-NN curves (empty, as for
+    /// on_matrix, under a seeded clustering). The lists are the
     /// one dissimilarity snapshot worth persisting: O(n·ln n) bytes that
     /// resume into a bitwise-identical run without the sparse build.
     virtual void on_neighbors(const dissim::unique_segments& /*unique*/,

@@ -46,7 +46,7 @@ namespace ftc::dissim::kernel {
 
 /// The kernel's name in run provenance: the `kernel_backend` value of
 /// `ftclust version --json` and of every BENCH_*.json `meta`, which
-/// perfbench and bench_compare read.
+/// perfbench reads.
 inline constexpr const char* kName = "lut";
 
 /// Kernel work counters, accumulated locally by callers (one atomic-free

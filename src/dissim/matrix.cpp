@@ -39,7 +39,7 @@ unique_segments condense(const std::vector<byte_vector>& messages,
                          const segmentation::message_segments& segs,
                          std::size_t min_length) {
     unique_segments out;
-    std::map<byte_vector, std::size_t> index;
+    std::map<byte_vector, std::size_t, byte_less> index;
     for (const std::vector<segmentation::segment>& per_message : segs) {
         for (const segmentation::segment& seg : per_message) {
             if (seg.length < min_length) {

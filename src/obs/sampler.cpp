@@ -63,7 +63,8 @@ std::string render_progress_line(const progress_snapshot& p, const progress_esti
     line += "] ";
     line += std::to_string(p.done);
     if (p.total > 0) {
-        line += "/" + std::to_string(p.total);
+        line += '/';
+        line += std::to_string(p.total);
         const double pct =
             100.0 * static_cast<double>(std::min(p.done, p.total)) /
             static_cast<double>(p.total);
@@ -72,7 +73,9 @@ std::string render_progress_line(const progress_snapshot& p, const progress_esti
         line += buf;
     }
     if (est.rate_per_second > 0.0) {
-        line += " " + human_rate(est.rate_per_second) + "/s";
+        line += ' ';
+        line += human_rate(est.rate_per_second);
+        line += "/s";
     }
     if (est.eta_seconds >= 0.0) {
         line += " eta " + human_eta(est.eta_seconds);

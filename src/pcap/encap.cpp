@@ -85,6 +85,7 @@ byte_vector wrap_nbss(byte_view smb_message) {
     expects(smb_message.size() < (1u << 17),
             "nbss: message exceeds session service length field");
     byte_vector out;
+    out.reserve(4 + smb_message.size());
     put_u8(out, 0x00);  // session message
     put_u8(out, static_cast<std::uint8_t>((smb_message.size() >> 16) & 0x01));
     put_u16_be(out, static_cast<std::uint16_t>(smb_message.size() & 0xffff));

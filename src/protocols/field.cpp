@@ -40,20 +40,19 @@ std::size_t trace::total_bytes() const {
 void validate_annotations(const annotated_message& msg) {
     std::size_t cursor = 0;
     for (const field_annotation& f : msg.fields) {
-        ensures(f.length > 0, message("field '", f.name, "' has zero length"));
-        ensures(f.offset == cursor,
-                message("field '", f.name, "' at offset ", f.offset, ", expected ", cursor,
-                        " (annotations must be contiguous)"));
+        ensures(f.length > 0, "field '", f.name, "' has zero length");
+        ensures(f.offset == cursor, "field '", f.name, "' at offset ", f.offset, ", expected ",
+                cursor, " (annotations must be contiguous)");
         cursor = f.offset + f.length;
     }
-    ensures(cursor == msg.bytes.size(),
-            message("annotations cover ", cursor, " of ", msg.bytes.size(), " bytes"));
+    ensures(cursor == msg.bytes.size(), "annotations cover ", cursor, " of ", msg.bytes.size(),
+            " bytes");
 }
 
 trace deduplicate(const trace& input) {
     trace out;
     out.protocol = input.protocol;
-    std::set<byte_vector> seen;
+    std::set<byte_vector, byte_less> seen;
     for (const annotated_message& m : input.messages) {
         if (seen.insert(m.bytes).second) {
             out.messages.push_back(m);

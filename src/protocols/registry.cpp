@@ -108,7 +108,7 @@ trace generate_trace(std::string_view protocol, std::size_t unique_messages,
     const auto source = make_source(protocol, seed);
     trace out;
     out.protocol = std::string{protocol};
-    std::set<byte_vector> seen;
+    std::set<byte_vector, byte_less> seen;
     // Generous retry bound: duplicates happen (by design the value pools are
     // skewed) but should not dominate.
     const std::size_t max_attempts = unique_messages * 64 + 1024;

@@ -18,20 +18,19 @@ byte_view segment_bytes(const std::vector<byte_vector>& messages, const segment&
 
 void validate_segmentation(const std::vector<byte_vector>& messages,
                            const message_segments& segs) {
-    ensures(messages.size() == segs.size(),
-            message("segmentation covers ", segs.size(), " of ", messages.size(), " messages"));
+    ensures(messages.size() == segs.size(), "segmentation covers ", segs.size(), " of ",
+            messages.size(), " messages");
     for (std::size_t m = 0; m < messages.size(); ++m) {
         std::size_t cursor = 0;
         for (const segment& s : segs[m]) {
             ensures(s.message_index == m, "segment has wrong message index");
             ensures(s.length > 0, "segment has zero length");
-            ensures(s.offset == cursor,
-                    message("message ", m, ": segment at ", s.offset, ", expected ", cursor));
+            ensures(s.offset == cursor, "message ", m, ": segment at ", s.offset, ", expected ",
+                    cursor);
             cursor += s.length;
         }
-        ensures(cursor == messages[m].size(),
-                message("message ", m, ": segments cover ", cursor, " of ", messages[m].size(),
-                        " bytes"));
+        ensures(cursor == messages[m].size(), "message ", m, ": segments cover ", cursor, " of ",
+                messages[m].size(), " bytes");
     }
 }
 

@@ -1,10 +1,11 @@
 #include "serve/daemon.hpp"
 
 #include <charconv>
-#include <fstream>
+#include <optional>
 
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
+#include "util/atomic_file.hpp"
 
 namespace ftc::serve {
 
@@ -103,13 +104,13 @@ http_response daemon::route(const http_request& request) {
         if (status->state != job_state::done || !want_report) {
             return {want_report ? 409 : 200, "application/json", status_json(*status), {}};
         }
-        std::ifstream in(sessions_.journal().report_file(id), std::ios::binary);
-        std::string report((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-        if (!in.is_open()) {
+        const std::optional<byte_vector> report =
+            util::read_file(sessions_.journal().report_file(id));
+        if (!report.has_value()) {
             return error_response(404, "report file missing");
         }
-        return {200, "text/plain; charset=utf-8", std::move(report), {}};
+        return {200, "text/plain; charset=utf-8", std::string(report->begin(), report->end()),
+                {}};
     }
 
     if (request.method == "GET" && request.target == "/healthz") {

@@ -20,15 +20,11 @@ constexpr std::string_view kMetaPrefix = "job-";
 constexpr std::string_view kMetaSuffix = ".json";
 
 byte_vector read_file_bytes(const std::filesystem::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw parse_error("spool: cannot open " + path.string());
-    }
-    byte_vector bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    if (in.bad()) {
+    std::optional<byte_vector> bytes = util::read_file(path);
+    if (!bytes.has_value()) {
         throw parse_error("spool: cannot read " + path.string());
     }
-    return bytes;
+    return std::move(*bytes);
 }
 
 std::string meta_json(const spool_entry& entry) {

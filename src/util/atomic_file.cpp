@@ -1,8 +1,10 @@
 #include "util/atomic_file.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 
 #include "util/check.hpp"
 
@@ -10,8 +12,6 @@
 #define FTC_ATOMIC_FILE_POSIX 1
 #include <fcntl.h>
 #include <unistd.h>
-#else
-#include <fstream>
 #endif
 
 namespace ftc::util {
@@ -142,6 +142,31 @@ void atomic_write_file(const std::filesystem::path& path, byte_view bytes) {
         raise_io("rename into", path, err);
     }
 #endif
+}
+
+std::optional<byte_vector> read_file(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        return std::nullopt;
+    }
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    byte_vector bytes(ec ? 0 : static_cast<std::size_t>(size));
+    std::size_t got = 0;
+    for (;;) {
+        in.read(reinterpret_cast<char*>(bytes.data() + got),
+                static_cast<std::streamsize>(bytes.size() - got));
+        got += static_cast<std::size_t>(in.gcount());
+        if (!in || in.peek() == std::ifstream::traits_type::eof()) {
+            break;
+        }
+        bytes.resize(got + std::max<std::size_t>(got, 1 << 16));
+    }
+    if (in.bad()) {
+        return std::nullopt;
+    }
+    bytes.resize(got);
+    return bytes;
 }
 
 void atomic_write_file(const std::filesystem::path& path, std::string_view text) {

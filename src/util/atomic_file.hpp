@@ -1,5 +1,6 @@
 /// \file atomic_file.hpp
-/// Crash-durable whole-file replacement: write-temp, fsync, rename.
+/// Crash-durable whole-file replacement: write-temp, fsync, rename; and its
+/// read side, one whole-file read.
 ///
 /// Every artifact a run leaves behind — checkpoints (ftc::ckpt), trace and
 /// metrics exports, run manifests, reports — must be either the complete
@@ -15,6 +16,7 @@
 #pragma once
 
 #include <filesystem>
+#include <optional>
 #include <string_view>
 
 #include "util/byteio.hpp"
@@ -29,5 +31,11 @@ void atomic_write_file(const std::filesystem::path& path, byte_view bytes);
 
 /// Text overload of atomic_write_file.
 void atomic_write_file(const std::filesystem::path& path, std::string_view text);
+
+/// The whole content of \p path: one read of the size the file system
+/// reports, then on to end of file (a pipe reports none, a file may have
+/// grown). nullopt when the file cannot be opened or a read fails; each
+/// caller maps that onto its own error or fallback.
+std::optional<byte_vector> read_file(const std::filesystem::path& path);
 
 }  // namespace ftc::util

@@ -1,9 +1,8 @@
 /// \file build_info.hpp
 /// Build provenance shared by every artifact that names its producer: the
 /// `ftclust version` subcommand, the run-manifest `version` field and the
-/// BENCH_*.json `meta` block all report the same values, so the
-/// bench-history tooling (tools/bench_compare) can align runs on the commit
-/// that produced them.
+/// BENCH_*.json `meta` block all report the same values, so any two of
+/// them can be traced to the commit that produced them.
 ///
 /// Values are burned in at CMake configure time (FTC_GIT_SHA /
 /// FTC_BUILD_TYPE / FTC_VERSION compile definitions on build_info.cpp

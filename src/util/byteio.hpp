@@ -6,6 +6,7 @@
 /// These helpers make every read/write site state its endianness explicitly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -18,6 +19,15 @@ namespace ftc {
 
 using byte_vector = std::vector<std::uint8_t>;
 using byte_view = std::span<const std::uint8_t>;
+
+/// byte_vector's own lexicographic order, for ordered containers keyed by
+/// bytes: GCC 12's -Wstringop-overread misreads the inlined three-way
+/// compare that byte_vector's operator< goes through in C++20.
+struct byte_less {
+    bool operator()(const byte_vector& a, const byte_vector& b) const {
+        return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+    }
+};
 
 // ---------------------------------------------------------------------------
 // Appending writers (grow a byte_vector)

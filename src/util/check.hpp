@@ -46,4 +46,15 @@ std::string message(const Parts&... parts) {
     return os.str();
 }
 
+/// ensures() with the message built from streamable parts only when
+/// \p condition fails, so a passing check in a per-element loop costs one
+/// compare: `ftc::ensures(off == cursor, "segment at ", off, ", expected ",
+/// cursor)`.
+template <typename First, typename Second, typename... Rest>
+void ensures(bool condition, const First& first, const Second& second, const Rest&... rest) {
+    if (!condition) {
+        ensures(false, message(first, second, rest...));
+    }
+}
+
 }  // namespace ftc

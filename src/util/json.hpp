@@ -1,13 +1,10 @@
 /// \file json.hpp
-/// Minimal JSON parser: the read side of the machine-readable artifacts
-/// this project emits (BENCH_*.json, run manifests, telemetry NDJSON).
-///
-/// obs::json_writer has always produced those files; until now nothing in
-/// the repo could read them back, so cross-run tooling (tools/bench_compare,
-/// the telemetry schema tests) shelled out to python. This parser closes
-/// the loop in-process: strict RFC 8259 subset — objects, arrays, strings
-/// with escapes (incl. \uXXXX for BMP code points), numbers as double,
-/// true/false/null — with one-line error messages carrying the byte offset.
+/// Minimal JSON parser: the read side of the JSON this project reads back
+/// in process — the serve spool's job metadata, and in tests the ledger
+/// and the telemetry NDJSON. Strict RFC 8259 subset — objects, arrays,
+/// strings with escapes (incl. \uXXXX for BMP code points), numbers as
+/// double, true/false/null — with one-line error messages carrying the
+/// byte offset.
 ///
 /// Numbers are stored as double. Every integer this project writes fits a
 /// double exactly (counters, byte totals < 2^53); a document needing more

@@ -15,6 +15,7 @@
 #include "core/pipeline.hpp"
 #include "dissim/sparse.hpp"
 #include "mem/mem.hpp"
+#include "obs/obs.hpp"
 #include "protocols/registry.hpp"
 #include "testing/corrupter.hpp"
 #include "util/check.hpp"
@@ -178,6 +179,25 @@ TEST_F(CkptResume, FullResumeIsBitwiseIdentical) {
     EXPECT_EQ(restored, (std::vector<std::string>{"segmentation", "clustering"}));
     EXPECT_TRUE(sink.empty());
     expect_identical(plain, resumed);
+}
+
+TEST_F(CkptResume, FullResumeExtractsNoKnnCurves) {
+    // A resume that restored the clustering runs no epsilon sweep, so it
+    // rebuilds the dense matrix for refinement without scanning it for the
+    // k-NN curves nothing would read.
+    const scenario s = make_scenario();
+    checkpointed_run(s, dir_);
+    const obs::scoped_recorder recorder;
+    diag::error_sink sink(diag::policy::lenient);
+    std::vector<std::string> restored;
+    resumed_run(s, dir_, sink, &restored);
+    ASSERT_EQ(restored, (std::vector<std::string>{"segmentation", "clustering"}));
+    std::vector<std::string> spans;
+    for (const obs::span_record& span : recorder.rec().trace().spans) {
+        spans.push_back(span.name);
+    }
+    EXPECT_NE(std::find(spans.begin(), spans.end(), "dissimilarity"), spans.end());
+    EXPECT_EQ(std::find(spans.begin(), spans.end(), "dissim.kth_nn_many"), spans.end());
 }
 
 TEST_F(CkptResume, ResumeIsIdenticalAcrossThreadCounts) {

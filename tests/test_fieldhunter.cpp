@@ -85,11 +85,13 @@ TEST(FieldHunter, FindsTransactionId) {
         fh_message req;
         req.flow = client_flow(4, static_cast<std::uint16_t>(12000 + i));
         req.is_request = true;
+        req.bytes.reserve(8);
         put_u32_be(req.bytes, txid);
         put_fill(req.bytes, 4, 0x11);
         fh_message resp;
         resp.flow = req.flow.reversed();
         resp.is_request = false;
+        resp.bytes.reserve(8);
         put_u32_be(resp.bytes, txid);
         put_fill(resp.bytes, 4, 0x22);
         messages.push_back(std::move(req));

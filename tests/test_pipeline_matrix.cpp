@@ -57,7 +57,7 @@ TEST_P(PipelineMatrix, InvariantsHoldEndToEnd) {
 
     // Unique values really are unique, >=2 bytes, and their occurrences
     // point at matching bytes.
-    std::set<byte_vector> seen;
+    std::set<byte_vector, byte_less> seen;
     for (std::size_t i = 0; i < result.unique.size(); ++i) {
         const byte_vector& value = result.unique.values[i];
         EXPECT_GE(value.size(), 2u);

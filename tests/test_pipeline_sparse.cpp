@@ -1,25 +1,19 @@
-// Integration tests of the engine choice through core::analyze_seeded and
-// the checkpoint manager. The pipeline builds the sparse engine at or above
-// dissim::kSparseAutoUniques unique segments and the dense matrix below; a
-// fresh run must render the same report bytes as a run seeded with the
-// other engine's substrate, at any thread count; and the neighbor lists a
-// memory-pressured run checkpoints must resume, without the pressure, into
-// the unpressured run's report.
+// Integration test of the engine choice through the checkpoint manager: the
+// neighbor lists a memory-pressured run checkpoints must resume, without the
+// pressure, into the unpressured run's report. That a fresh run renders the
+// same report as a run seeded with the other engine's substrate, at any
+// thread count, is a variant of every row of the ledger (test_ledger).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <numeric>
-#include <ostream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "ckpt/manager.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
-#include "dissim/sparse.hpp"
 #include "mem/mem.hpp"
-#include "obs/obs.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
 #include "util/diag.hpp"
@@ -41,20 +35,6 @@ struct scenario {
     segmentation::message_segments segments;
 };
 
-/// A generated capture segmented by NEMESYS, as `ftclust run` segments it.
-scenario nemesys_scenario(const char* protocol, std::size_t count, std::uint64_t seed) {
-    const protocols::trace t = protocols::generate_trace(protocol, count, seed);
-    scenario s{segmentation::message_bytes(t), {}};
-    s.segments = segmentation::make_segmenter("NEMESYS")->run(s.messages, deadline{});
-    return s;
-}
-
-double counter(const obs::scoped_recorder& recorder, const char* name) {
-    const obs::metrics_snapshot m = recorder.rec().metrics().snapshot();
-    const auto it = m.counters.find(name);
-    return it == m.counters.end() ? 0.0 : it->second;
-}
-
 std::string report(const core::pipeline_result& result) {
     return core::render_report(core::summarize_clusters(result));
 }
@@ -62,7 +42,7 @@ std::string report(const core::pipeline_result& result) {
 void expect_identical(const core::pipeline_result& a, const core::pipeline_result& b) {
     EXPECT_EQ(a.unique.values, b.unique.values);
     EXPECT_EQ(a.clustering.labels.labels, b.clustering.labels.labels);
-    // Exact double equality on purpose: the engines promise bitwise parity.
+    // Exact double equality on purpose: resume promises bitwise parity.
     EXPECT_EQ(a.clustering.config.epsilon, b.clustering.config.epsilon);
     EXPECT_EQ(a.clustering.config.min_samples, b.clustering.config.min_samples);
     EXPECT_EQ(a.clustering.config.selected_k, b.clustering.config.selected_k);
@@ -70,64 +50,6 @@ void expect_identical(const core::pipeline_result& a, const core::pipeline_resul
     EXPECT_EQ(a.final_labels.labels, b.final_labels.labels);
     EXPECT_EQ(a.final_labels.cluster_count, b.final_labels.cluster_count);
 }
-
-struct capture {
-    const char* protocol;
-    std::size_t count;
-    bool sparse;  ///< the engine a fresh run builds
-};
-
-void PrintTo(const capture& c, std::ostream* os) { *os << c.protocol << ' ' << c.count; }
-
-class PipelineEngines
-    : public ::testing::TestWithParam<std::tuple<capture, std::size_t>> {};
-
-TEST_P(PipelineEngines, FreshReportEqualsTheOtherEngineSeeded) {
-    const auto [c, threads] = GetParam();
-    const scenario s = nemesys_scenario(c.protocol, c.count, 17);
-    core::pipeline_options opt;
-    opt.threads = threads;
-
-    core::pipeline_result fresh;
-    {
-        const obs::scoped_recorder recorder;
-        fresh = core::analyze_segments(s.messages, s.segments, opt);
-        EXPECT_EQ(counter(recorder, "dissim.sparse.builds_total"), c.sparse ? 1.0 : 0.0);
-    }
-    ASSERT_EQ(fresh.unique.size() >= dissim::kSparseAutoUniques, c.sparse)
-        << fresh.unique.size() << " unique segments";
-
-    // The substrate of the engine the fresh run did not build, over the
-    // same unique values.
-    core::pipeline_seed seed;
-    seed.segments = s.segments;
-    seed.unique = dissim::condense(s.messages, s.segments, opt.min_segment_length);
-    if (c.sparse) {
-        seed.matrix.emplace(seed.unique->values, deadline{}, threads);
-    } else {
-        dissim::sparse_build_options sopts;
-        sopts.knn_cap = cluster::knn_k_max(seed.unique->size());
-        sopts.threads = threads;
-        seed.neighbors = dissim::sparse_neighborhood(seed.unique->values, sopts).capped();
-    }
-    const core::pipeline_result other =
-        core::analyze_seeded(s.messages, nullptr, std::move(seed), opt);
-    expect_identical(fresh, other);
-    EXPECT_EQ(report(fresh), report(other));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AboveAndBelowTheThreshold, PipelineEngines,
-    // On NTP 800 the first DBSCAN run prepares nearly every point, so the
-    // lanes of the sparse prepare carry almost all of the range work.
-    ::testing::Combine(::testing::Values(capture{"NTP", 800, true},
-                                         capture{"DHCP", 4000, false}),
-                       ::testing::Values(std::size_t{1}, std::size_t{4})),
-    [](const ::testing::TestParamInfo<std::tuple<capture, std::size_t>>& info) {
-        const capture& c = std::get<0>(info.param);
-        return std::string(c.protocol) + std::to_string(c.count) + "_t" +
-               std::to_string(std::get<1>(info.param));
-    });
 
 class PipelineSparseCkpt : public ::testing::Test {
 protected:

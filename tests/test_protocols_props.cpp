@@ -3,6 +3,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "protocols/au.hpp"
 #include "protocols/awdl.hpp"
@@ -282,6 +283,20 @@ TEST(Validation, DetectsGapsOverlapsAndShortCoverage) {
     EXPECT_THROW(validate_annotations(m), error);
     m.fields = {{0, 2, field_type::bytes, "a"}, {2, 0, field_type::bytes, "z"}};
     EXPECT_THROW(validate_annotations(m), error);  // zero length
+}
+
+TEST(Validation, NamesTheFieldAndTheOffset) {
+    annotated_message m;
+    m.bytes = {1, 2, 3, 4};
+    m.fields = {{0, 2, field_type::bytes, "a"}, {3, 1, field_type::bytes, "b"}};
+    try {
+        validate_annotations(m);
+        FAIL() << "a gap before field b passed validation";
+    } catch (const error& e) {
+        EXPECT_NE(std::string(e.what()).find("field 'b' at offset 3, expected 2"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ TEST_P(ProtocolRoundTrip, DissectorAgreesWithGenerator) {
 
 TEST_P(ProtocolRoundTrip, GeneratedMessagesAreUnique) {
     const trace t = generate_trace(protocol(), 60, seed());
-    std::set<byte_vector> seen;
+    std::set<byte_vector, byte_less> seen;
     for (const annotated_message& msg : t.messages) {
         EXPECT_TRUE(seen.insert(msg.bytes).second);
     }

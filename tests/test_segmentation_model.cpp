@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "protocols/registry.hpp"
+#include <string>
+
 #include "util/check.hpp"
 
 namespace ftc::segmentation {
@@ -37,6 +39,27 @@ TEST(SegmentModel, ValidateRejectsGap) {
     const std::vector<byte_vector> messages{{1, 2, 3, 4}};
     const message_segments segs{{{0, 0, 2}, {0, 3, 1}}};
     EXPECT_THROW(validate_segmentation(messages, segs), error);
+}
+
+TEST(SegmentModel, ValidateNamesTheMessageAndTheOffset) {
+    const std::vector<byte_vector> messages{{1, 2}, {1, 2, 3, 4}};
+    const message_segments segs{{{0, 0, 2}}, {{1, 0, 2}, {1, 3, 1}}};
+    try {
+        validate_segmentation(messages, segs);
+        FAIL() << "a gap in message 1 passed validation";
+    } catch (const error& e) {
+        EXPECT_NE(std::string(e.what()).find("message 1: segment at 3, expected 2"),
+                  std::string::npos)
+            << e.what();
+    }
+    try {
+        validate_segmentation(messages, {{{0, 0, 2}}, {{1, 0, 3}}});
+        FAIL() << "a short cover of message 1 passed validation";
+    } catch (const error& e) {
+        EXPECT_NE(std::string(e.what()).find("message 1: segments cover 3 of 4 bytes"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SegmentModel, ValidateRejectsOverlap) {

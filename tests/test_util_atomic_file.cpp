@@ -1,4 +1,5 @@
-// Unit tests for the atomic whole-file writer (util/atomic_file.hpp).
+// Unit tests for the atomic whole-file writer and the whole-file reader
+// (util/atomic_file.hpp).
 #include "util/atomic_file.hpp"
 
 #include <gtest/gtest.h>
@@ -81,6 +82,28 @@ TEST_F(AtomicFile, EmptyPayloadMakesEmptyFile) {
     atomic_write_file(target, std::string_view{""});
     EXPECT_TRUE(fs::exists(target));
     EXPECT_EQ(fs::file_size(target), 0u);
+}
+
+TEST_F(AtomicFile, ReadFileReturnsWhatWasWritten) {
+    // Empty, one byte, and sizes around the 64 KiB chunk a read beyond
+    // the reported size grows by.
+    for (const std::size_t size : {std::size_t{0}, std::size_t{1}, std::size_t{65535},
+                                   std::size_t{65536}, std::size_t{200000}}) {
+        byte_vector bytes(size);
+        for (std::size_t i = 0; i < size; ++i) {
+            bytes[i] = static_cast<std::uint8_t>(i * 31 + 7);
+        }
+        const fs::path target = dir_ / "round.bin";
+        atomic_write_file(target, byte_view{bytes});
+        const std::optional<byte_vector> back = read_file(target);
+        ASSERT_TRUE(back.has_value()) << size;
+        EXPECT_EQ(*back, bytes) << size;
+    }
+}
+
+TEST_F(AtomicFile, ReadFileOfMissingFileOrDirectoryIsNullopt) {
+    EXPECT_FALSE(read_file(dir_ / "missing.bin").has_value());
+    EXPECT_FALSE(read_file(dir_).has_value());
 }
 
 }  // namespace

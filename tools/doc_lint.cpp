@@ -6,11 +6,11 @@
 ///
 /// Checks, each symmetric where it can be:
 ///
-///   1. Every `--flag` string literal parsed by tools/ftclust_cli.cpp or
-///      tools/bench_compare.cpp appears in README.md, and every `--flag`
-///      token in README.md or DESIGN.md names a parsed flag (a short
-///      allowlist covers flags of foreign tools quoted in build
-///      instructions: ctest/cmake/google-benchmark).
+///   1. Every `--flag` string literal parsed by tools/ftclust_cli.cpp
+///      appears in README.md, and every `--flag` token in README.md or
+///      DESIGN.md names a parsed flag (a short allowlist covers flags of
+///      foreign tools quoted in build instructions:
+///      ctest/cmake/google-benchmark).
 ///   2. Every JSON key bench_common.hpp's bench_report emits (`key("...")`
 ///      literals) and every per-run extra any bench emits
 ///      (`extra("...")` literals in bench/*.cpp) appears in the
@@ -93,9 +93,8 @@ int main(int argc, char** argv) {
     }
     const fs::path root = argc == 2 ? fs::path(argv[1]) : fs::path(".");
 
-    std::string cli_src, compare_src, readme, design, experiments, bench_common;
+    std::string cli_src, readme, design, experiments, bench_common;
     if (!read_file(root / "tools/ftclust_cli.cpp", cli_src) ||
-        !read_file(root / "tools/bench_compare.cpp", compare_src) ||
         !read_file(root / "README.md", readme) ||
         !read_file(root / "DESIGN.md", design) ||
         !read_file(root / "EXPERIMENTS.md", experiments) ||
@@ -104,10 +103,7 @@ int main(int argc, char** argv) {
     }
 
     // --- Check 1: CLI flags vs README/DESIGN ---------------------------
-    std::set<std::string> parsed = parsed_flags(cli_src);
-    for (const std::string& f : parsed_flags(compare_src)) {
-        parsed.insert(f);
-    }
+    const std::set<std::string> parsed = parsed_flags(cli_src);
     const std::set<std::string> in_readme = documented_flags(readme);
     const std::set<std::string> in_design = documented_flags(design);
 

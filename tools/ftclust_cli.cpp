@@ -113,7 +113,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <initializer_list>
 #include <memory>
 #include <optional>
@@ -237,15 +236,11 @@ bool accepts(int argc, char** argv, int operands,
 /// Read a whole file into memory; the CLI digests the raw bytes for the
 /// run manifest before handing them to the pcap parser.
 byte_vector read_input_bytes(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::optional<byte_vector> bytes = util::read_file(path);
+    if (!bytes.has_value()) {
         throw ftc::error("cannot open " + path);
     }
-    byte_vector bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        throw ftc::error("cannot read " + path);
-    }
-    return bytes;
+    return std::move(*bytes);
 }
 
 /// All exporter outputs go through the atomic writer: a reader (or a
