@@ -38,6 +38,7 @@
 #include "dissim/sparse.hpp"
 #include "protocols/registry.hpp"
 #include "testing/corrupter.hpp"
+#include "testing/temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
             segmentation::segments_from_annotations(t);
         const core::pipeline_options options;
         const ckpt::options_fingerprint fp = ckpt::fingerprint(options, "true", 5);
-        const fs::path base_dir = fs::temp_directory_path() / "ftc_fuzz_ckpt_base";
+        const fs::path base_dir = testing::temp_path("ftc_fuzz_ckpt_base");
         fs::remove_all(base_dir);
         {
             ckpt::checkpoint_manager manager(base_dir, fp);
@@ -162,7 +163,7 @@ int main(int argc, char** argv) {
                                 ckpt::checkpoint_manager::kClusteringFile};
         const char* kStages[] = {"segmentation", "dissimilarity", "clustering"};
         constexpr std::size_t kFileKinds = std::size(kFiles);
-        const fs::path fuzz_dir = fs::temp_directory_path() / "ftc_fuzz_ckpt_load";
+        const fs::path fuzz_dir = testing::temp_path("ftc_fuzz_ckpt_load");
         byte_vector base[kFileKinds];
         for (std::size_t f = 0; f < kFileKinds; ++f) {
             std::ifstream in(base_dir / kFiles[f], std::ios::binary);

@@ -17,6 +17,7 @@
 #include "pcap/pcap.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
+#include "testing/temp_path.hpp"
 
 int main(int argc, char** argv) {
     using namespace ftc;
@@ -31,8 +32,7 @@ int main(int argc, char** argv) {
 
         // 2. Round-trip through a pcap file, exactly as an analyst would
         //    load recorded traffic.
-        const auto path =
-            std::filesystem::temp_directory_path() / ("ftclust_quickstart.pcap");
+        const auto path = testing::temp_path("ftclust_quickstart.pcap");
         pcap::write_file(path, protocols::trace_to_capture(trace));
         const pcap::capture capture = pcap::read_file(path);
         std::filesystem::remove(path);

@@ -87,8 +87,8 @@ cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_pa
     if (sp.enabled()) {
         sp.count("clusters", result.cluster_count);
         sp.count("noise", result.noise_count());
-        obs::counter_add("cluster.dbscan_runs_total", 1.0);
     }
+    obs::counter_add("cluster.dbscan_runs_total", 1.0);
     return result;
 }
 

@@ -100,7 +100,8 @@ void matrix_neighborhood::prepare_within(double epsilon, std::size_t threads) co
         }
         return total;
     };
-    const std::uint64_t retested = retest && sp.enabled() ? set_bits() : 0;
+    const bool observed = obs::current() != nullptr;
+    const std::uint64_t retested = retest && observed ? set_bits() : 0;
     prepared_ = false;  // until every row is marked
     // At least 64 rows a block: below that, starting a lane costs more
     // than marking the rows.
@@ -144,14 +145,16 @@ void matrix_neighborhood::prepare_within(double epsilon, std::size_t threads) co
     });
     prepared_ = true;
     prepared_epsilon_ = epsilon;
-    if (sp.enabled()) {
+    if (observed) {
         const std::uint64_t cells = retest ? 0 : static_cast<std::uint64_t>(n) * n;
-        sp.count("cells_scanned", cells);
-        sp.count("bits_retested", retested);
-        // Unordered pairs i < j; every diagonal bit is set at epsilon >= 0.
-        sp.count("pairs_within", (set_bits() - (epsilon >= 0.0 ? n : 0)) / 2);
         obs::counter_add("dissim.matrix.cells_scanned_total", static_cast<double>(cells));
         obs::counter_add("dissim.matrix.bits_retested_total", static_cast<double>(retested));
+        if (sp.enabled()) {
+            sp.count("cells_scanned", cells);
+            sp.count("bits_retested", retested);
+            // Unordered pairs i < j; every diagonal bit is set at epsilon >= 0.
+            sp.count("pairs_within", (set_bits() - (epsilon >= 0.0 ? n : 0)) / 2);
+        }
     }
 }
 

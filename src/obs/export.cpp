@@ -281,10 +281,10 @@ help_registry& helps() {
             {"serve.queue_depth", "Jobs waiting in the admission queue"},
             {"serve.active_sessions", "Sessions currently running"},
             {"telemetry.write_errors", "Telemetry NDJSON lines the output stream refused"},
-            {"threadpool.block_seconds", "Seconds parallel_for blocks waited for a lane"},
-            {"threadpool.busy_seconds", "Cumulative worker busy time"},
-            {"threadpool.jobs_total", "Blocked ranges executed by the pool"},
-            {"threadpool.queue_depth", "Pending blocked ranges in the pool queue"},
+            {"threadpool.block_seconds", "Seconds each parallel_for block took to run"},
+            {"threadpool.busy_seconds", "Seconds parallel_for lanes spent running blocks"},
+            {"threadpool.jobs_total", "parallel_for fan-outs over a non-empty range"},
+            {"threadpool.queue_depth", "Block count of the latest multi-lane parallel_for fan-out"},
         };
         for (const auto& [name, help] : seed) {
             reg.entries.emplace(name, help);

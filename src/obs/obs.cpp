@@ -16,22 +16,17 @@ std::atomic<recorder*> g_recorder{nullptr};
 
 namespace {
 
-/// Monotonically increasing id shared by registries and recorders. An
-/// instance's epoch keys the thread-local caches below: a cached shard or
-/// trace buffer is only reused while its epoch matches the instance asking,
-/// so a pointer into a destroyed instance can never be dereferenced (epochs
-/// are never reissued).
+/// Monotonically increasing recorder id. A recorder's epoch keys the
+/// thread-local trace cache below: a cached trace buffer is only reused
+/// while its epoch matches the recorder asking, so a pointer into a
+/// destroyed recorder can never be dereferenced (epochs are never
+/// reissued).
 std::atomic<std::uint64_t> g_epoch{1};
 
-struct tl_metrics_cache {
-    std::uint64_t epoch = 0;
-    void* shard = nullptr;
-};
 struct tl_trace_cache {
     std::uint64_t epoch = 0;
     void* buffer = nullptr;
 };
-thread_local tl_metrics_cache t_metrics;
 thread_local tl_trace_cache t_trace;
 
 std::uint64_t steady_now_ns() {
@@ -62,26 +57,11 @@ std::size_t bucket_index(double seconds) {
 
 }  // namespace
 
-registry::registry() : epoch_(g_epoch.fetch_add(1, std::memory_order_relaxed)) {}
-
-registry::~registry() = default;
-
-registry::shard& registry::local_shard() {
-    if (t_metrics.epoch != epoch_) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        shards_.push_back(std::make_unique<shard>());
-        t_metrics.epoch = epoch_;
-        t_metrics.shard = shards_.back().get();
-    }
-    return *static_cast<shard*>(t_metrics.shard);
-}
-
 void registry::add(std::string_view name, double delta) {
-    shard& s = local_shard();
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    auto it = s.counters.find(name);
-    if (it == s.counters.end()) {
-        it = s.counters.emplace(std::string{name}, 0.0).first;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = counters_.find(name);
+    if (it == counters_.end()) {
+        it = counters_.emplace(std::string{name}, 0.0).first;
     }
     it->second += delta;
 }
@@ -97,43 +77,30 @@ void registry::set(std::string_view name, double value) {
 }
 
 void registry::observe(std::string_view name, double seconds) {
-    shard& s = local_shard();
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    auto it = s.histograms.find(name);
-    if (it == s.histograms.end()) {
-        it = s.histograms.emplace(std::string{name}, histogram_cell{}).first;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = histograms_.find(name);
+    if (it == histograms_.end()) {
+        it = histograms_.emplace(std::string{name}, histogram_snapshot{}).first;
     }
-    histogram_cell& cell = it->second;
-    ++cell.buckets[bucket_index(seconds)];
-    cell.sum += seconds;
-    ++cell.count;
+    histogram_snapshot& h = it->second;
+    ++h.buckets[bucket_index(seconds)];
+    h.sum += seconds;
+    ++h.count;
 }
 
 metrics_snapshot registry::snapshot() const {
     metrics_snapshot out;
     const std::lock_guard<std::mutex> lock(mutex_);
+    out.counters.insert(counters_.begin(), counters_.end());
     out.gauges.insert(gauges_.begin(), gauges_.end());
-    // Fold shards in creation order; the output maps are name-ordered, so
-    // the merged view is identical no matter which thread asks.
-    for (const std::unique_ptr<shard>& s : shards_) {
-        const std::lock_guard<std::mutex> shard_lock(s->mutex);
-        for (const auto& [name, value] : s->counters) {
-            out.counters[name] += value;
-        }
-        for (const auto& [name, cell] : s->histograms) {
-            histogram_snapshot& h = out.histograms[name];
-            for (std::size_t b = 0; b < kHistogramBucketCount; ++b) {
-                h.buckets[b] += cell.buckets[b];
-            }
-            h.sum += cell.sum;
-            h.count += cell.count;
-        }
-    }
+    out.histograms.insert(histograms_.begin(), histograms_.end());
     return out;
 }
 
-recorder::recorder()
-    : epoch_(g_epoch.fetch_add(1, std::memory_order_relaxed)), start_ns_(steady_now_ns()) {}
+recorder::recorder(spans kept)
+    : epoch_(g_epoch.fetch_add(1, std::memory_order_relaxed)),
+      keep_spans_(kept == spans::keep),
+      start_ns_(steady_now_ns()) {}
 
 recorder::~recorder() = default;
 
@@ -196,7 +163,7 @@ void span::end() noexcept {
     buf_->spans.push_back(std::move(record));
 }
 
-scoped_recorder::scoped_recorder() {
+scoped_recorder::scoped_recorder(spans kept) : rec_(kept) {
     previous_ = detail::g_recorder.exchange(&rec_, std::memory_order_acq_rel);
 }
 

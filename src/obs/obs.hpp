@@ -7,11 +7,9 @@
 /// "fails" are runtime blowups). ftc::obs makes every pipeline stage
 /// measurable without changing any result:
 ///
-///  - ftc::obs::registry — lock-cheap counters, gauges and fixed-bucket
-///    histograms. Writers hit a thread-local shard (one per participating
-///    thread, including util::thread_pool workers); snapshot() merges the
-///    shards deterministically (shards in creation order, metrics sorted by
-///    name).
+///  - ftc::obs::registry — counters, gauges and fixed-bucket histograms in
+///    one set of name-sorted maps under one mutex: one entry per metric
+///    name, however many threads ever wrote to it.
 ///  - ftc::obs::span — RAII stage/sub-stage spans carrying wall time,
 ///    per-thread CPU time, nesting depth and named counts (segments, pairs,
 ///    clusters). Per-thread ordering is preserved; exporters (obs/export.hpp)
@@ -20,7 +18,9 @@
 ///  - ftc::obs::recorder + scoped_recorder — the active sink. Instrumentation
 ///    is *passive*: when no recorder is installed every hook reduces to one
 ///    atomic pointer load and a branch, and clustering output is bitwise
-///    identical with or without one (tests/test_obs_determinism.cpp).
+///    identical with or without one (tests/test_obs_determinism.cpp). A
+///    recorder built with spans::drop keeps the metrics but no spans: a
+///    span under it costs what it costs with no recorder installed.
 #pragma once
 
 #include <array>
@@ -63,24 +63,17 @@ struct histogram_snapshot {
     std::uint64_t count = 0;
 };
 
-/// Deterministically merged view of a registry: every map is ordered by
-/// metric name, shard contributions are folded in shard-creation order.
+/// Copy of a registry: every map is ordered by metric name.
 struct metrics_snapshot {
     std::map<std::string, double> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, histogram_snapshot> histograms;
 };
 
-/// Lock-cheap metrics registry with one shard per writing thread.
-///
-/// add()/observe() touch only the calling thread's shard; the shard mutex
-/// is uncontended except while snapshot() briefly folds it. set() (gauges)
-/// goes through the registry mutex — gauges are set rarely (queue depth at
-/// job submit, stage watermarks), never per work item.
+/// Metrics registry: one set of maps under one mutex.
 class registry {
 public:
-    registry();
-    ~registry();
+    registry() = default;
 
     registry(const registry&) = delete;
     registry& operator=(const registry&) = delete;
@@ -94,28 +87,14 @@ public:
     /// Record one observation of \p seconds into histogram \p name.
     void observe(std::string_view name, double seconds);
 
-    /// Merge every shard into one deterministic snapshot.
+    /// Copy every metric into one name-ordered snapshot.
     metrics_snapshot snapshot() const;
 
 private:
-    struct histogram_cell {
-        std::array<std::uint64_t, kHistogramBucketCount> buckets{};
-        double sum = 0.0;
-        std::uint64_t count = 0;
-    };
-    struct shard {
-        mutable std::mutex mutex;
-        std::map<std::string, double, std::less<>> counters;
-        std::map<std::string, histogram_cell, std::less<>> histograms;
-    };
-
-    /// The calling thread's shard, created and cached on first use.
-    shard& local_shard();
-
-    const std::uint64_t epoch_;  ///< unique per instance; keys the TLS cache
     mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<shard>> shards_;
+    std::map<std::string, double, std::less<>> counters_;
     std::map<std::string, double, std::less<>> gauges_;
+    std::map<std::string, histogram_snapshot, std::less<>> histograms_;
 };
 
 /// One named count attached to a span ("segments", "pairs", "clusters").
@@ -141,10 +120,16 @@ struct trace_snapshot {
     std::vector<span_record> spans;
 };
 
+/// What a recorder keeps of the spans opened under it.
+enum class spans {
+    keep,  ///< record every span (trace and manifest outputs read them)
+    drop,  ///< record none; metrics only (a long-lived daemon)
+};
+
 /// The active observability sink: one registry plus the span tracer.
 class recorder {
 public:
-    recorder();
+    explicit recorder(spans kept = spans::keep);
     ~recorder();
 
     recorder(const recorder&) = delete;
@@ -171,14 +156,16 @@ private:
     thread_trace& local_trace();
 
     const std::uint64_t epoch_;
+    const bool keep_spans_;
     const std::uint64_t start_ns_;  ///< steady-clock origin
     registry metrics_;
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<thread_trace>> threads_;
 };
 
-/// RAII span. Constructing against a null recorder (observability off) is
-/// a pointer check; nothing else happens, including on destruction.
+/// RAII span. Constructing against a null recorder (observability off), or
+/// one that drops spans, is a pointer check and a branch; nothing else
+/// happens, including on destruction.
 ///
 /// \p name must outlive the span (string literals in practice). Spans nest
 /// per thread and must be closed before the scoped_recorder that owns the
@@ -186,8 +173,10 @@ private:
 class span {
 public:
     explicit span(const char* name) noexcept : rec_(current()) {
-        if (rec_ != nullptr) {
+        if (rec_ != nullptr && rec_->keep_spans_) {
             begin(name);
+        } else {
+            rec_ = nullptr;
         }
     }
 
@@ -200,9 +189,10 @@ public:
         }
     }
 
-    /// True when a recorder is active. Callers computing a non-trivial
-    /// count (anything beyond reading a size) must gate on this so the
-    /// disabled path stays free.
+    /// True when this span is recorded. Callers computing a non-trivial
+    /// span count (anything beyond reading a size) must gate on this so the
+    /// disabled path stays free; a metric gates on obs::current() instead,
+    /// since a recorder that drops spans still counts.
     bool enabled() const noexcept { return rec_ != nullptr; }
 
     /// Attach a named count ("segments", "pairs", ...) exported with the
@@ -229,7 +219,7 @@ private:
 /// restores the previously installed recorder (usually none) on exit.
 class scoped_recorder {
 public:
-    scoped_recorder();
+    explicit scoped_recorder(spans kept = spans::keep);
     ~scoped_recorder();
 
     scoped_recorder(const scoped_recorder&) = delete;

@@ -280,10 +280,8 @@ std::vector<datagram> extract_datagrams(const capture& cap, const extract_option
                                  static_cast<int>(ip.protocol))});
         }
     }
-    if (sp.enabled()) {
-        sp.count("datagrams", out.size());
-        obs::counter_add("pcap.datagrams_total", static_cast<double>(out.size()));
-    }
+    sp.count("datagrams", out.size());
+    obs::counter_add("pcap.datagrams_total", static_cast<double>(out.size()));
     return out;
 }
 

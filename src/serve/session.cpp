@@ -80,7 +80,7 @@ void session_manager::start() {
     started_ = true;
     workers_.reserve(options_.sessions);
     for (std::size_t i = 0; i < options_.sessions; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
+        workers_.emplace_back([this] { serve_queue(); });
     }
 }
 
@@ -205,7 +205,7 @@ std::size_t session_manager::session_memory_cap(int pressure) const {
     return cap;
 }
 
-void session_manager::worker_loop() {
+void session_manager::serve_queue() {
     for (;;) {
         pending_job job;
         {
@@ -250,7 +250,6 @@ void session_manager::run_session(const pending_job& job) {
         obs::counter_add("serve.sessions_degraded_total", 1.0);
     }
 
-    const obs::span session_span("serve.session");
     diag::error_sink sink(options_.lenient ? diag::policy::lenient
                                            : diag::policy::strict);
     try {

@@ -134,7 +134,7 @@ private:
         bool recovered = false;
     };
 
-    void worker_loop();
+    void serve_queue();
     void run_session(const pending_job& job);
     void set_status(const job_status& status);
     std::size_t session_memory_cap(int pressure) const;

@@ -1,7 +1,12 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "obs/obs.hpp"
 
@@ -20,161 +25,83 @@ std::size_t resolve_threads(std::size_t threads) {
     return threads == 0 ? hardware_threads() : std::min(threads, max_threads());
 }
 
-thread_pool::thread_pool(std::size_t threads) {
-    const std::size_t lanes = resolve_threads(threads);
-    workers_.reserve(lanes - 1);
-    for (std::size_t i = 0; i + 1 < lanes; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
-    }
-}
-
-thread_pool::~thread_pool() {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread& worker : workers_) {
-        worker.join();
-    }
-}
-
-void thread_pool::run_blocks(job& j) {
-    // One pointer load per fan-out lane; when observability is off the
-    // per-block clock reads below are skipped entirely.
-    obs::recorder* const rec = obs::current();
-    using obs_clock = std::chrono::steady_clock;
-    double busy_seconds = 0.0;
-    for (;;) {
-        if (j.failed.load(std::memory_order_relaxed)) {
-            break;
-        }
-        const std::size_t block = j.next_block.fetch_add(1, std::memory_order_relaxed);
-        const std::size_t begin = block * j.grain;
-        if (begin >= j.count) {
-            break;
-        }
-        const std::size_t end = std::min(begin + j.grain, j.count);
-        const obs_clock::time_point t0 = rec != nullptr ? obs_clock::now()
-                                                        : obs_clock::time_point{};
-        try {
-            (*j.body)(begin, end);
-        } catch (...) {
-            const std::lock_guard<std::mutex> lock(j.error_mutex);
-            if (!j.error) {
-                j.error = std::current_exception();
-            }
-            j.failed.store(true, std::memory_order_relaxed);
-        }
-        if (rec != nullptr) {
-            const double dt = std::chrono::duration<double>(obs_clock::now() - t0).count();
-            busy_seconds += dt;
-            rec->metrics().observe("threadpool.block_seconds", dt);
-        }
-    }
-    if (rec != nullptr && busy_seconds > 0.0) {
-        rec->metrics().add("threadpool.busy_seconds", busy_seconds);
-    }
-}
-
-void thread_pool::worker_loop() {
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) {
-            return;
-        }
-        seen = generation_;
-        --pending_;
-        ++busy_;
-        job* current = job_;
-        lock.unlock();
-        run_blocks(*current);
-        lock.lock();
-        --busy_;
-        if (pending_ == 0 && busy_ == 0) {
-            done_.notify_all();
-        }
-    }
-}
-
-void thread_pool::parallel_for(std::size_t count, std::size_t grain,
-                               const std::function<void(std::size_t, std::size_t)>& body) {
+void parallel_for(std::size_t count, std::size_t grain, std::size_t threads,
+                  const std::function<void(std::size_t, std::size_t)>& body) {
     if (count == 0) {
         return;
     }
-    job j;
-    j.count = count;
-    j.grain = std::max<std::size_t>(grain, 1);
-    j.body = &body;
-
-    if (obs::recorder* rec = obs::current()) {
-        rec->metrics().add("threadpool.jobs_total", 1.0);
-        // Blocks still waiting for a lane when the job is handed out: the
-        // queue-depth watermark of this fan-out.
-        rec->metrics().set("threadpool.queue_depth",
-                           static_cast<double>((count + j.grain - 1) / j.grain));
-    }
-
-    // A single block (or no workers) needs no fan-out: run on the calling
-    // thread — this is the exact legacy serial path.
-    if (workers_.empty() || j.grain >= count) {
-        run_blocks(j);
-    } else {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            job_ = &j;
-            ++generation_;
-            pending_ = workers_.size();
-        }
-        wake_.notify_all();
-        run_blocks(j);
-        // Wait until every worker has both joined and finished this job; a
-        // worker that never got a block still syncs here, so `j` cannot
-        // dangle once we return.
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [&] { return pending_ == 0 && busy_ == 0; });
-        job_ = nullptr;
-    }
-    if (j.error) {
-        std::rethrow_exception(j.error);
-    }
-}
-
-void parallel_for(std::size_t count, std::size_t grain, std::size_t threads,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
-    const std::size_t lanes = resolve_threads(threads);
     grain = std::max<std::size_t>(grain, 1);
-    if (lanes <= 1 || grain >= count) {
-        // Serial path without any pool machinery: blocks in order on the
-        // calling thread, exceptions propagate naturally.
-        obs::recorder* const rec = obs::current();
-        using obs_clock = std::chrono::steady_clock;
-        if (rec != nullptr && count > 0) {
-            rec->metrics().add("threadpool.jobs_total", 1.0);
+    const std::size_t blocks = (count - 1) / grain + 1;
+    // No point starting more lanes than there are blocks to hand out.
+    const std::size_t lanes = std::min(resolve_threads(threads), blocks);
+
+    // One pointer load per fan-out; when observability is off the
+    // per-block clock reads below are skipped entirely.
+    obs::recorder* const rec = obs::current();
+    if (rec != nullptr) {
+        rec->metrics().add("threadpool.jobs_total", 1.0);
+        if (lanes > 1) {
+            rec->metrics().set("threadpool.queue_depth", static_cast<double>(blocks));
         }
-        double busy_seconds = 0.0;
-        for (std::size_t begin = 0; begin < count; begin += grain) {
-            const obs_clock::time_point t0 = rec != nullptr ? obs_clock::now()
-                                                            : obs_clock::time_point{};
-            body(begin, std::min(begin + grain, count));
-            if (rec != nullptr) {
-                const double dt =
-                    std::chrono::duration<double>(obs_clock::now() - t0).count();
-                busy_seconds += dt;
-                rec->metrics().observe("threadpool.block_seconds", dt);
-            }
-        }
-        if (rec != nullptr && busy_seconds > 0.0) {
-            rec->metrics().add("threadpool.busy_seconds", busy_seconds);
-        }
-        return;
     }
-    // No point spawning more lanes than there are blocks to hand out.
-    const std::size_t blocks = (count + grain - 1) / grain;
-    thread_pool pool(std::min(lanes, blocks));
-    pool.parallel_for(count, grain, body);
+
+    std::atomic<std::size_t> next_block{0};
+    std::atomic<bool> failed{false};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    // Claim blocks until none is left or a lane failed. Nothing escapes a
+    // lane: the first exception, the body's or the recorder's, is kept for
+    // the calling thread to rethrow after every lane joined.
+    const auto run_lane = [&] {
+        using obs_clock = std::chrono::steady_clock;
+        double busy_seconds = 0.0;
+        try {
+            while (!failed.load(std::memory_order_relaxed)) {
+                const std::size_t block = next_block.fetch_add(1, std::memory_order_relaxed);
+                if (block >= blocks) {
+                    break;
+                }
+                const std::size_t begin = block * grain;
+                const obs_clock::time_point t0 = rec != nullptr ? obs_clock::now()
+                                                                : obs_clock::time_point{};
+                body(begin, begin + std::min(grain, count - begin));
+                if (rec != nullptr) {
+                    const double dt =
+                        std::chrono::duration<double>(obs_clock::now() - t0).count();
+                    busy_seconds += dt;
+                    rec->metrics().observe("threadpool.block_seconds", dt);
+                }
+            }
+            if (rec != nullptr && busy_seconds > 0.0) {
+                rec->metrics().add("threadpool.busy_seconds", busy_seconds);
+            }
+        } catch (...) {
+            const std::lock_guard<std::mutex> lock(error_mutex);
+            if (!error) {
+                error = std::current_exception();
+            }
+            failed.store(true, std::memory_order_relaxed);
+        }
+    };
+
+    std::vector<std::thread> started;
+    started.reserve(lanes - 1);
+    try {
+        while (started.size() + 1 < lanes) {
+            started.emplace_back(run_lane);
+        }
+    } catch (const std::exception&) {
+        // std::system_error when the system has no thread to spare,
+        // std::bad_alloc when it has no memory for one: the lanes already
+        // running and the calling thread finish the range.
+    }
+    run_lane();
+    for (std::thread& lane : started) {
+        lane.join();
+    }
+    if (error) {
+        std::rethrow_exception(error);
+    }
 }
 
 }  // namespace ftc::util

@@ -17,6 +17,7 @@
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "protocols/registry.hpp"
+#include "testing/temp_path.hpp"
 #include "util/budget.hpp"
 #include "util/check.hpp"
 #include "util/interrupt.hpp"
@@ -61,7 +62,7 @@ std::uint64_t report_number(const std::string& report, const std::string& key) {
 
 TEST(CkptInterrupt, DeadlineMidMatrixParallelReportsConsistentProgress) {
     const scenario s = make_scenario();
-    const fs::path dir = fs::temp_directory_path() / "ftc_ckpt_interrupt_deadline";
+    const fs::path dir = testing::temp_path("ftc_ckpt_interrupt_deadline");
     fs::remove_all(dir);
 
     obs::scoped_recorder recorder;
@@ -118,7 +119,7 @@ TEST(CkptInterrupt, DeadlineMidMatrixParallelReportsConsistentProgress) {
 
 TEST(CkptInterrupt, StopRequestRaisesInterruptedErrorAndResumeCompletes) {
     const scenario s = make_scenario();
-    const fs::path dir = fs::temp_directory_path() / "ftc_ckpt_interrupt_stop";
+    const fs::path dir = testing::temp_path("ftc_ckpt_interrupt_stop");
     fs::remove_all(dir);
 
     const core::pipeline_result plain = core::analyze_segments(s.messages, s.segments, {});
@@ -224,7 +225,7 @@ private:
 
 TEST(CkptInterrupt, SigtermAfterSnapshotLandsLeavesNoTornFiles) {
     const scenario s = make_pressured_scenario();
-    const fs::path dir = fs::temp_directory_path() / "ftc_ckpt_interrupt_sigterm_snapshot";
+    const fs::path dir = testing::temp_path("ftc_ckpt_interrupt_sigterm_snapshot");
     fs::remove_all(dir);
 
     // Baseline: peak (to size the pressure) and the reference labels.

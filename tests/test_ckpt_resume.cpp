@@ -18,6 +18,7 @@
 #include "obs/obs.hpp"
 #include "protocols/registry.hpp"
 #include "testing/corrupter.hpp"
+#include "testing/temp_path.hpp"
 #include "util/check.hpp"
 #include "util/diag.hpp"
 
@@ -121,7 +122,7 @@ void expect_identical(const core::pipeline_result& a, const core::pipeline_resul
 class CkptResume : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::temp_directory_path() / "ftc_ckpt_resume_test";
+        dir_ = testing::temp_path("ftc_ckpt_resume_test");
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }

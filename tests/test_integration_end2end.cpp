@@ -12,6 +12,7 @@
 #include "pcap/pcap.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
+#include "testing/temp_path.hpp"
 #include "util/check.hpp"
 
 namespace ftc {
@@ -25,8 +26,7 @@ TEST_P(EndToEnd, FullLoopThroughPcapFile) {
     const protocols::trace original = protocols::generate_trace(proto, n, 2026);
 
     // Write the capture to a real file and read it back.
-    const auto path = std::filesystem::temp_directory_path() /
-                      ("ftclust_e2e_" + proto + ".pcap");
+    const auto path = testing::temp_path("ftclust_e2e_" + proto + ".pcap");
     pcap::write_file(path, protocols::trace_to_capture(original));
     const pcap::capture loaded = pcap::read_file(path);
     std::filesystem::remove(path);
@@ -90,7 +90,7 @@ TEST(Integration, ClusteringCoverageBeatsFieldHunter) {
 }
 
 TEST(Integration, CorruptPcapFileRejected) {
-    const auto path = std::filesystem::temp_directory_path() / "ftclust_corrupt.pcap";
+    const auto path = testing::temp_path("ftclust_corrupt.pcap");
     {
         std::ofstream out(path, std::ios::binary);
         out << "this is not a pcap file at all";

@@ -26,7 +26,6 @@
 // copying that file over tests/ledger.json, so review sees every moved
 // number.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cctype>
 #include <cinttypes>
@@ -54,6 +53,7 @@
 #include "segmentation/segment.hpp"
 #include "serve/session.hpp"
 #include "serve/spool.hpp"
+#include "testing/temp_path.hpp"
 #include "util/atomic_file.hpp"
 #include "util/diag.hpp"
 #include "util/json.hpp"
@@ -598,8 +598,7 @@ public:
 protected:
     void SetUp() override {
         // Per process: two builds' suites may run at once.
-        work_dir_ = fs::temp_directory_path() /
-                   ("ftc_test_ledger_" + std::to_string(::getpid()));
+        work_dir_ = testing::temp_path("ftc_test_ledger");
         fs::remove_all(work_dir_);
     }
     void TearDown() override {

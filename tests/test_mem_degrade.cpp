@@ -19,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
+#include "testing/temp_path.hpp"
 #include "util/check.hpp"
 #include "util/diag.hpp"
 #include "util/rng.hpp"
@@ -252,7 +253,7 @@ TEST(MemDegrade, ImpossibleBudgetFailsWithTypedPartialProgress) {
 
 TEST(MemDegrade, PressuredCheckpointResumesFromNeighborLists) {
     const scenario s = make_unique_scenario();
-    const fs::path dir = fs::temp_directory_path() / "ftc_test_mem_degrade_neighbors";
+    const fs::path dir = testing::temp_path("ftc_test_mem_degrade_neighbors");
     fs::remove_all(dir);
     const labels_snapshot baseline = snapshot_run(s);
 
@@ -290,7 +291,7 @@ TEST(MemDegrade, SnapshotThatWouldNotFitIsSkippedNotFatal) {
     scenario s;
     s.messages = segmentation::message_bytes(t);
     s.segments = segmentation::make_segmenter("NEMESYS")->run(s.messages, deadline{});
-    const fs::path dir = fs::temp_directory_path() / "ftc_test_mem_degrade_skip_save";
+    const fs::path dir = testing::temp_path("ftc_test_mem_degrade_skip_save");
     fs::remove_all(dir);
     const labels_snapshot baseline = snapshot_run(s);
 

@@ -15,6 +15,7 @@
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
 #include "testing/alloc_fault.hpp"
+#include "testing/temp_path.hpp"
 #include "util/check.hpp"
 #include "util/diag.hpp"
 
@@ -117,7 +118,7 @@ TEST(AllocFaults, HardCeilingUnwindsCleanly) {
 
 TEST(AllocFaults, CheckpointFilesNeverTorn) {
     const scenario s = make_scenario();
-    const fs::path dir = fs::temp_directory_path() / "ftc_test_mem_faults_ckpt";
+    const fs::path dir = testing::temp_path("ftc_test_mem_faults_ckpt");
     const ckpt::options_fingerprint fp = ckpt::fingerprint({}, "true", 7);
 
     // Crash the checkpointed run at a spread of allocation ordinals; after

@@ -3,10 +3,13 @@
 // threads=1 (legacy serial path) and threads=0 (all hardware lanes).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "obs/obs.hpp"
+#include "pcap/decap.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
 
@@ -58,6 +61,28 @@ TEST(ObsDeterminism, SerialAndParallelAgreeWithRecorder) {
     // recorder installed: instrumentation happens outside the math.
     obs::scoped_recorder recorder;
     expect_identical(run_pipeline(1), run_pipeline(0));
+}
+
+TEST(ObsDeterminism, SpanlessRecorderCountsWhatAFullOneCounts) {
+    // The daemon's recorder drops spans, and every counter a stage
+    // publishes must still reach it: apart from the one time-valued
+    // counter, both recorders end with the same counters.
+    const auto counters = [](obs::spans kept) {
+        const obs::scoped_recorder recorder(kept);
+        (void)pcap::extract_datagrams(
+            protocols::trace_to_capture(protocols::generate_trace("DNS", 120, 7)));
+        (void)run_pipeline(2);
+        EXPECT_EQ(recorder.rec().trace().spans.empty(), kept == obs::spans::drop);
+        std::map<std::string, double> out = recorder.rec().metrics().snapshot().counters;
+        out.erase("threadpool.busy_seconds");
+        return out;
+    };
+    const std::map<std::string, double> full = counters(obs::spans::keep);
+    for (const char* name : {"cluster.dbscan_runs_total", "dissim.matrix.cells_scanned_total",
+                             "pcap.datagrams_total"}) {
+        EXPECT_EQ(full.count(name), 1u) << name;
+    }
+    EXPECT_EQ(counters(obs::spans::drop), full);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the ftc::obs metrics registry (obs/obs.hpp): exact sums
-// under concurrent sharded writes, deterministic merge order, gauge
-// last-write-wins, histogram bucketing and the disabled-path contract.
+// under concurrent writes, name-ordered snapshots, gauge last-write-wins,
+// histogram bucketing, the disabled-path contract and a recorder that
+// drops spans.
 #include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
@@ -27,8 +28,8 @@ TEST(ObsRegistry, CounterAddAccumulates) {
 }
 
 TEST(ObsRegistry, ConcurrentIncrementsSumExactly) {
-    // One shard per writer thread: integer-valued increments must merge to
-    // the exact total (doubles are exact for integers up to 2^53).
+    // Integer-valued increments from many threads must sum to the exact
+    // total (doubles are exact for integers up to 2^53).
     registry reg;
     constexpr int kThreads = 8;
     constexpr int kPerThread = 10000;
@@ -48,18 +49,21 @@ TEST(ObsRegistry, ConcurrentIncrementsSumExactly) {
                      static_cast<double>(kThreads) * kPerThread);
 }
 
-TEST(ObsRegistry, ThreadPoolWorkersWriteToOwnShards) {
-    // The instrumented fan-out path: pool workers each hit their own shard;
-    // the snapshot still sums exactly.
+TEST(ObsRegistry, ConcurrentLanesCountersSumExactly) {
+    // The instrumented fan-out path: every lane of parallel_for writes the
+    // same counters; the snapshot sums them exactly, and the fan-out is
+    // counted once.
     scoped_recorder recorder;
     constexpr std::size_t kCount = 4096;
-    util::parallel_for(kCount, 16, 0, [&recorder](std::size_t begin, std::size_t end) {
+    util::parallel_for(kCount, 16, 4, [&recorder](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
             recorder.rec().metrics().add("work_items", 1.0);
         }
     });
-    EXPECT_DOUBLE_EQ(recorder.rec().metrics().snapshot().counters.at("work_items"),
-                     static_cast<double>(kCount));
+    const metrics_snapshot snap = recorder.rec().metrics().snapshot();
+    EXPECT_DOUBLE_EQ(snap.counters.at("work_items"), static_cast<double>(kCount));
+    EXPECT_DOUBLE_EQ(snap.counters.at("threadpool.jobs_total"), 1.0);
+    EXPECT_EQ(snap.histograms.at("threadpool.block_seconds").count, kCount / 16);
 }
 
 TEST(ObsRegistry, SnapshotMergeIsDeterministic) {
@@ -132,6 +136,18 @@ TEST(ObsRegistry, HooksAreNoOpsWithoutRecorder) {
     EXPECT_FALSE(sp.enabled());
 }
 
+TEST(ObsRegistry, SpanlessRecorderCountsButKeepsNoSpans) {
+    scoped_recorder recorder(spans::drop);
+    {
+        span sp("dropped");
+        sp.count("ignored", 42);
+        EXPECT_FALSE(sp.enabled());
+        counter_add("seen", 1.0);
+    }
+    EXPECT_TRUE(recorder.rec().trace().spans.empty());
+    EXPECT_DOUBLE_EQ(recorder.rec().metrics().snapshot().counters.at("seen"), 1.0);
+}
+
 TEST(ObsRegistry, ScopedRecorderInstallsAndRestores) {
     ASSERT_EQ(current(), nullptr);
     {
@@ -173,8 +189,7 @@ TEST(ObsRegistry, MatrixPrepareCountersHaveRegisteredHelp) {
 }
 
 TEST(ObsRegistry, SequentialRecordersDoNotLeakState) {
-    // TLS shard caches are epoch-keyed: a second recorder on the same
-    // thread must start from zero, not inherit the first one's shard.
+    // A second recorder on the same thread starts from zero.
     for (int round = 0; round < 2; ++round) {
         scoped_recorder recorder;
         recorder.rec().metrics().add("round", 1.0);

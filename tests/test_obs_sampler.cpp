@@ -11,15 +11,12 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "core/pipeline.hpp"
 #include "obs/progress.hpp"
 #include "obs/sampler.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
+#include "testing/temp_path.hpp"
 #include "util/error.hpp"
 #include "util/interrupt.hpp"
 #include "util/json.hpp"
@@ -45,10 +42,7 @@ void expect_identical(const core::pipeline_result& a, const core::pipeline_resul
 }
 
 std::string temp_path(const char* name) {
-    return (std::filesystem::temp_directory_path() /
-            (std::string{"ftc_sampler_"} + name + "_" +
-             std::to_string(::getpid()) + ".ndjson"))
-        .string();
+    return testing::temp_path(std::string{"ftc_sampler_"} + name + ".ndjson").string();
 }
 
 std::vector<util::json_value> read_ndjson(const std::string& path) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/temp_path.hpp"
 #include "util/check.hpp"
 
 namespace ftc::pcap {
@@ -105,7 +106,7 @@ TEST(Encap, FullFileRoundTripThroughDisk) {
     capture_builder builder(linktype::ethernet);
     builder.add_message(udp_flow(), byte_vector{9, 8, 7});
     const capture cap = std::move(builder).finish();
-    const auto path = std::filesystem::temp_directory_path() / "ftclust_encap_roundtrip.pcap";
+    const auto path = testing::temp_path("ftclust_encap_roundtrip.pcap");
     write_file(path, cap);
     const capture loaded = read_file(path);
     const auto datagrams = extract_datagrams(loaded);

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "testing/temp_path.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -193,7 +194,7 @@ TEST(PcapFormat, RejectsTruncatedPacketBody) {
 }
 
 TEST(PcapFormat, FileRoundTrip) {
-    const auto path = std::filesystem::temp_directory_path() / "ftclust_test_roundtrip.pcap";
+    const auto path = testing::temp_path("ftclust_test_roundtrip.pcap");
     const capture original = sample_capture();
     write_file(path, original);
     const capture parsed = read_file(path);

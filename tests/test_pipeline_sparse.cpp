@@ -16,6 +16,7 @@
 #include "mem/mem.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
+#include "testing/temp_path.hpp"
 #include "util/diag.hpp"
 
 namespace ftc {
@@ -54,7 +55,7 @@ void expect_identical(const core::pipeline_result& a, const core::pipeline_resul
 class PipelineSparseCkpt : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::temp_directory_path() / "ftc_pipeline_sparse_ckpt";
+        dir_ = testing::temp_path("ftc_pipeline_sparse_ckpt");
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }

@@ -11,6 +11,7 @@
 #include "obs/obs.hpp"
 #include "serve/daemon.hpp"
 #include "serve_test_util.hpp"
+#include "testing/temp_path.hpp"
 
 namespace ftc::serve {
 namespace {
@@ -27,8 +28,7 @@ using serve_test::response_status;
 
 struct daemon_fixture {
     explicit daemon_fixture(const char* name, serve_options options = make_options())
-        : journal((fs::remove_all(fs::temp_directory_path() / name),
-                   fs::temp_directory_path() / name)),
+        : journal((fs::remove_all(testing::temp_path(name)), testing::temp_path(name))),
           sessions(journal, options) {
         sessions.start();
         daemon_options dopt;
@@ -102,7 +102,7 @@ TEST(ServeDaemon, ReportBeforeDoneIsConflictUnknownIsNotFound) {
 }
 
 TEST(ServeDaemon, ShedsWithRetryAfterWhenNotAccepting) {
-    const fs::path dir = fs::temp_directory_path() / "ftc_serve_daemon_shed";
+    const fs::path dir = testing::temp_path("ftc_serve_daemon_shed");
     fs::remove_all(dir);
     spool journal(dir);
     session_manager sessions(journal, daemon_fixture::make_options());
@@ -127,7 +127,7 @@ TEST(ServeDaemon, HealthzReportsQueueAndPressure) {
 }
 
 TEST(ServeDaemon, MetricsServedWhenRecorderInstalled) {
-    const fs::path dir = fs::temp_directory_path() / "ftc_serve_daemon_metrics";
+    const fs::path dir = testing::temp_path("ftc_serve_daemon_metrics");
     fs::remove_all(dir);
     obs::scoped_recorder recorder;
     recorder.rec().metrics().add("serve.jobs_submitted_total", 3.0);
@@ -161,7 +161,7 @@ TEST(ServeDaemon, MalformedAndOversizedRequestsAreTypedErrors) {
 }
 
 TEST(ServeDaemon, StopIsIdempotentAndReleasesThePort) {
-    const fs::path dir = fs::temp_directory_path() / "ftc_serve_daemon_stop";
+    const fs::path dir = testing::temp_path("ftc_serve_daemon_stop");
     fs::remove_all(dir);
     spool journal(dir);
     session_manager sessions(journal, daemon_fixture::make_options());

@@ -14,6 +14,7 @@
 #include "serve/daemon.hpp"
 #include "serve_test_util.hpp"
 #include "testing/sock_fault.hpp"
+#include "testing/temp_path.hpp"
 #include "util/net.hpp"
 
 namespace ftc::serve {
@@ -101,7 +102,7 @@ bool faulted_exchange(const fs::path& dir, const byte_vector& capture,
 
 TEST(ServeFaults, EverySocketOrdinalHealsOrFailsTyped) {
     const byte_vector capture = serve_test::make_capture_bytes("NTP", 24, 5);
-    const fs::path dir = fs::temp_directory_path() / "ftc_serve_faults_sweep";
+    const fs::path dir = testing::temp_path("ftc_serve_faults_sweep");
 
     // Reference bytes from a fault-free daemon exchange.
     std::string reference;
@@ -142,7 +143,7 @@ TEST(ServeFaults, EverySocketOrdinalHealsOrFailsTyped) {
 
 TEST(ServeFaults, SpoolCorruptionIsCaughtByDigestAndFailsTyped) {
     const byte_vector capture = serve_test::make_capture_bytes("DNS", 30, 9);
-    const fs::path dir = fs::temp_directory_path() / "ftc_serve_faults_spool";
+    const fs::path dir = testing::temp_path("ftc_serve_faults_spool");
     fs::remove_all(dir);
     spool journal(dir);
     session_manager sessions(journal, sweep_options());

@@ -1,8 +1,12 @@
 // Fault-isolated session execution: accepted jobs produce reports
 // byte-identical to the batch pipeline, failures are typed and per-job,
-// admission control sheds politely, and recovery replays journaled jobs
-// to the same bytes.
+// admission control sheds politely, recovery replays journaled jobs to the
+// same bytes, and a warm daemon's recorder and heap stay flat.
 #include <gtest/gtest.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <filesystem>
 #include <fstream>
@@ -18,6 +22,7 @@
 #include "segmentation/segment.hpp"
 #include "serve/session.hpp"
 #include "serve_test_util.hpp"
+#include "testing/temp_path.hpp"
 #include "util/interrupt.hpp"
 #include "util/stopwatch.hpp"
 
@@ -26,8 +31,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Bytes of heap in use in every glibc arena. ASan and TSan replace that
+// allocator, so under them (or another libc) there is nothing to read.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+constexpr bool kGlibcHeap = true;
+double heap_in_use() { return static_cast<double>(mallinfo2().uordblks); }
+#else
+constexpr bool kGlibcHeap = false;
+double heap_in_use() { return 0.0; }
+#endif
+
 fs::path fresh_dir(const char* name) {
-    const fs::path dir = fs::temp_directory_path() / name;
+    const fs::path dir = testing::temp_path(name);
     fs::remove_all(dir);
     return dir;
 }
@@ -352,6 +367,46 @@ TEST(ServeSession, StopLeavesQueuedJobsJournaledForReplay) {
     second.drain();
     EXPECT_EQ(second.status(a.id)->state, job_state::done);
     EXPECT_EQ(second.status(b.id)->state, job_state::done);
+}
+
+TEST(ServeSession, WarmDaemonKeepsNoSpansAndAFlatHeap) {
+    // A short soak under the recorder `ftclust serve` installs: jobs whose
+    // pipeline fans out on two lanes, two sessions at a time. Once warm,
+    // the recorder holds no spans and the heap grows by the job tables
+    // alone (each job's status and spool entry), well under 1 KB a job.
+    const obs::scoped_recorder recorder(obs::spans::drop);
+    spool journal(fresh_dir("ftc_serve_session_soak"));
+    serve_options options = small_options();
+    options.pipeline_threads = 2;
+    session_manager sessions(journal, options);
+    sessions.start();
+    const byte_vector raw = serve_test::make_capture_bytes("NTP", 40, 5);
+    const auto run_jobs = [&](std::size_t jobs) {
+        for (std::size_t i = 0; i < jobs; i += options.sessions) {
+            for (std::size_t s = 0; s < options.sessions; ++s) {
+                ASSERT_TRUE(sessions.submit(byte_view{raw.data(), raw.size()}).accepted);
+            }
+            sessions.drain();
+        }
+    };
+    constexpr std::size_t kWarmup = 50;
+    constexpr std::size_t kMeasured = 200;
+    run_jobs(kWarmup);
+    EXPECT_TRUE(recorder.rec().trace().spans.empty());
+    const double heap_before = heap_in_use();
+    run_jobs(kMeasured);
+    const double heap_after = heap_in_use();
+
+    EXPECT_TRUE(recorder.rec().trace().spans.empty());
+    const obs::metrics_snapshot m = recorder.rec().metrics().snapshot();
+    EXPECT_EQ(m.counters.at("serve.jobs_completed_total"),
+              static_cast<double>(kWarmup + kMeasured));
+    // The gauge is set only by a fan-out that ran on more than one lane.
+    EXPECT_EQ(m.gauges.count("threadpool.queue_depth"), 1u);
+    if (kGlibcHeap) {
+        EXPECT_LT((heap_after - heap_before) / kMeasured, 1024.0)
+            << "heap grew from " << heap_before << " to " << heap_after << " bytes";
+    }
 }
 
 }  // namespace

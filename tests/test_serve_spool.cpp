@@ -13,6 +13,7 @@
 
 #include "obs/obs.hpp"
 #include "serve/spool.hpp"
+#include "testing/temp_path.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
 
@@ -31,7 +32,7 @@ std::string slurp(const fs::path& path) {
 }
 
 fs::path fresh_dir(const char* name) {
-    const fs::path dir = fs::temp_directory_path() / name;
+    const fs::path dir = testing::temp_path(name);
     fs::remove_all(dir);
     return dir;
 }

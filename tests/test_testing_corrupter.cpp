@@ -6,6 +6,7 @@
 #include "pcap/decap.hpp"
 #include "pcap/pcap.hpp"
 #include "protocols/registry.hpp"
+#include "testing/temp_path.hpp"
 
 namespace ftc::testing {
 namespace {
@@ -110,9 +111,8 @@ TEST(Corrupter, RejectsNonPcapInput) {
 }
 
 TEST(Corrupter, FileRoundTrip) {
-    const auto in_path = std::filesystem::temp_directory_path() / "ftclust_corrupter_in.pcap";
-    const auto out_path =
-        std::filesystem::temp_directory_path() / "ftclust_corrupter_out.pcap";
+    const auto in_path = temp_path("ftclust_corrupter_in.pcap");
+    const auto out_path = temp_path("ftclust_corrupter_out.pcap");
     pcap::write_file(in_path,
                      protocols::trace_to_capture(protocols::generate_trace("DNS", 20, 3)));
     corruption_options opt;

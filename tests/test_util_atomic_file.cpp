@@ -1,5 +1,6 @@
 // Unit tests for the atomic whole-file writer and the whole-file reader
 // (util/atomic_file.hpp).
+#include "testing/temp_path.hpp"
 #include "util/atomic_file.hpp"
 
 #include <gtest/gtest.h>
@@ -23,7 +24,7 @@ std::string slurp(const fs::path& path) {
 class AtomicFile : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::temp_directory_path() / "ftc_atomic_file_test";
+        dir_ = testing::temp_path("ftc_atomic_file_test");
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

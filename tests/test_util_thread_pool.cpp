@@ -1,13 +1,21 @@
 // Unit tests for the parallel-execution subsystem (util/thread_pool.hpp):
-// pool lifecycle, block coverage, exception propagation, range/grain edge
-// cases, and cooperative deadline aborts mid-fan-out.
+// block coverage, range/grain edge cases, the one-lane serial path,
+// exception propagation, cooperative deadline aborts mid-fan-out and a
+// lane the system cannot start.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
+
 #include <atomic>
 #include <chrono>
-#include <numeric>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -18,27 +26,24 @@
 namespace ftc::util {
 namespace {
 
-TEST(ThreadPool, StartupAndShutdown) {
-    // Construction spawns workers, destruction joins them; repeated
-    // create/destroy cycles must not leak or deadlock.
-    for (int round = 0; round < 3; ++round) {
-        thread_pool pool(4);
-        EXPECT_EQ(pool.thread_count(), 4u);
-    }
-}
+// ASan and TSan reserve shadow address space far beyond any limit a test
+// could set on it.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kShadowSanitizer = true;
+#else
+constexpr bool kShadowSanitizer = false;
+#endif
 
 TEST(ThreadPool, ZeroThreadsMeansHardwareConcurrency) {
     EXPECT_GE(hardware_threads(), 1u);
     EXPECT_EQ(resolve_threads(0), hardware_threads());
     EXPECT_EQ(resolve_threads(1), 1u);
     EXPECT_EQ(resolve_threads(7), 7u);
-    thread_pool pool;  // 0 = hardware
-    EXPECT_EQ(pool.thread_count(), hardware_threads());
 }
 
 TEST(ThreadPool, AbsurdThreadCountsAreClamped) {
     // A negative CLI value wrapped through size_t must not take the
-    // process down trying to spawn SIZE_MAX workers.
+    // process down trying to start SIZE_MAX lanes.
     EXPECT_EQ(resolve_threads(static_cast<std::size_t>(-1)), max_threads());
     EXPECT_GE(max_threads(), 64u);
     std::atomic<std::size_t> covered{0};
@@ -49,23 +54,29 @@ TEST(ThreadPool, AbsurdThreadCountsAreClamped) {
     EXPECT_EQ(covered.load(), 100u);
 }
 
-TEST(ThreadPool, SingleLanePoolHasNoWorkers) {
-    thread_pool pool(1);
-    EXPECT_EQ(pool.thread_count(), 1u);
+TEST(ThreadPool, OneLaneRunsInOrderOnTheCallingThread) {
+    // One lane, asked for or left by a range of one block: the blocks run
+    // in order on the calling thread.
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
-    pool.parallel_for(10, 3, [&](std::size_t begin, std::size_t end) {
+    bool elsewhere = false;
+    const auto record = [&](std::size_t begin, std::size_t end) {
         order.push_back(begin);
         order.push_back(end);
-    });
-    // Serial path: blocks in order on the calling thread.
+        elsewhere |= std::this_thread::get_id() != caller;
+    };
+    parallel_for(10, 3, 1, record);
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 3, 3, 6, 6, 9, 9, 10}));
+    order.clear();
+    parallel_for(10, 10, 4, record);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 10}));
+    EXPECT_FALSE(elsewhere);
 }
 
 TEST(ThreadPool, EveryIndexProcessedExactlyOnce) {
     constexpr std::size_t n = 10'000;
-    thread_pool pool(8);
     std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
+    parallel_for(n, 64, 8, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
             hits[i].fetch_add(1, std::memory_order_relaxed);
         }
@@ -75,35 +86,18 @@ TEST(ThreadPool, EveryIndexProcessedExactlyOnce) {
     }
 }
 
-TEST(ThreadPool, PoolIsReusableAcrossCalls) {
-    thread_pool pool(4);
-    for (int round = 0; round < 20; ++round) {
-        std::atomic<std::size_t> sum{0};
-        pool.parallel_for(100, 7, [&](std::size_t begin, std::size_t end) {
-            std::size_t local = 0;
-            for (std::size_t i = begin; i < end; ++i) {
-                local += i;
-            }
-            sum.fetch_add(local, std::memory_order_relaxed);
-        });
-        EXPECT_EQ(sum.load(), 100u * 99u / 2u);
-    }
-}
-
 TEST(ThreadPool, EmptyRangeNeverInvokesBody) {
-    thread_pool pool(4);
     std::atomic<int> calls{0};
-    pool.parallel_for(0, 16, [&](std::size_t, std::size_t) { ++calls; });
-    EXPECT_EQ(calls.load(), 0);
-    parallel_for(0, 16, 4, [&](std::size_t, std::size_t) { ++calls; });
+    for (const std::size_t threads : {1u, 4u}) {
+        parallel_for(0, 16, threads, [&](std::size_t, std::size_t) { ++calls; });
+    }
     EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ThreadPool, GrainLargerThanRangeIsOneBlock) {
-    thread_pool pool(4);
     std::atomic<int> calls{0};
     std::size_t seen_begin = 99, seen_end = 99;
-    pool.parallel_for(5, 1000, [&](std::size_t begin, std::size_t end) {
+    parallel_for(5, 1000, 4, [&](std::size_t begin, std::size_t end) {
         ++calls;
         seen_begin = begin;
         seen_end = end;
@@ -114,9 +108,8 @@ TEST(ThreadPool, GrainLargerThanRangeIsOneBlock) {
 }
 
 TEST(ThreadPool, GrainZeroTreatedAsOne) {
-    thread_pool pool(2);
     std::atomic<std::size_t> calls{0};
-    pool.parallel_for(9, 0, [&](std::size_t begin, std::size_t end) {
+    parallel_for(9, 0, 2, [&](std::size_t begin, std::size_t end) {
         EXPECT_EQ(end, begin + 1);
         ++calls;
     });
@@ -124,17 +117,19 @@ TEST(ThreadPool, GrainZeroTreatedAsOne) {
 }
 
 TEST(ThreadPool, ExceptionPropagatesToCaller) {
-    thread_pool pool(4);
-    EXPECT_THROW(pool.parallel_for(100, 1,
-                                   [&](std::size_t begin, std::size_t) {
-                                       if (begin == 42) {
-                                           throw std::runtime_error("lane failure");
-                                       }
-                                   }),
-                 std::runtime_error);
-    // The pool survives a failed fan-out and keeps working.
+    for (const std::size_t threads : {1u, 4u}) {
+        EXPECT_THROW(parallel_for(100, 1, threads,
+                                  [&](std::size_t begin, std::size_t) {
+                                      if (begin == 42) {
+                                          throw std::runtime_error("lane failure");
+                                      }
+                                  }),
+                     std::runtime_error)
+            << "threads=" << threads;
+    }
+    // A failed fan-out leaves nothing behind: the next one runs normally.
     std::atomic<std::size_t> done{0};
-    pool.parallel_for(50, 5, [&](std::size_t begin, std::size_t end) {
+    parallel_for(50, 5, 4, [&](std::size_t begin, std::size_t end) {
         done.fetch_add(end - begin, std::memory_order_relaxed);
     });
     EXPECT_EQ(done.load(), 50u);
@@ -144,10 +139,9 @@ TEST(ThreadPool, ExceptionStopsRemainingBlocks) {
     // After one block throws, other lanes stop taking new blocks: with 256
     // pending blocks and an immediate failure, only a small prefix of the
     // fan-out (bounded by lanes in flight) can still run.
-    thread_pool pool(4);
     std::atomic<std::size_t> executed{0};
     try {
-        pool.parallel_for(256, 1, [&](std::size_t begin, std::size_t) {
+        parallel_for(256, 1, 4, [&](std::size_t begin, std::size_t) {
             if (begin == 0) {
                 throw std::runtime_error("abort fan-out");
             }
@@ -163,19 +157,18 @@ TEST(ThreadPool, ExceptionStopsRemainingBlocks) {
 TEST(ThreadPool, DeadlineAbortsMidFanout) {
     // Cooperative deadline checks inside the body abort the whole
     // parallel_for with the library's budget_exceeded_error.
-    thread_pool pool(4);
     const deadline expired(0.0);
     std::atomic<std::size_t> blocks{0};
-    EXPECT_THROW(pool.parallel_for(128, 1,
-                                   [&](std::size_t, std::size_t) {
-                                       blocks.fetch_add(1, std::memory_order_relaxed);
-                                       expired.check("parallel stage");
-                                   }),
+    EXPECT_THROW(parallel_for(128, 1, 4,
+                              [&](std::size_t, std::size_t) {
+                                  blocks.fetch_add(1, std::memory_order_relaxed);
+                                  expired.check("parallel stage");
+                              }),
                  budget_exceeded_error);
     EXPECT_LT(blocks.load(), 128u);
 }
 
-TEST(ThreadPool, FreeFunctionMatchesSerialResult) {
+TEST(ThreadPool, EveryThreadCountMatchesTheSerialResult) {
     // parallel_for writes f(i) into disjoint slots; any thread count must
     // produce the identical vector.
     constexpr std::size_t n = 4096;
@@ -197,22 +190,56 @@ TEST(ThreadPool, FreeFunctionMatchesSerialResult) {
     }
 }
 
-TEST(ThreadPool, FreeFunctionPropagatesExceptions) {
-    EXPECT_THROW(parallel_for(10, 2, 4,
-                              [](std::size_t begin, std::size_t) {
-                                  if (begin >= 4) {
-                                      throw std::runtime_error("boom");
-                                  }
-                              }),
-                 std::runtime_error);
-    EXPECT_THROW(parallel_for(10, 2, 1,
-                              [](std::size_t begin, std::size_t) {
-                                  if (begin >= 4) {
-                                      throw std::runtime_error("boom");
-                                  }
-                              }),
-                 std::runtime_error);
+#if defined(__linux__)
+/// Bytes of address space the process has mapped.
+std::size_t mapped_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages = 0;
+    statm >> pages;
+    return pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
 }
+
+/// The stack size a new thread gets by default.
+std::size_t default_stack_bytes() {
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+    std::size_t bytes = 0;
+    pthread_attr_getstacksize(&attr, &bytes);
+    pthread_attr_destroy(&attr);
+    return bytes;
+}
+
+TEST(ThreadPoolDeathTest, LaneThatCannotStartLeavesTheRangeToTheOthers) {
+    if (kShadowSanitizer) {
+        GTEST_SKIP() << "an address-space limit cannot hold a sanitizer's shadow memory";
+    }
+    // The child caps its address space just above what it maps now, with
+    // room for two thread stacks: of the 15 lanes it asks for, the first
+    // ones start and the rest fail with std::system_error. The lanes that
+    // started and the calling thread must still cover every index once.
+    const auto fan_out_under_a_cap = [] {
+        constexpr std::size_t n = 4096;
+        std::vector<std::atomic<int>> hits(n);
+        rlimit cap{};
+        cap.rlim_cur = cap.rlim_max = mapped_bytes() + 2 * default_stack_bytes() + (1u << 20);
+        if (setrlimit(RLIMIT_AS, &cap) != 0) {
+            std::_Exit(2);
+        }
+        parallel_for(n, 1, 16, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+        for (const std::atomic<int>& h : hits) {
+            if (h.load() != 1) {
+                std::_Exit(3);
+            }
+        }
+        std::_Exit(0);
+    };
+    EXPECT_EXIT(fan_out_under_a_cap(), ::testing::ExitedWithCode(0), "");
+}
+#endif
 
 }  // namespace
 }  // namespace ftc::util

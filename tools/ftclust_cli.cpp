@@ -317,11 +317,13 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
     // Any observability output installs the recorder; otherwise every hook
     // in the pipeline stays a single null-pointer check. The telemetry
     // sampler and the scrape endpoint snapshot the same registry, so they
-    // count as outputs too.
+    // count as outputs too. Spans are kept only for their two readers, the
+    // trace and the manifest's stage table.
     std::optional<obs::scoped_recorder> recorder;
-    if (trace_out != nullptr || metrics_out != nullptr || manifest_out != nullptr ||
-        telemetry_out != nullptr || metrics_listen != nullptr) {
-        recorder.emplace();
+    if (trace_out != nullptr || manifest_out != nullptr) {
+        recorder.emplace(obs::spans::keep);
+    } else if (metrics_out != nullptr || telemetry_out != nullptr || metrics_listen != nullptr) {
+        recorder.emplace(obs::spans::drop);
     }
 
     // Live observers, both RAII: the sampler's destructor runs during any
@@ -592,8 +594,10 @@ int cmd_serve(int argc, char** argv) {
 
     install_stop_handlers();
     // The daemon always runs a recorder: /metrics serves its snapshot and
-    // every serve.* counter lands in it.
-    obs::scoped_recorder recorder;
+    // every serve.* counter lands in it. No endpoint exports a trace, so it
+    // keeps no spans: a span kept per stage of every job would grow the
+    // daemon without bound.
+    obs::scoped_recorder recorder(obs::spans::drop);
     std::optional<obs::sampler> sampler;
     const char* telemetry_out = flag_value(argc, argv, "--telemetry-out", nullptr);
     if (telemetry_out != nullptr) {
