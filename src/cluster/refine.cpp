@@ -2,19 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <span>
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ftc::cluster {
 
 namespace {
 
 constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+/// Pairs a lane block scores, about, in both fan-outs; a fan-out over fewer
+/// pairs starts no thread. Starting and joining a lane costs about 35 µs
+/// (GCC 12.2, shared 4-vCPU x86-64 VM), about what reading 16384 matrix
+/// cells takes and a small fraction of what scoring as many sparse pairs
+/// takes; in the ordered fold below, a block also outweighs its hand-off
+/// to the next lane (DESIGN.md §3.3).
+constexpr std::size_t kBlockPairs = 16384;
+
+std::size_t lanes_for(std::size_t pairs, std::size_t threads) {
+    return pairs < kBlockPairs ? 1 : threads;
+}
 
 /// Per-cluster statistics needed by the merge conditions.
 struct cluster_stats {
@@ -25,7 +40,8 @@ struct cluster_stats {
 };
 
 cluster_stats compute_stats(const dissim::neighborhood_source& source,
-                            std::vector<std::size_t> members, const deadline& dl) {
+                            std::vector<std::size_t> members, std::size_t threads,
+                            const deadline& dl) {
     dl.check("cluster refinement");
     cluster_stats s;
     s.members = std::move(members);
@@ -33,27 +49,65 @@ cluster_stats compute_stats(const dissim::neighborhood_source& source,
     if (m < 2) {
         return s;
     }
-    // Each intra pair is scored once, in the upper-triangle row-major order
-    // of D(c): the running sum then adds in the order mean() would, and the
-    // strict > keeps max_value()'s first maximum. Every value updates the
-    // 1-NN distance of both ends.
+    // Each intra pair is scored once, by rows of D(c): row a holds the pairs
+    // (a, b > a). A lane scores a block of consecutive rows into its own
+    // buffer, then waits until every earlier row is folded and folds its
+    // block: the running sum adds in the upper-triangle row-major order
+    // mean() would, the strict > keeps max_value()'s first maximum, and
+    // every value updates the 1-NN distance of both ends, whatever the lane
+    // count. Lanes claim blocks in row order, so the lowest unfolded block
+    // is always being scored or folded.
+    const std::span<const std::size_t> all(s.members);
     std::vector<double> one_nn(m, std::numeric_limits<double>::max());
-    std::vector<double> row(m);
     double sum = 0.0;
     double max_d = -std::numeric_limits<double>::infinity();
-    for (std::size_t a = 0; a + 1 < m; ++a) {
-        const std::span<const std::size_t> partners(s.members.data() + a + 1, m - a - 1);
-        const std::span<double> d(row.data(), partners.size());
-        source.dissimilarities(s.members[a], partners, kUnbounded, d);
-        for (std::size_t k = 0; k < d.size(); ++k) {
-            sum += d[k];
-            if (d[k] > max_d) {
-                max_d = d[k];
+    std::mutex fold_mutex;
+    std::condition_variable fold_turn;
+    std::size_t folded = 0;  // rows [0, folded) are folded
+    bool failed = false;     // a lane threw: nothing more is folded
+    util::parallel_for(
+        m - 1, std::max<std::size_t>(1, kBlockPairs / (m - 1)),
+        lanes_for(m * (m - 1) / 2, threads), [&](std::size_t begin, std::size_t end) {
+            std::vector<double> rows;
+            try {
+                dl.check("cluster refinement");
+                dissim::row_counts counts;
+                rows.resize((end - begin) * (2 * m - begin - end - 1) / 2);
+                double* at = rows.data();
+                for (std::size_t a = begin; a < end; ++a) {
+                    source.dissimilarities(s.members[a], all.subspan(a + 1), kUnbounded,
+                                           std::span<double>(at, m - a - 1), counts);
+                    at += m - a - 1;
+                }
+                counts.publish();
+            } catch (...) {
+                {
+                    const std::lock_guard<std::mutex> lock(fold_mutex);
+                    failed = true;
+                }
+                fold_turn.notify_all();
+                throw;
             }
-            one_nn[a] = std::min(one_nn[a], d[k]);
-            one_nn[a + 1 + k] = std::min(one_nn[a + 1 + k], d[k]);
-        }
-    }
+            std::unique_lock<std::mutex> lock(fold_mutex);
+            fold_turn.wait(lock, [&] { return folded == begin || failed; });
+            if (failed) {
+                return;
+            }
+            const double* d = rows.data();
+            for (std::size_t a = begin; a < end; ++a) {
+                for (std::size_t b = a + 1; b < m; ++b, ++d) {
+                    sum += *d;
+                    if (*d > max_d) {
+                        max_d = *d;
+                    }
+                    one_nn[a] = std::min(one_nn[a], *d);
+                    one_nn[b] = std::min(one_nn[b], *d);
+                }
+            }
+            folded = end;
+            lock.unlock();
+            fold_turn.notify_all();
+        });
     s.mean_pairwise = sum / static_cast<double>(m * (m - 1) / 2);
     s.max_pairwise = max_d;
     s.minmed = median(one_nn);
@@ -75,6 +129,57 @@ double eps_density(const dissim::neighborhood_source& source, const cluster_stat
         }
     }
     return median(within);
+}
+
+/// What the merge conditions ask of a cluster pair's link. Neither holds
+/// unless d_link lies below max(mean D) (condition 1) or the closeness
+/// (condition 2), so the link search only looks below the larger of the
+/// two, the ceiling (DESIGN.md §3.3).
+struct link_bounds {
+    double max_mean = 0.0;
+    bool has_closeness = false;
+    double closeness = 0.0;
+    double ceiling = 0.0;
+};
+
+link_bounds bounds_of(const cluster_stats& ci, const cluster_stats& cj) {
+    link_bounds b;
+    b.max_mean = std::max(ci.mean_pairwise, cj.mean_pairwise);
+    b.has_closeness = ci.mean_pairwise > 0.0 && cj.mean_pairwise > 0.0;
+    b.closeness = b.has_closeness
+                      ? 0.5 * (ci.minmed / ci.mean_pairwise + cj.minmed / cj.mean_pairwise)
+                      : 0.0;
+    b.ceiling = std::max(b.max_mean, b.closeness);
+    return b;
+}
+
+/// A link candidate: cross pair (a, b) at dissimilarity d. A search that
+/// finds nothing below its ceiling leaves d at the ceiling.
+struct link {
+    double d = 0.0;
+    std::size_t a = 0;
+    std::size_t b = 0;
+};
+
+/// Link search over rows [r0, r1) of \p ci against \p cj: the first
+/// closest cross pair below \p ceiling in row-major order. Each row query
+/// looks only below the running minimum, and the strict < keeps the first
+/// arg-min.
+link search_rows(const dissim::neighborhood_source& source, const cluster_stats& ci,
+                 std::size_t r0, std::size_t r1, const cluster_stats& cj, double ceiling,
+                 std::vector<double>& row, dissim::row_counts& counts) {
+    link best{ceiling, ci.members.front(), cj.members.front()};
+    row.resize(cj.members.size());
+    for (std::size_t r = r0; r < r1; ++r) {
+        const std::size_t a = ci.members[r];
+        source.dissimilarities(a, cj.members, best.d, row, counts);
+        for (std::size_t k = 0; k < row.size(); ++k) {
+            if (row[k] < best.d) {
+                best = {row[k], a, cj.members[k]};
+            }
+        }
+    }
+    return best;
 }
 
 /// Disjoint-set forest over cluster ids.
@@ -102,17 +207,18 @@ private:
 
 refine_result merge_clusters(const dissim::neighborhood_source& source,
                              const cluster_labels& input, const refine_options& options,
-                             const deadline& dl) {
+                             const deadline& dl, std::size_t threads) {
     refine_result out;
     out.labels = input;
     if (input.cluster_count < 2) {
         return out;
     }
+    threads = util::resolve_threads(threads);
 
     std::vector<cluster_stats> stats;
     stats.reserve(input.cluster_count);
     for (std::vector<std::size_t>& members : input.members()) {
-        stats.push_back(compute_stats(source, std::move(members), dl));
+        stats.push_back(compute_stats(source, std::move(members), threads, dl));
     }
 
     std::size_t non_noise = 0;
@@ -126,13 +232,16 @@ refine_result merge_clusters(const dissim::neighborhood_source& source,
     }
 
     union_find forest(input.cluster_count);
-    auto merge_would_oversize = [&](std::size_t i, std::size_t j) {
-        if (options.max_merged_fraction <= 0.0) {
+    auto eligible = [&](std::size_t i, std::size_t j) {
+        if (forest.find(i) == forest.find(j)) {
             return false;
+        }
+        if (options.max_merged_fraction <= 0.0) {
+            return true;
         }
         const std::size_t combined =
             component_size[forest.find(i)] + component_size[forest.find(j)];
-        return static_cast<double>(combined) >
+        return static_cast<double>(combined) <=
                options.max_merged_fraction * static_cast<double>(non_noise);
     };
     auto record_merge = [&](std::size_t i, std::size_t j) {
@@ -142,68 +251,91 @@ refine_result merge_clusters(const dissim::neighborhood_source& source,
         forest.unite(i, j);
         component_size[forest.find(i)] = combined;
     };
-    std::vector<double> row;
+    std::vector<std::size_t> partners;
+    std::vector<link> found;
     for (std::size_t i = 0; i < stats.size(); ++i) {
         dl.check("cluster refinement");
+        const cluster_stats& ci = stats[i];
+        if (ci.members.size() < 2) {
+            continue;  // degenerate clusters carry no density information
+        }
+        // Every pair (i, j) eligible as the pass starts searches its link
+        // on the lanes, in blocks of c_i's rows. A merge only unites
+        // components and grows them, so no pair becomes eligible during
+        // the pass; the merges below re-check eligibility in j order and
+        // skip the searches a serial pass would not have run.
+        partners.clear();
+        std::size_t pairs = 0;
         for (std::size_t j = i + 1; j < stats.size(); ++j) {
-            const cluster_stats& ci = stats[i];
+            if (stats[j].members.size() >= 2 && eligible(i, j)) {
+                partners.push_back(j);
+                pairs += ci.members.size() * stats[j].members.size();
+            }
+        }
+        if (partners.empty()) {
+            continue;
+        }
+        const std::size_t blocks = (ci.members.size() - 1) / kLinkBlockRows + 1;
+        found.assign(partners.size() * blocks, link{});
+        const std::size_t grain =
+            std::max<std::size_t>(1, kBlockPairs * found.size() / pairs);
+        util::parallel_for(
+            found.size(), grain, lanes_for(pairs, threads),
+            [&](std::size_t begin, std::size_t end) {
+                dissim::row_counts counts;
+                std::vector<double> row;
+                for (std::size_t t = begin; t < end; ++t) {
+                    dl.check("cluster refinement");
+                    const cluster_stats& cj = stats[partners[t / blocks]];
+                    const std::size_t r0 = t % blocks * kLinkBlockRows;
+                    found[t] = search_rows(source, ci, r0,
+                                           std::min(r0 + kLinkBlockRows, ci.members.size()),
+                                           cj, bounds_of(ci, cj).ceiling, row, counts);
+                }
+                counts.publish();
+            });
+
+        for (std::size_t p = 0; p < partners.size(); ++p) {
+            const std::size_t j = partners[p];
+            if (!eligible(i, j)) {
+                continue;  // a merge earlier in this pass joined or grew the pair
+            }
             const cluster_stats& cj = stats[j];
-            if (ci.members.size() < 2 || cj.members.size() < 2) {
-                continue;  // degenerate clusters carry no density information
-            }
-            if (forest.find(i) == forest.find(j) || merge_would_oversize(i, j)) {
-                continue;
-            }
-            // Link segments: the first closest cross pair. Neither condition
-            // holds unless d_link lies below max(mean D) (condition 1) or the
-            // closeness (condition 2), so the search only looks below the
-            // larger of the two and tightens to the running minimum; the
-            // strict < keeps the first arg-min (DESIGN.md §3.3).
-            const double max_mean = std::max(ci.mean_pairwise, cj.mean_pairwise);
-            const bool has_closeness = ci.mean_pairwise > 0.0 && cj.mean_pairwise > 0.0;
-            const double closeness = has_closeness ? 0.5 * (ci.minmed / ci.mean_pairwise +
-                                                            cj.minmed / cj.mean_pairwise)
-                                                   : 0.0;
-            const double ceiling = std::max(max_mean, closeness);
-            double d_link = ceiling;
-            std::size_t link_i = ci.members.front();
-            std::size_t link_j = cj.members.front();
-            row.resize(cj.members.size());
-            for (std::size_t a : ci.members) {
-                source.dissimilarities(a, cj.members, d_link, row);
-                for (std::size_t k = 0; k < row.size(); ++k) {
-                    if (row[k] < d_link) {
-                        d_link = row[k];
-                        link_i = a;
-                        link_j = cj.members[k];
-                    }
+            const link_bounds bounds = bounds_of(ci, cj);
+            // Link segments: the blocks reduce in row order with the same
+            // strict <, to the first closest cross pair of the whole search.
+            link best{bounds.ceiling, ci.members.front(), cj.members.front()};
+            for (std::size_t b = 0; b < blocks; ++b) {
+                const link& candidate = found[p * blocks + b];
+                if (candidate.d < best.d) {
+                    best = candidate;
                 }
             }
-            if (!(d_link < ceiling)) {
+            if (!(best.d < bounds.ceiling)) {
                 continue;  // no cross pair below the ceiling: neither condition holds
             }
 
             // Condition 1: very close by + similar local eps-density.
             bool merged = false;
-            if (d_link < max_mean) {
+            if (best.d < bounds.max_mean) {
                 const cluster_stats& smaller =
                     ci.members.size() <= cj.members.size() ? ci : cj;
                 const double eps = smaller.max_pairwise / 2.0;
-                const double rho_i = eps_density(source, ci, link_i, eps);
-                const double rho_j = eps_density(source, cj, link_j, eps);
+                const double rho_i = eps_density(source, ci, best.a, eps);
+                const double rho_j = eps_density(source, cj, best.b, eps);
                 if (std::abs(rho_i - rho_j) < options.eps_rho_threshold) {
                     record_merge(i, j);
                     out.merges.push_back({static_cast<int>(i), static_cast<int>(j),
-                                          merge_reason::condition1, d_link});
+                                          merge_reason::condition1, best.d});
                     merged = true;
                 }
             }
             // Condition 2: somewhat close by + similar whole-cluster density.
-            if (!merged && has_closeness && d_link < closeness &&
+            if (!merged && bounds.has_closeness && best.d < bounds.closeness &&
                 std::abs(ci.minmed - cj.minmed) < options.neighbor_density_threshold) {
                 record_merge(i, j);
                 out.merges.push_back({static_cast<int>(i), static_cast<int>(j),
-                                      merge_reason::condition2, d_link});
+                                      merge_reason::condition2, best.d});
             }
         }
     }
@@ -286,10 +418,11 @@ refine_result split_clusters(const cluster_labels& input,
 
 refine_result refine(const dissim::neighborhood_source& source, const cluster_labels& input,
                      const std::vector<std::size_t>& occurrence_counts,
-                     const refine_options& options, const deadline& dl) {
+                     const refine_options& options, const deadline& dl,
+                     std::size_t threads) {
     obs::span sp("cluster.refine");
     sp.count("input_clusters", input.cluster_count);
-    refine_result merged = merge_clusters(source, input, options, dl);
+    refine_result merged = merge_clusters(source, input, options, dl, threads);
     refine_result split = split_clusters(merged.labels, occurrence_counts, options);
     refine_result out;
     out.labels = std::move(split.labels);

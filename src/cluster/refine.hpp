@@ -4,7 +4,7 @@
 /// with extremely polarized value occurrences. The merge pass scores each
 /// pair at most once through neighborhood_source row queries, and searches
 /// link pairs only below the merge ceiling, so a sparse source never
-/// materializes more than one row at a time.
+/// materializes more than a bounded block of rows per lane.
 #pragma once
 
 #include <vector>
@@ -57,16 +57,24 @@ struct refine_result {
     std::vector<split_record> splits;
 };
 
+/// Rows of c_i one link search of merge_clusters scores per block. The
+/// blocks, never the lanes, fix which cross pairs a search scores, so the
+/// work counts are the same at every lane count.
+inline constexpr std::size_t kLinkBlockRows = 64;
+
 /// Merge pass. \p source indexes the same unique segments the labels refer
 /// to. Merging is transitive: merge edges found in one sweep are combined
 /// with union-find. Only intra- and inter-cluster pair dissimilarities are
 /// read, through row queries: each intra pair once, and cross pairs only
 /// below the merge ceiling (DESIGN.md §3.3), which lets a sparse source
-/// skip most of them by their length bound. \p dl is polled once per
-/// cluster, never per pair.
+/// skip most of them by their length bound. The row queries run on
+/// \p threads lanes (0 = hardware concurrency), in blocks that do not
+/// depend on the lane count, so the result and the work counts are the
+/// same at every lane count. \p dl is polled once per cluster and once
+/// per block, never per pair.
 refine_result merge_clusters(const dissim::neighborhood_source& source,
                              const cluster_labels& input, const refine_options& options = {},
-                             const deadline& dl = {});
+                             const deadline& dl = {}, std::size_t threads = 1);
 
 inline refine_result merge_clusters(const dissim::dissimilarity_matrix& matrix,
                                     const cluster_labels& input,
@@ -80,12 +88,13 @@ refine_result split_clusters(const cluster_labels& input,
                              const std::vector<std::size_t>& occurrence_counts,
                              const refine_options& options = {});
 
-/// Merge followed by split (the paper's refinement order). Throws
-/// interrupted_error on a pending stop request and budget_exceeded_error
-/// once \p dl expires.
+/// Merge (on \p threads lanes) followed by split (the paper's refinement
+/// order). Throws interrupted_error on a pending stop request and
+/// budget_exceeded_error once \p dl expires.
 refine_result refine(const dissim::neighborhood_source& source, const cluster_labels& input,
                      const std::vector<std::size_t>& occurrence_counts,
-                     const refine_options& options = {}, const deadline& dl = {});
+                     const refine_options& options = {}, const deadline& dl = {},
+                     std::size_t threads = 1);
 
 inline refine_result refine(const dissim::dissimilarity_matrix& matrix,
                             const cluster_labels& input,

@@ -262,7 +262,8 @@ pipeline_result analyze_seeded(const std::vector<byte_vector>& messages,
                     refine_opts.max_merged_fraction = options.oversize_fraction;
                 }
                 result.refinement = cluster::refine(source, result.clustering.labels,
-                                                    occurrence_counts, refine_opts, dl);
+                                                    occurrence_counts, refine_opts, dl,
+                                                    threads);
                 result.final_labels = result.refinement.labels;
             } else {
                 result.final_labels = result.clustering.labels;

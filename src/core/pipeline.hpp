@@ -139,9 +139,9 @@ struct pipeline_options {
     /// partial-progress report (DESIGN.md §11). A limit never changes
     /// clustering output, only how (or whether) the run reaches it.
     std::size_t max_memory = 0;
-    /// Worker threads for the dissimilarity-matrix, k-NN and epsilon-sweep
-    /// hot paths: 0 = one lane per hardware thread, 1 = the exact legacy
-    /// serial path. The parallel stages are pure fan-outs over independent
+    /// Worker threads for the dissimilarity-matrix, k-NN, epsilon-sweep and
+    /// refinement hot paths: 0 = one lane per hardware thread, 1 = the
+    /// exact legacy serial path. The parallel stages are pure fan-outs over independent
     /// work items, so clustering output is bitwise identical at any
     /// setting (see tests/test_dissim_parallel_determinism.cpp).
     std::size_t threads = 0;

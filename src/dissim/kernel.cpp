@@ -148,18 +148,23 @@ bool batch4_terms(const std::uint8_t* x, const std::uint8_t* y, std::size_t m,
     return false;
 }
 
-/// Sliding loop with early-exit pruning. The best window's raw
-/// term sum is the running bound; a window whose partial sum exceeds it
-/// cannot become the minimum (terms are non-negative and double addition
-/// of non-negative terms is monotone), so it is abandoned mid-window. The
-/// winning window is always summed to completion, in the reference order,
-/// so d_min — and therefore the returned dissimilarity — is bitwise
-/// identical to the unpruned loop (DESIGN.md §9).
-double sliding_pruned(byte_view s, byte_view l, stats* st) {
-    const std::size_t m = s.size();
-    const std::size_t n = l.size();
-    const double* lut = term_table();
-
+/// The sliding step loop with early-exit pruning, over \p windows windows
+/// whose sums \p w supplies: w.eight(off, bound, sums) and w.four(off,
+/// bound, sums) fill the sums of the windows from off, or return true when
+/// they abandoned them with every partial above bound; w.one(off, bound)
+/// returns window off's sum, or a partial sum above bound when it abandoned
+/// the window. Returns the smallest raw window sum.
+///
+/// The best window's raw term sum is the running bound; a window whose
+/// partial sum exceeds it cannot become the minimum (terms are non-negative
+/// and double addition of non-negative terms is monotone), so it may be
+/// abandoned mid-window. The winning window is always summed to
+/// completion, in the reference order, so d_min — and therefore the
+/// returned dissimilarity — is bitwise identical to the unpruned loop
+/// (DESIGN.md §9). Both the single-pair path and the lockstep replay take
+/// exactly these steps, so they count the same windows.
+template <typename Windows>
+double min_window_sum(std::size_t windows, const Windows& w, stats* st) {
     // The bound starts at +inf, so the first batch is computed in full and
     // seeds it — no special-cased first window, which would otherwise be a
     // standalone latency-bound chain per pair. min over raw window sums
@@ -173,12 +178,12 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
     // up to seven windows past a zero-valued one before the best != 0.0
     // exit fires — harmless, since later windows cannot go below zero.
     std::size_t off = 0;
-    for (; off + 7 + m <= n && best != 0.0; off += 8) {
+    for (; off + 8 <= windows && best != 0.0; off += 8) {
         if (st != nullptr) {
             st->windows_total += 8;
         }
         double sums[8];
-        if (batch8_terms(s.data(), l.data() + off, m, lut, best, sums)) {
+        if (w.eight(off, best, sums)) {
             if (st != nullptr) {
                 st->windows_pruned += 8;
             }
@@ -197,12 +202,12 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
 
     // Four-window step for the mid remainder (short slide distances —
     // DHCP-style near-equal lengths — never reach the eight-window loop).
-    for (; off + 3 + m <= n && best != 0.0; off += 4) {
+    for (; off + 4 <= windows && best != 0.0; off += 4) {
         if (st != nullptr) {
             st->windows_total += 4;
         }
         double sums[4];
-        if (batch4_terms(s.data(), l.data() + off, m, lut, best, sums)) {
+        if (w.four(off, best, sums)) {
             if (st != nullptr) {
                 st->windows_pruned += 4;
             }
@@ -219,32 +224,26 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
         }
     }
 
-    // Remainder windows (fewer than four left), chunk-checked singly.
-    for (; off + m <= n && best != 0.0; ++off) {
+    // Remainder windows (fewer than four left), one at a time.
+    for (; off < windows && best != 0.0; ++off) {
         if (st != nullptr) {
             ++st->windows_total;
         }
-        const std::uint8_t* lp = l.data() + off;
-        double sum = 0.0;
-        bool pruned = false;
-        for (std::size_t i = 0; i < m; i += kPruneChunk) {
-            sum = row_terms(s.data() + i, lp + i, std::min(kPruneChunk, m - i), sum, lut);
-            if (sum > best) {
-                pruned = true;
-                break;
-            }
-        }
-        if (pruned) {
+        const double sum = w.one(off, best);
+        if (sum > best) {
             if (st != nullptr) {
                 ++st->windows_pruned;
             }
-            continue;
-        }
-        if (sum < best) {
+        } else if (sum < best) {
             best = sum;
         }
     }
+    return best;
+}
 
+/// The reference dissimilarity of a shorter side of m bytes slid along a
+/// longer side of n bytes, from the smallest raw window sum.
+double slide_dissimilarity(double best, std::size_t m, std::size_t n) {
     // min over off of (sum_off / m) equals (min over off of sum_off) / m:
     // IEEE division by a positive constant is monotone, so dividing once at
     // the end reproduces the reference loop's per-window divide-then-min.
@@ -253,6 +252,156 @@ double sliding_pruned(byte_view s, byte_view l, stats* st) {
     const double penalty = 1.0 - ratio * (1.0 - d_min);
     return (static_cast<double>(m) * d_min + static_cast<double>(n - m) * penalty) /
            static_cast<double>(n);
+}
+
+/// The windows of the shorter side \p s along the longer side \p l, summed
+/// as the step loop asks for them; long windows are checked against the
+/// bound every kPruneChunk bytes.
+struct byte_windows {
+    const std::uint8_t* s;
+    const std::uint8_t* l;
+    std::size_t m;
+    const double* lut;
+
+    bool eight(std::size_t off, double bound, double* sums) const {
+        return batch8_terms(s, l + off, m, lut, bound, sums);
+    }
+    bool four(std::size_t off, double bound, double* sums) const {
+        return batch4_terms(s, l + off, m, lut, bound, sums);
+    }
+    double one(std::size_t off, double bound) const {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < m; i += kPruneChunk) {
+            sum = row_terms(s + i, l + off + i, std::min(kPruneChunk, m - i), sum, lut);
+            if (sum > bound) {
+                break;
+            }
+        }
+        return sum;
+    }
+};
+
+/// Window sums summed up front: the step loop reads them, never abandons.
+struct summed_windows {
+    const double* sums;
+
+    bool eight(std::size_t off, double /*bound*/, double* out) const {
+        std::copy_n(sums + off, 8, out);
+        return false;
+    }
+    bool four(std::size_t off, double /*bound*/, double* out) const {
+        std::copy_n(sums + off, 4, out);
+        return false;
+    }
+    double one(std::size_t off, double /*bound*/) const { return sums[off]; }
+};
+
+/// Single-pair sliding path: shorter side \p s, longer side \p l.
+double sliding_pruned(byte_view s, byte_view l, stats* st) {
+    const byte_windows w{s.data(), l.data(), s.size(), term_table()};
+    return slide_dissimilarity(min_window_sum(l.size() - s.size() + 1, w, st), s.size(),
+                               l.size());
+}
+
+/// Most windows per pair the lockstep path sums up front.
+constexpr std::size_t kLockstepWindows = 16;
+
+/// True when \p bs is a full batch the lockstep path takes: eight
+/// non-empty partners of one length other than a's, whose shorter side is
+/// at most kPruneChunk bytes and which slide over at most kLockstepWindows
+/// windows.
+bool lockstep_fits(byte_view a, const byte_view* bs, std::size_t count) {
+    if (count != kSlideBatch || a.empty()) {
+        return false;
+    }
+    const std::size_t len = bs[0].size();
+    for (std::size_t k = 0; k < count; ++k) {
+        if (bs[k].size() != len) {
+            return false;
+        }
+    }
+    const std::size_t m = std::min(a.size(), len);
+    const std::size_t n = std::max(a.size(), len);
+    return m > 0 && m < n && m <= kPruneChunk && n - m + 1 <= kLockstepWindows;
+}
+
+/// Eight sliding pairs of one length in lockstep (lockstep_fits holds).
+/// Every window of every pair is summed up front, the eight pairs' sums as
+/// independent chains, each in reference element order; then each pair
+/// replays min_window_sum over its own sums. A shorter side of at most
+/// kPruneChunk bytes is never abandoned before its last byte by the
+/// single-pair loops (their prune checks sit between chunks of a window),
+/// so they sum exactly these windows to exactly these doubles; the replay
+/// takes their steps, stops where they stop at best == 0 and counts what
+/// they count. Every value and counter equals eight single calls.
+void sliding_lockstep(byte_view a, const byte_view* bs, double* out, stats* st) {
+    const bool a_shorter = a.size() < bs[0].size();
+    const std::size_t m = a_shorter ? a.size() : bs[0].size();
+    const std::size_t n = a_shorter ? bs[0].size() : a.size();
+    const std::size_t windows = n - m + 1;
+    const double* lut = term_table();
+    const std::uint8_t* shared = a.data();
+    const std::uint8_t* b0 = bs[0].data();
+    const std::uint8_t* b1 = bs[1].data();
+    const std::uint8_t* b2 = bs[2].data();
+    const std::uint8_t* b3 = bs[3].data();
+    const std::uint8_t* b4 = bs[4].data();
+    const std::uint8_t* b5 = bs[5].data();
+    const std::uint8_t* b6 = bs[6].data();
+    const std::uint8_t* b7 = bs[7].data();
+    double sums[kSlideBatch][kLockstepWindows];
+    for (std::size_t w = 0; w < windows; ++w) {
+        double s0 = 0.0;
+        double s1 = 0.0;
+        double s2 = 0.0;
+        double s3 = 0.0;
+        double s4 = 0.0;
+        double s5 = 0.0;
+        double s6 = 0.0;
+        double s7 = 0.0;
+        if (a_shorter) {
+            // Term (a[i], b_k[w + i]): one LUT row per byte of a.
+            for (std::size_t i = 0; i < m; ++i) {
+                const double* row = lut + (static_cast<std::size_t>(shared[i]) << 8);
+                const std::size_t at = w + i;
+                s0 += row[b0[at]];
+                s1 += row[b1[at]];
+                s2 += row[b2[at]];
+                s3 += row[b3[at]];
+                s4 += row[b4[at]];
+                s5 += row[b5[at]];
+                s6 += row[b6[at]];
+                s7 += row[b7[at]];
+            }
+        } else {
+            // Term (b_k[i], a[w + i]): one LUT column per byte of a.
+            for (std::size_t i = 0; i < m; ++i) {
+                const std::size_t y = shared[w + i];
+                s0 += lut[static_cast<std::size_t>(b0[i]) << 8 | y];
+                s1 += lut[static_cast<std::size_t>(b1[i]) << 8 | y];
+                s2 += lut[static_cast<std::size_t>(b2[i]) << 8 | y];
+                s3 += lut[static_cast<std::size_t>(b3[i]) << 8 | y];
+                s4 += lut[static_cast<std::size_t>(b4[i]) << 8 | y];
+                s5 += lut[static_cast<std::size_t>(b5[i]) << 8 | y];
+                s6 += lut[static_cast<std::size_t>(b6[i]) << 8 | y];
+                s7 += lut[static_cast<std::size_t>(b7[i]) << 8 | y];
+            }
+        }
+        sums[0][w] = s0;
+        sums[1][w] = s1;
+        sums[2][w] = s2;
+        sums[3][w] = s3;
+        sums[4][w] = s4;
+        sums[5][w] = s5;
+        sums[6][w] = s6;
+        sums[7][w] = s7;
+    }
+    for (std::size_t k = 0; k < kSlideBatch; ++k) {
+        if (st != nullptr) {
+            ++st->invocations;
+        }
+        out[k] = slide_dissimilarity(min_window_sum(windows, summed_windows{sums[k]}, st), m, n);
+    }
 }
 
 }  // namespace
@@ -361,6 +510,10 @@ void sliding_dissimilarity_batch(byte_view a, const byte_view* bs, std::size_t c
                                  double* out, stats* st) {
     expects(count >= 1 && count <= kSlideBatch,
             "sliding_dissimilarity_batch: count must be in [1, kSlideBatch]");
+    if (lockstep_fits(a, bs, count)) {
+        sliding_lockstep(a, bs, out, st);
+        return;
+    }
     for (std::size_t k = 0; k < count; ++k) {
         out[k] = sliding_dissimilarity(a, bs[k], st);
     }

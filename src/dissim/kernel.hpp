@@ -21,9 +21,10 @@
 ///    latency-bound, not throughput-bound — so the admissible parallelism
 ///    is across *independent* sums: the sliding loop computes eight (then
 ///    four) consecutive windows at once and the batch entry points below
-///    compute up to eight pairs at once, every individual chain still in
-///    reference element order. batcher is the one place that groups a
-///    caller's pairs into those batches.
+///    compute up to eight pairs at once (eight short sliding pairs of one
+///    length in lockstep), every individual chain still in reference
+///    element order. batcher is the one place that groups a caller's pairs
+///    into those batches.
 ///
 /// There is one path, portable C++ on every build, with no build option and
 /// no runtime dispatch: a vector-gather variant was measured slower on both
@@ -93,12 +94,18 @@ void equal_dissimilarity_batch(byte_view x, const byte_view* ys, std::size_t cou
 /// Bitwise equal to ftc::dissim::sliding_canberra_dissimilarity.
 double sliding_dissimilarity(byte_view a, byte_view b, stats* st = nullptr);
 
-/// Lane count of sliding_dissimilarity_batch (call-overhead amortization,
-/// not a numeric contract — any count up to this is accepted).
+/// Lane count of sliding_dissimilarity_batch (not a numeric contract — any
+/// count up to this is accepted).
 inline constexpr std::size_t kSlideBatch = 8;
 
 /// Computes out[k] = sliding_dissimilarity(a, bs[k]) for k < count
-/// (1 ≤ count ≤ kSlideBatch), bitwise identical to count single calls.
+/// (1 ≤ count ≤ kSlideBatch), bitwise identical to count single calls and
+/// counting what they count. A full batch of one partner length whose
+/// shorter side is at most 32 bytes and which slides over at most 16
+/// windows runs in lockstep: every window of the eight pairs is summed as
+/// independent in-order chains, then each pair replays the single-pair
+/// step loop over its sums (DESIGN.md §9). Any other batch runs pair by
+/// pair.
 void sliding_dissimilarity_batch(byte_view a, const byte_view* bs, std::size_t count,
                                  double* out, stats* st = nullptr);
 

@@ -25,8 +25,26 @@ std::size_t neighborhood_source::expand_within(std::size_t i, double epsilon,
     return within.size();
 }
 
+void row_counts::publish() const {
+    if (scored > 0) {
+        kernel::publish(kernel);
+        obs::counter_add("dissim.sparse.ondemand_pairs_total", static_cast<double>(scored));
+    }
+    if (skipped > 0) {
+        obs::counter_add("dissim.sparse.pairs_skipped_total", static_cast<double>(skipped));
+    }
+}
+
+void neighborhood_source::dissimilarities(std::size_t i, std::span<const std::size_t> js,
+                                          double ceiling, std::span<double> out) const {
+    row_counts counts;
+    dissimilarities(i, js, ceiling, out, counts);
+    counts.publish();
+}
+
 void matrix_neighborhood::dissimilarities(std::size_t i, std::span<const std::size_t> js,
-                                          double /*ceiling*/, std::span<double> out) const {
+                                          double /*ceiling*/, std::span<double> out,
+                                          row_counts& /*counts*/) const {
     expects(i < matrix_.size(), "dissimilarities: point index out of range");
     expects(js.size() == out.size(), "dissimilarities: one output per partner");
     for (std::size_t k = 0; k < js.size(); ++k) {

@@ -47,6 +47,7 @@
 #include <span>
 #include <vector>
 
+#include "dissim/kernel.hpp"
 #include "dissim/matrix.hpp"
 #include "mem/mem.hpp"
 #include "util/error.hpp"
@@ -89,6 +90,20 @@ struct capped_neighbors {
 /// bitwise-identical values, so the choice moves cost, never results.
 inline constexpr std::size_t kSparseAutoUniques = 4096;
 
+/// Work counts of row queries, summed by the caller over many queries and
+/// published once: every registry update takes the registry's one mutex, so
+/// a lane block publishes its sum instead of each query its own.
+struct row_counts {
+    kernel::stats kernel;       ///< kernel work, counted under a recorder only
+    std::uint64_t scored = 0;   ///< pairs the kernel scored
+    std::uint64_t skipped = 0;  ///< partners settled by their length bound
+
+    /// Add the sums to `dissim.kernel.*`, `dissim.sparse.ondemand_pairs_total`
+    /// and `dissim.sparse.pairs_skipped_total` of the active recorder (no-op
+    /// without one, and for a counter with nothing to add).
+    void publish() const;
+};
+
 /// The epsilon-neighborhood queries the clustering layer consumes (contract
 /// in the file comment). Every query is a pure read and safe to call from
 /// several threads at once. prepare_within is the one call that writes
@@ -104,9 +119,15 @@ public:
     /// double, for every partner whose value could lie below \p ceiling;
     /// 0 where js[k] == i. A partner whose value is provably >= ceiling may
     /// come back as +inf without being scored, so ceiling = +inf scores
-    /// every partner. out.size() must equal js.size().
+    /// every partner. out.size() must equal js.size(). The query's work is
+    /// added to \p counts, which the caller publishes.
     virtual void dissimilarities(std::size_t i, std::span<const std::size_t> js,
-                                 double ceiling, std::span<double> out) const = 0;
+                                 double ceiling, std::span<double> out,
+                                 row_counts& counts) const = 0;
+
+    /// The same row query, publishing its own counts.
+    void dissimilarities(std::size_t i, std::span<const std::size_t> js, double ceiling,
+                         std::span<double> out) const;
 
     /// Every j (including i itself) with d(i, j) <= epsilon, ids ascending.
     virtual std::vector<std::uint32_t> neighbors_within(std::size_t i,
@@ -153,9 +174,10 @@ public:
 
     std::size_t size() const override { return matrix_.size(); }
 
-    /// Reads every cell; the ceiling prunes nothing.
+    using neighborhood_source::dissimilarities;
+    /// Reads every cell; the ceiling prunes nothing and nothing is counted.
     void dissimilarities(std::size_t i, std::span<const std::size_t> js, double ceiling,
-                         std::span<double> out) const override;
+                         std::span<double> out, row_counts& counts) const override;
 
     /// The row scan, from the cells whatever was prepared.
     std::vector<std::uint32_t> neighbors_within(std::size_t i,

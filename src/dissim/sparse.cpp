@@ -279,44 +279,59 @@ void sparse_neighborhood::charge_storage() {
 }
 
 void sparse_neighborhood::dissimilarities(std::size_t i, std::span<const std::size_t> js,
-                                          double ceiling, std::span<double> out) const {
+                                          double ceiling, std::span<double> out,
+                                          row_counts& counts) const {
     expects(i < n_, "dissimilarities: point index out of range");
     expects(js.size() == out.size(), "dissimilarities: one output per partner");
-    kernel::stats st;
-    kernel::stats* stp = obs::current() != nullptr ? &st : nullptr;
+    expects(js.size() <= 0xffffffffull, "dissimilarities: too many partners");
+    // The partners' slots bucket by bucket (ascending length, input order
+    // within one), by a counting sort: a bucket's partners share one length
+    // bound, and the batcher flushes at each bucket change, so every full
+    // sliding batch holds one partner length.
+    std::vector<std::uint32_t> end(bucket_len_.size() + 1, 0);
+    for (const std::size_t j : js) {
+        expects(j < n_, "dissimilarities: partner index out of range");
+        ++end[bucket_of_[j] + 1];
+    }
+    std::partial_sum(end.begin(), end.end(), end.begin());
+    std::vector<std::uint32_t> order(js.size());
+    for (std::size_t k = 0; k < js.size(); ++k) {
+        order[end[bucket_of_[js[k]]]++] = static_cast<std::uint32_t>(k);
+    }
+    // end[b] is now where bucket b's slots end (and b + 1's begin).
+    kernel::stats* stp = obs::current() != nullptr ? &counts.kernel : nullptr;
     std::uint64_t scored = 0;
-    std::uint64_t skipped = 0;
     kernel::batcher batch(byte_view{values_[i]}, stp);
     // The batcher hands back the key it was given: here the output slot.
     const auto store = [&](std::size_t k, float f) { out[k] = static_cast<double>(f); };
-    for (std::size_t k = 0; k < js.size(); ++k) {
-        const std::size_t j = js[k];
-        expects(j < n_, "dissimilarities: partner index out of range");
-        if (j == i) {
-            out[k] = 0.0;
+    std::uint32_t begin = 0;
+    for (std::size_t b = 0; b < bucket_len_.size(); begin = end[b++]) {
+        if (begin == end[b]) {
             continue;
         }
         // No stored value lies below its pair's length bound (DESIGN.md
-        // §13), so a bound at or above the ceiling settles the partner
-        // without a kernel call.
-        if (static_cast<double>(length_lower_bound(values_[i].size(), values_[j].size())) >=
-            ceiling) {
-            out[k] = std::numeric_limits<double>::infinity();
-            ++skipped;
-            continue;
+        // §13), so a bound at or above the ceiling settles the bucket's
+        // partners without a kernel call.
+        const bool settled =
+            static_cast<double>(length_lower_bound(values_[i].size(), bucket_len_[b])) >=
+            ceiling;
+        for (std::uint32_t t = begin; t < end[b]; ++t) {
+            const std::size_t k = order[t];
+            const std::size_t j = js[k];
+            if (j == i) {
+                out[k] = 0.0;
+            } else if (settled) {
+                out[k] = std::numeric_limits<double>::infinity();
+                ++counts.skipped;
+            } else {
+                batch.add(k, byte_view{values_[j]}, store);
+                ++scored;
+            }
         }
-        batch.add(k, byte_view{values_[j]}, store);
-        ++scored;
+        batch.flush(store);
     }
-    batch.flush(store);
+    counts.scored += scored;
     pairs_scored_.fetch_add(scored, std::memory_order_relaxed);
-    if (stp != nullptr && scored > 0) {
-        kernel::publish(st);
-        obs::counter_add("dissim.sparse.ondemand_pairs_total", static_cast<double>(scored));
-    }
-    if (stp != nullptr && skipped > 0) {
-        obs::counter_add("dissim.sparse.pairs_skipped_total", static_cast<double>(skipped));
-    }
 }
 
 template <typename Skip>

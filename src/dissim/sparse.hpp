@@ -29,10 +29,12 @@
 ///    answers without any prepare; an unprepared epsilon beyond it is
 ///    answered by a local bucket scan that caches nothing. DBSCAN prepares
 ///    once per run, and the caches carry over across re-clustering sweeps.
-///  - **Row queries.** dissimilarities(i, js, ceiling) skips every partner
-///    whose length lower bound is already >= ceiling and scores the rest
-///    in kernel batches at f32 storage precision, keeping nothing: the
-///    refinement pass reads each pair at most once.
+///  - **Row queries.** dissimilarities(i, js, ceiling) visits the partners
+///    bucket by bucket, skips every bucket whose length lower bound is
+///    already >= ceiling and scores the rest in kernel batches at f32
+///    storage precision, flushed at each bucket change so that full
+///    sliding batches share one length (the kernel's lockstep path). It
+///    keeps nothing: the refinement pass reads each pair at most once.
 ///
 /// Everything is charged against ftc::mem (the sparse path is the matrix
 /// rung of the degradation ladder: the pipeline builds it whenever the
@@ -55,10 +57,6 @@
 #include "util/stopwatch.hpp"
 
 namespace ftc::dissim {
-
-namespace kernel {
-struct stats;
-}  // namespace kernel
 
 /// Construction knobs of sparse_neighborhood.
 struct sparse_build_options {
@@ -88,8 +86,9 @@ public:
     sparse_neighborhood(std::span<const byte_vector> values, capped_neighbors lists);
 
     std::size_t size() const override { return n_; }
+    using neighborhood_source::dissimilarities;
     void dissimilarities(std::size_t i, std::span<const std::size_t> js, double ceiling,
-                         std::span<double> out) const override;
+                         std::span<double> out, row_counts& counts) const override;
     std::vector<std::uint32_t> neighbors_within(std::size_t i,
                                                 double epsilon) const override;
     void prepare_within(double epsilon, std::size_t threads = 1) const override;

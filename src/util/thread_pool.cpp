@@ -13,8 +13,13 @@
 namespace ftc::util {
 
 std::size_t hardware_threads() {
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : static_cast<std::size_t>(n);
+    // Asked once per process: the runtime asks the kernel on every call
+    // (about 2 µs), and every fan-out resolves its lanes through here.
+    static const std::size_t n = [] {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw == 0 ? std::size_t{1} : static_cast<std::size_t>(hw);
+    }();
+    return n;
 }
 
 std::size_t max_threads() {

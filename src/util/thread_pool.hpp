@@ -23,8 +23,8 @@
 
 namespace ftc::util {
 
-/// Number of concurrent hardware threads; never 0 (falls back to 1 when
-/// the runtime cannot tell).
+/// Number of concurrent hardware threads, read once per process; never 0
+/// (falls back to 1 when the runtime cannot tell).
 std::size_t hardware_threads();
 
 /// Hard ceiling on execution lanes: max(64, 8 * hardware_threads()).

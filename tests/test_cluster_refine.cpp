@@ -1,20 +1,23 @@
 // Unit tests for cluster refinement: merge & split (cluster/refine.hpp),
-// its deadline and stop-flag polling, and a differential test of the merge
-// pass against a per-pair reference pass, over both the dense matrix and
-// the sparse neighborhood.
+// its deadline and stop-flag polling, and differential tests of the merge
+// pass at 1, 2 and 4 lanes against a serial per-pair reference pass, over
+// both the dense matrix and the sparse neighborhood.
 #include "cluster/refine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <thread>
 
 #include "cluster/autoconf.hpp"
 #include "dissim/sparse.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/interrupt.hpp"
 #include "util/rng.hpp"
@@ -275,13 +278,15 @@ TEST(Refine, ExpiredDeadlineRaisesBudgetExceeded) {
     const cluster_labels labels = two_halves(xs);
     const auto m = line_matrix(xs);
     const deadline expired(-1.0);
-    try {
-        refine(dissim::matrix_neighborhood(m), labels,
-               std::vector<std::size_t>(xs.size(), 1), {}, expired);
-        FAIL() << "refine ignored an expired deadline";
-    } catch (const interrupted_error&) {
-        FAIL() << "an expired deadline is not an interrupt";
-    } catch (const budget_exceeded_error&) {
+    for (const std::size_t lanes : {1, 2}) {
+        try {
+            refine(dissim::matrix_neighborhood(m), labels,
+                   std::vector<std::size_t>(xs.size(), 1), {}, expired, lanes);
+            FAIL() << "refine ignored an expired deadline at " << lanes << " lanes";
+        } catch (const interrupted_error&) {
+            FAIL() << "an expired deadline is not an interrupt";
+        } catch (const budget_exceeded_error&) {
+        }
     }
 }
 
@@ -289,11 +294,15 @@ TEST(Refine, PendingInterruptRaisesInterrupted) {
     std::vector<double> xs;
     const cluster_labels labels = two_halves(xs);
     const auto m = line_matrix(xs);
-    const scoped_interrupt_clear guard;
-    request_interrupt();
-    EXPECT_THROW(refine(m, labels, std::vector<std::size_t>(xs.size(), 1)), interrupted_error);
-    clear_interrupt();
-    EXPECT_EQ(refine(m, labels, std::vector<std::size_t>(xs.size(), 1)).merges.size(), 1u);
+    const dissim::matrix_neighborhood source(m);
+    const std::vector<std::size_t> occurrences(xs.size(), 1);
+    for (const std::size_t lanes : {1, 2}) {
+        const scoped_interrupt_clear guard;
+        request_interrupt();
+        EXPECT_THROW(refine(source, labels, occurrences, {}, {}, lanes), interrupted_error);
+        clear_interrupt();
+        EXPECT_EQ(refine(source, labels, occurrences, {}, {}, lanes).merges.size(), 1u);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -616,6 +625,28 @@ void expect_same_merge(const refine_result& got, const refine_result& want,
     }
 }
 
+/// merge_clusters at 1, 2 and 4 lanes over both sources must reproduce
+/// \p want, and the sparse source must score the same pairs at every lane
+/// count.
+void expect_same_lanes(const dissim::neighborhood_source& dense,
+                       const dissim::sparse_neighborhood& sparse, const cluster_labels& labels,
+                       const refine_options& options, const refine_result& want,
+                       const std::string& where) {
+    std::uint64_t serial_pairs = 0;
+    for (const std::size_t lanes : {1, 2, 4}) {
+        const std::string at = where + " at " + std::to_string(lanes) + " lanes";
+        expect_same_merge(merge_clusters(dense, labels, options, {}, lanes), want, at + " dense");
+        const std::uint64_t before = sparse.pairs_scored();
+        expect_same_merge(merge_clusters(sparse, labels, options, {}, lanes), want,
+                          at + " sparse");
+        const std::uint64_t pairs = sparse.pairs_scored() - before;
+        if (lanes == 1) {
+            serial_pairs = pairs;
+        }
+        EXPECT_EQ(pairs, serial_pairs) << at << ": sparse pairs scored";
+    }
+}
+
 TEST(MergeDifferential, RowQueriesReproduceThePerPairMergeBitwise) {
     std::size_t merges[2] = {0, 0};
     std::size_t tied_links = 0;
@@ -646,10 +677,7 @@ TEST(MergeDifferential, RowQueriesReproduceThePerPairMergeBitwise) {
                             std::to_string(fraction);
                         const refine_result want =
                             reference::merge_clusters(dense, labels, options);
-                        expect_same_merge(merge_clusters(dense, labels, options), want,
-                                          where + " dense");
-                        expect_same_merge(merge_clusters(sparse, labels, options), want,
-                                          where + " sparse");
+                        expect_same_lanes(dense, sparse, labels, options, want, where);
                         for (const merge_record& m : want.merges) {
                             ++merges[m.reason == merge_reason::condition1 ? 0 : 1];
                             std::size_t at_min = 0;
@@ -671,6 +699,252 @@ TEST(MergeDifferential, RowQueriesReproduceThePerPairMergeBitwise) {
     EXPECT_GT(merges[0], 0u);
     EXPECT_GT(merges[1], 0u);
     EXPECT_GT(tied_links, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Lanes. The merge pass runs its row queries on lanes: a cluster's D(c) in
+// blocks of rows that fold in row order, each pass's link searches in
+// blocks of kLinkBlockRows rows that reduce in row order, and the merges in
+// j order after eligibility is checked again. The populations below break
+// if any of the three is done otherwise.
+// ---------------------------------------------------------------------------
+
+/// Labels splitting \p n points at random into \p clusters clusters, with
+/// about 5 % noise: clusters large enough that their fan-outs start lanes.
+cluster_labels few_clusters(std::size_t n, int clusters, rng& r) {
+    std::vector<int> labels(n);
+    for (int& label : labels) {
+        label = r.chance(0.05) ? kNoise : static_cast<int>(r.uniform(0, clusters - 1));
+    }
+    return make_labels(std::move(labels));
+}
+
+/// Whether a fan-out under \p recorder ran on more than one lane.
+bool lanes_started(const obs::scoped_recorder& recorder) {
+    return recorder.rec().metrics().snapshot().gauges.count("threadpool.queue_depth") > 0;
+}
+
+double counter(const obs::scoped_recorder& recorder, const std::string& name) {
+    const auto counters = recorder.rec().metrics().snapshot().counters;
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0.0 : it->second;
+}
+
+TEST(MergeLanes, LargeClustersReproduceThePerPairMergeAtEveryLaneCount) {
+    for (int family = 0; family < 3; ++family) {
+        const auto values = population(family, 400, 77 + static_cast<std::uint64_t>(family));
+        const dissim::dissimilarity_matrix matrix(values);
+        const dissim::matrix_neighborhood dense(matrix);
+        dissim::sparse_build_options opts;
+        opts.knn_cap = knn_k_max(values.size());
+        const dissim::sparse_neighborhood sparse(values, opts);
+        rng r(5 + static_cast<std::uint64_t>(family));
+        for (const int clusters : {2, 3}) {
+            const cluster_labels labels = few_clusters(values.size(), clusters, r);
+            for (const bool loose : {false, true}) {
+                refine_options options;
+                if (loose) {
+                    options.eps_rho_threshold = 0.2;
+                    options.neighbor_density_threshold = 0.05;
+                }
+                const std::string where = "family " + std::to_string(family) + ", " +
+                                          std::to_string(clusters) + " clusters" +
+                                          (loose ? " loose" : " paper");
+                expect_same_lanes(dense, sparse, labels, options,
+                                  reference::merge_clusters(dense, labels, options), where);
+            }
+            const obs::scoped_recorder recorder;
+            merge_clusters(sparse, labels, {}, {}, 2);
+            EXPECT_TRUE(lanes_started(recorder)) << "family " << family << ": no lane started";
+        }
+    }
+}
+
+TEST(MergeLanes, TiedLinksAcrossARowBlockKeepTheFirstArgMin) {
+    // Cluster 0 has kLinkBlockRows + 6 members, so its link search against
+    // cluster 1 runs in two blocks of rows. Its rows kLinkBlockRows - 1 (the
+    // first block's last) and kLinkBlockRows (the second block's first) lie
+    // 1/64 from either end of cluster 1: the closest cross pairs, tied
+    // exactly (every coordinate is a multiple of a power of two). Around
+    // the first, cluster 0 is as dense as cluster 1, so condition 1 merges;
+    // around the second it is empty, and neither condition would.
+    std::vector<double> xs;
+    for (std::size_t k = 0; k + 3 < kLinkBlockRows; ++k) {
+        xs.push_back(0.125 + static_cast<double>(k) / 256.0);
+    }
+    xs.push_back(0.421875);  // 2/32 left of the first link
+    xs.push_back(0.453125);  // 1/32 left of it
+    xs.push_back(0.484375);  // the first link, 1/64 left of cluster 1
+    xs.push_back(0.640625);  // the second link, 1/64 right of cluster 1
+    for (int k = 0; k < 5; ++k) {
+        xs.push_back(0.875 + k / 256.0);
+    }
+    ASSERT_EQ(xs.size(), kLinkBlockRows + 6);
+    std::vector<int> labels(xs.size(), 0);
+    for (int k = 0; k < 5; ++k) {
+        xs.push_back(0.5 + k / 32.0);
+        labels.push_back(1);
+    }
+    const auto m = line_matrix(xs);
+    const dissim::matrix_neighborhood source(m);
+    const cluster_labels input = make_labels(labels);
+    const refine_result want = reference::merge_clusters(source, input, {});
+    ASSERT_EQ(want.merges.size(), 1u);
+    EXPECT_EQ(want.merges[0].reason, merge_reason::condition1);
+    EXPECT_EQ(want.merges[0].link_dissimilarity, 1.0 / 64);
+    for (const std::size_t lanes : {1, 2, 4}) {
+        expect_same_merge(merge_clusters(source, input, {}, {}, lanes), want,
+                          std::to_string(lanes) + " lanes");
+    }
+}
+
+TEST(MergeLanes, AMergeEarlyInAPassMakesItsLaterPairsIneligible) {
+    // A transitive chain on one line of points 1/256 apart: cluster 0 (12
+    // points), clusters 2 and 3 alternating (24 points), then cluster 1 (12
+    // points, every fourth position). Pass 0 merges 0 with 2 and with 3;
+    // pass 1 merges 1 with 2, which joins 3 to 1's component before the
+    // turn of (1, 3), a pair eligible as the pass started.
+    std::vector<double> xs;
+    std::vector<int> labels;
+    for (int k = 0; k < 12; ++k) {
+        xs.push_back(k / 256.0);
+        labels.push_back(0);
+    }
+    for (int k = 0; k < 24; ++k) {
+        xs.push_back((12 + k) / 256.0);
+        labels.push_back(k % 2 == 0 ? 2 : 3);
+    }
+    for (int k = 0; k < 12; ++k) {
+        xs.push_back((36 + 4 * k) / 256.0);
+        labels.push_back(1);
+    }
+    const auto m = line_matrix(xs);
+    const dissim::matrix_neighborhood source(m);
+    const cluster_labels input = make_labels(labels);
+    const refine_result want = reference::merge_clusters(source, input, {});
+    ASSERT_EQ(want.merges.size(), 3u);
+    EXPECT_EQ(want.merges[2].cluster_a, 1);
+    EXPECT_EQ(want.merges[2].cluster_b, 2);
+    EXPECT_EQ(want.labels.cluster_count, 1u);
+
+    // Round-robin thirds of one line are mutually adjacent and equally
+    // dense. Under max_merged_fraction 0.7, pass 0 merges 0 and 1 into 2/3
+    // of the points; (0, 2), eligible as the pass started, would make all
+    // of them.
+    std::vector<double> line;
+    std::vector<int> thirds;
+    for (int k = 0; k < 30; ++k) {
+        line.push_back(k / 256.0);
+        thirds.push_back(k % 3);
+    }
+    const auto m3 = line_matrix(line);
+    const dissim::matrix_neighborhood source3(m3);
+    const cluster_labels input3 = make_labels(thirds);
+    refine_options capped;
+    capped.max_merged_fraction = 0.7;
+    const refine_result want3 = reference::merge_clusters(source3, input3, capped);
+    ASSERT_EQ(want3.merges.size(), 1u);
+    EXPECT_EQ(want3.labels.cluster_count, 2u);
+
+    for (const std::size_t lanes : {1, 2, 4}) {
+        const std::string at = std::to_string(lanes) + " lanes";
+        expect_same_merge(merge_clusters(source, input, {}, {}, lanes), want, "chain at " + at);
+        expect_same_merge(merge_clusters(source3, input3, capped, {}, lanes), want3,
+                          "max_merged_fraction at " + at);
+    }
+}
+
+/// The wrapped source, except that scoring a whole row of \p slow (an
+/// unbounded row query) first sleeps: at two lanes or more, every other
+/// block of that row's D(c) is scored before the first.
+class slow_row_source final : public dissim::neighborhood_source {
+public:
+    slow_row_source(const dissim::neighborhood_source& inner, std::size_t slow)
+        : inner_(inner), slow_(slow) {}
+
+    std::size_t size() const override { return inner_.size(); }
+    using neighborhood_source::dissimilarities;
+    void dissimilarities(std::size_t i, std::span<const std::size_t> js, double ceiling,
+                         std::span<double> out, dissim::row_counts& counts) const override {
+        if (i == slow_ && std::isinf(ceiling)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        }
+        inner_.dissimilarities(i, js, ceiling, out, counts);
+    }
+    std::vector<std::uint32_t> neighbors_within(std::size_t i, double epsilon) const override {
+        return inner_.neighbors_within(i, epsilon);
+    }
+    void prepare_within(double epsilon, std::size_t threads) const override {
+        inner_.prepare_within(epsilon, threads);
+    }
+    std::size_t knn_cap() const override { return inner_.knn_cap(); }
+    std::vector<double> kth_nn(std::size_t k, std::size_t threads) const override {
+        return inner_.kth_nn(k, threads);
+    }
+    std::vector<std::vector<double>> kth_nn_many(std::size_t k_max,
+                                                 std::size_t threads) const override {
+        return inner_.kth_nn_many(k_max, threads);
+    }
+
+private:
+    const dissim::neighborhood_source& inner_;
+    std::size_t slow_;
+};
+
+TEST(MergeLanes, ClusterStatsFoldInRowOrderWhicheverBlockFinishesFirst) {
+    // Cluster 0: member 0 far away (every pair in row 0 of D(c) is 1.0)
+    // and 255 members packed k * 2^-56 apart. In row order the sum is 255
+    // after row 0, and every later value is below half an ulp of it, so
+    // the mean is exactly 1/128; any later block folded first leaves its
+    // sum behind and lifts the mean above 1/128. Cluster 1 (3 members,
+    // 2^-8 apart) lies exactly 1/128 from the packed members. At a mean of
+    // 1/128 neither condition holds; above it, condition 1 merges.
+    std::vector<double> xs{2.0};
+    const double packed = std::ldexp(1.0, -56);
+    for (int k = 1; k < 256; ++k) {
+        xs.push_back(k * packed);
+    }
+    std::vector<int> labels(xs.size(), 0);
+    const double near = 1.0 / 128 + 255 * packed;
+    for (const double offset : {0.0, 1.0 / 256, 1.0 / 128}) {
+        xs.push_back(near + offset);
+        labels.push_back(1);
+    }
+    const auto m = line_matrix(xs);
+    const dissim::matrix_neighborhood dense(m);
+    const cluster_labels input = make_labels(labels);
+    const refine_result want = reference::merge_clusters(dense, input, {});
+    ASSERT_TRUE(want.merges.empty());
+    const slow_row_source slow(dense, 0);
+    for (const std::size_t lanes : {1, 2, 4}) {
+        const obs::scoped_recorder recorder;
+        expect_same_merge(merge_clusters(slow, input, {}, {}, lanes), want,
+                          std::to_string(lanes) + " lanes");
+        EXPECT_EQ(lanes_started(recorder), lanes > 1) << lanes << " lanes";
+    }
+}
+
+TEST(MergeLanes, ObservedLanesCountWhatTheUnobservedSerialPassScores) {
+    // Row-query counts are summed per lane block and published once; an
+    // observed two-lane pass must yield the serial unobserved labels, and
+    // dissim.sparse.ondemand_pairs_total must equal the pairs that pass
+    // scored.
+    const auto values = population(1, 400, 91);
+    dissim::sparse_build_options opts;
+    opts.knn_cap = knn_k_max(values.size());
+    const dissim::sparse_neighborhood sparse(values, opts);
+    rng r(13);
+    const cluster_labels labels = few_clusters(values.size(), 2, r);
+    const std::uint64_t before = sparse.pairs_scored();
+    const refine_result serial = merge_clusters(sparse, labels, {}, {}, 1);
+    const std::uint64_t scored = sparse.pairs_scored() - before;
+    ASSERT_GT(scored, 0u);
+    const obs::scoped_recorder recorder;
+    const refine_result observed = merge_clusters(sparse, labels, {}, {}, 2);
+    expect_same_merge(observed, serial, "observed at 2 lanes");
+    EXPECT_TRUE(lanes_started(recorder));
+    EXPECT_EQ(counter(recorder, "dissim.sparse.ondemand_pairs_total"),
+              static_cast<double>(scored));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -199,6 +200,64 @@ TEST(KernelBatch, SlidingBatchBitwiseMatchesSingleCalls) {
         for (std::size_t k = 0; k < count; ++k) {
             ASSERT_TRUE(same_bits(out[k], sliding_canberra_dissimilarity(a, partners[k])))
                 << "lane " << k << " |a|=" << a.size() << " |b|=" << partners[k].size();
+        }
+    }
+}
+
+// A full sliding batch of one partner length takes the lockstep path when
+// the shorter side is at most 32 bytes and the pair slides over at most 16
+// windows; any other batch runs pair by pair (one window is the equal
+// path). The sweep crosses each limit, with a shorter and longer than its
+// partners, and plants a perfect (zero-valued) window at every offset, so
+// the stop at best == 0 falls in each step of the 8/4/1 loop and at each
+// place within one.
+TEST(KernelBatch, SameLengthBatchMatchesSingleCallsAndCountsLikeThem) {
+    rng rand(41);
+    for (const std::size_t shorter : {1, 2, 31, 32, 33}) {
+        for (std::size_t windows = 1; windows <= 17; ++windows) {
+            const std::size_t longer = shorter + windows - 1;
+            for (const bool a_shorter : {true, false}) {
+                // zero_at == windows plants no perfect window.
+                for (std::size_t zero_at = 0; zero_at <= windows; ++zero_at) {
+                    const std::string where =
+                        "shorter " + std::to_string(shorter) + " windows " +
+                        std::to_string(windows) + (a_shorter ? " a shorter" : " a longer") +
+                        " zero at " + std::to_string(zero_at);
+                    const byte_vector a = rand.bytes(a_shorter ? shorter : longer);
+                    std::vector<byte_vector> partners;
+                    for (std::size_t k = 0; k < kernel::kSlideBatch; ++k) {
+                        byte_vector b = rand.bytes(a_shorter ? longer : shorter);
+                        // Pair k's perfect window sits k offsets after
+                        // zero_at (wrapping), so the eight pairs stop at
+                        // different steps of one batch.
+                        const std::size_t at = (zero_at + k) % windows;
+                        if (zero_at < windows && a_shorter) {
+                            std::copy(a.begin(), a.end(),
+                                      b.begin() + static_cast<std::ptrdiff_t>(at));
+                        } else if (zero_at < windows) {
+                            std::copy_n(a.begin() + static_cast<std::ptrdiff_t>(at), shorter,
+                                        b.begin());
+                        }
+                        partners.push_back(std::move(b));
+                    }
+                    const std::vector<byte_view> views(partners.begin(), partners.end());
+                    double out[kernel::kSlideBatch];
+                    kernel::stats batched;
+                    kernel::sliding_dissimilarity_batch(a, views.data(), views.size(), out,
+                                                        &batched);
+                    kernel::stats single;
+                    for (std::size_t k = 0; k < kernel::kSlideBatch; ++k) {
+                        const double d = kernel::sliding_dissimilarity(a, partners[k], &single);
+                        ASSERT_TRUE(same_bits(out[k], d)) << where << " pair " << k;
+                        ASSERT_TRUE(same_bits(d, sliding_canberra_dissimilarity(a, partners[k])))
+                            << where << " pair " << k;
+                    }
+                    EXPECT_EQ(batched.invocations, single.invocations) << where;
+                    EXPECT_EQ(batched.equal_fast_path, single.equal_fast_path) << where;
+                    EXPECT_EQ(batched.windows_total, single.windows_total) << where;
+                    EXPECT_EQ(batched.windows_pruned, single.windows_pruned) << where;
+                }
+            }
         }
     }
 }
