@@ -19,12 +19,11 @@ namespace {
 
 constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
-/// Pairs a lane block scores, about, in both fan-outs; a fan-out over fewer
-/// pairs starts no thread. Starting and joining a lane costs about 35 µs
-/// (GCC 12.2, shared 4-vCPU x86-64 VM), about what reading 16384 matrix
-/// cells takes and a small fraction of what scoring as many sparse pairs
-/// takes; in the ordered fold below, a block also outweighs its hand-off
-/// to the next lane (DESIGN.md §3.3).
+/// A fan-out over fewer pairs starts no thread, and a link search's lane
+/// block scores about this many. Starting and joining a lane costs about
+/// 35 µs (GCC 12.2, shared 4-vCPU x86-64 VM), about what reading 16384
+/// matrix cells takes and a small fraction of what scoring as many sparse
+/// pairs takes (DESIGN.md §3.3).
 constexpr std::size_t kBlockPairs = 16384;
 
 std::size_t lanes_for(std::size_t pairs, std::size_t threads) {
@@ -50,64 +49,67 @@ cluster_stats compute_stats(const dissim::neighborhood_source& source,
         return s;
     }
     // Each intra pair is scored once, by rows of D(c): row a holds the pairs
-    // (a, b > a). A lane scores a block of consecutive rows into its own
-    // buffer, then waits until every earlier row is folded and folds its
-    // block: the running sum adds in the upper-triangle row-major order
-    // mean() would, the strict > keeps max_value()'s first maximum, and
-    // every value updates the 1-NN distance of both ends, whatever the lane
-    // count. Lanes claim blocks in row order, so the lowest unfolded block
-    // is always being scored or folded.
+    // (a, b > a). A lane scores a row into its buffer, then waits until
+    // every earlier row is folded and folds it: the running sum adds in the
+    // upper-triangle row-major order mean() would, the strict > keeps
+    // max_value()'s first maximum, and every value updates the 1-NN
+    // distance of both ends, whatever the lane count. Lanes claim one row
+    // at a time, in order, so the lowest unfolded row is always being
+    // scored or folded; one lane takes every row as one block. A lane's
+    // buffer is one row, the m - 1 doubles the serial pass held, and is as
+    // untracked. A source that reads stored values folds on one lane: its
+    // fold costs more than its reads, so lanes would only wait on each
+    // other (DESIGN.md §3.3).
+    const std::size_t lanes =
+        source.scores_rows() ? lanes_for(m * (m - 1) / 2, threads) : std::size_t{1};
     const std::span<const std::size_t> all(s.members);
     std::vector<double> one_nn(m, std::numeric_limits<double>::max());
     double sum = 0.0;
     double max_d = -std::numeric_limits<double>::infinity();
+    dissim::row_counts counts;  // the folded rows' work, published once
     std::mutex fold_mutex;
     std::condition_variable fold_turn;
     std::size_t folded = 0;  // rows [0, folded) are folded
     bool failed = false;     // a lane threw: nothing more is folded
     util::parallel_for(
-        m - 1, std::max<std::size_t>(1, kBlockPairs / (m - 1)),
-        lanes_for(m * (m - 1) / 2, threads), [&](std::size_t begin, std::size_t end) {
-            std::vector<double> rows;
-            try {
-                dl.check("cluster refinement");
-                dissim::row_counts counts;
-                rows.resize((end - begin) * (2 * m - begin - end - 1) / 2);
-                double* at = rows.data();
-                for (std::size_t a = begin; a < end; ++a) {
-                    source.dissimilarities(s.members[a], all.subspan(a + 1), kUnbounded,
-                                           std::span<double>(at, m - a - 1), counts);
-                    at += m - a - 1;
-                }
-                counts.publish();
-            } catch (...) {
-                {
-                    const std::lock_guard<std::mutex> lock(fold_mutex);
-                    failed = true;
-                }
-                fold_turn.notify_all();
-                throw;
-            }
-            std::unique_lock<std::mutex> lock(fold_mutex);
-            fold_turn.wait(lock, [&] { return folded == begin || failed; });
-            if (failed) {
-                return;
-            }
-            const double* d = rows.data();
+        m - 1, lanes > 1 ? 1 : m - 1, lanes, [&](std::size_t begin, std::size_t end) {
+            std::vector<double> row(m - begin - 1);
             for (std::size_t a = begin; a < end; ++a) {
-                for (std::size_t b = a + 1; b < m; ++b, ++d) {
-                    sum += *d;
-                    if (*d > max_d) {
-                        max_d = *d;
+                const std::span<double> out(row.data(), m - a - 1);
+                dissim::row_counts work;
+                try {
+                    dl.check("cluster refinement");
+                    source.dissimilarities(s.members[a], all.subspan(a + 1), kUnbounded, out,
+                                           work);
+                } catch (...) {
+                    {
+                        const std::lock_guard<std::mutex> lock(fold_mutex);
+                        failed = true;
                     }
-                    one_nn[a] = std::min(one_nn[a], *d);
-                    one_nn[b] = std::min(one_nn[b], *d);
+                    fold_turn.notify_all();
+                    throw;
                 }
+                std::unique_lock<std::mutex> lock(fold_mutex);
+                fold_turn.wait(lock, [&] { return folded == a || failed; });
+                if (failed) {
+                    return;
+                }
+                for (std::size_t k = 0; k < out.size(); ++k) {
+                    const double d = out[k];
+                    sum += d;
+                    if (d > max_d) {
+                        max_d = d;
+                    }
+                    one_nn[a] = std::min(one_nn[a], d);
+                    one_nn[a + 1 + k] = std::min(one_nn[a + 1 + k], d);
+                }
+                counts.add(work);
+                folded = a + 1;
+                lock.unlock();
+                fold_turn.notify_all();
             }
-            folded = end;
-            lock.unlock();
-            fold_turn.notify_all();
         });
+    counts.publish();
     s.mean_pairwise = sum / static_cast<double>(m * (m - 1) / 2);
     s.max_pairwise = max_d;
     s.minmed = median(one_nn);

@@ -4,7 +4,7 @@
 /// with extremely polarized value occurrences. The merge pass scores each
 /// pair at most once through neighborhood_source row queries, and searches
 /// link pairs only below the merge ceiling, so a sparse source never
-/// materializes more than a bounded block of rows per lane.
+/// materializes more than one row per lane.
 #pragma once
 
 #include <vector>
@@ -68,10 +68,10 @@ inline constexpr std::size_t kLinkBlockRows = 64;
 /// read, through row queries: each intra pair once, and cross pairs only
 /// below the merge ceiling (DESIGN.md §3.3), which lets a sparse source
 /// skip most of them by their length bound. The row queries run on
-/// \p threads lanes (0 = hardware concurrency), in blocks that do not
-/// depend on the lane count, so the result and the work counts are the
-/// same at every lane count. \p dl is polled once per cluster and once
-/// per block, never per pair.
+/// \p threads lanes (0 = hardware concurrency), by rows and blocks that do
+/// not depend on the lane count, so the result and the work counts are the
+/// same at every lane count. \p dl is polled once per cluster, row and
+/// block, never per pair.
 refine_result merge_clusters(const dissim::neighborhood_source& source,
                              const cluster_labels& input, const refine_options& options = {},
                              const deadline& dl = {}, std::size_t threads = 1);

@@ -25,6 +25,15 @@ std::size_t neighborhood_source::expand_within(std::size_t i, double epsilon,
     return within.size();
 }
 
+void row_counts::add(const row_counts& other) {
+    kernel.invocations += other.kernel.invocations;
+    kernel.equal_fast_path += other.kernel.equal_fast_path;
+    kernel.windows_total += other.kernel.windows_total;
+    kernel.windows_pruned += other.kernel.windows_pruned;
+    scored += other.scored;
+    skipped += other.skipped;
+}
+
 void row_counts::publish() const {
     if (scored > 0) {
         kernel::publish(kernel);

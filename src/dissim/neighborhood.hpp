@@ -92,11 +92,14 @@ inline constexpr std::size_t kSparseAutoUniques = 4096;
 
 /// Work counts of row queries, summed by the caller over many queries and
 /// published once: every registry update takes the registry's one mutex, so
-/// a lane block publishes its sum instead of each query its own.
+/// a fan-out publishes its sum instead of each query its own.
 struct row_counts {
     kernel::stats kernel;       ///< kernel work, counted under a recorder only
     std::uint64_t scored = 0;   ///< pairs the kernel scored
     std::uint64_t skipped = 0;  ///< partners settled by their length bound
+
+    /// Add \p other's counts to these.
+    void add(const row_counts& other);
 
     /// Add the sums to `dissim.kernel.*`, `dissim.sparse.ondemand_pairs_total`
     /// and `dissim.sparse.pairs_skipped_total` of the active recorder (no-op
@@ -128,6 +131,11 @@ public:
     /// The same row query, publishing its own counts.
     void dissimilarities(std::size_t i, std::span<const std::size_t> js, double ceiling,
                          std::span<double> out) const;
+
+    /// True when a row query scores its pairs, false when it reads stored
+    /// values. A caller that folds row queries in order fans them out to
+    /// lanes only when they score: a read costs less than the fold.
+    virtual bool scores_rows() const { return true; }
 
     /// Every j (including i itself) with d(i, j) <= epsilon, ids ascending.
     virtual std::vector<std::uint32_t> neighbors_within(std::size_t i,
@@ -178,6 +186,7 @@ public:
     /// Reads every cell; the ceiling prunes nothing and nothing is counted.
     void dissimilarities(std::size_t i, std::span<const std::size_t> js, double ceiling,
                          std::span<double> out, row_counts& counts) const override;
+    bool scores_rows() const override { return false; }
 
     /// The row scan, from the cells whatever was prepared.
     std::vector<std::uint32_t> neighbors_within(std::size_t i,

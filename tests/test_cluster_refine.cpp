@@ -702,8 +702,8 @@ TEST(MergeDifferential, RowQueriesReproduceThePerPairMergeBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Lanes. The merge pass runs its row queries on lanes: a cluster's D(c) in
-// blocks of rows that fold in row order, each pass's link searches in
+// Lanes. The merge pass runs its row queries on lanes: a cluster's D(c) by
+// rows that fold in row order, each pass's link searches in
 // blocks of kLinkBlockRows rows that reduce in row order, and the merges in
 // j order after eligibility is checked again. The populations below break
 // if any of the three is done otherwise.
@@ -855,8 +855,8 @@ TEST(MergeLanes, AMergeEarlyInAPassMakesItsLaterPairsIneligible) {
 }
 
 /// The wrapped source, except that scoring a whole row of \p slow (an
-/// unbounded row query) first sleeps: at two lanes or more, every other
-/// block of that row's D(c) is scored before the first.
+/// unbounded row query) first sleeps: at two lanes or more, later rows of
+/// its cluster's D(c) are scored before that row.
 class slow_row_source final : public dissim::neighborhood_source {
 public:
     slow_row_source(const dissim::neighborhood_source& inner, std::size_t slow)
@@ -895,8 +895,8 @@ TEST(MergeLanes, ClusterStatsFoldInRowOrderWhicheverBlockFinishesFirst) {
     // Cluster 0: member 0 far away (every pair in row 0 of D(c) is 1.0)
     // and 255 members packed k * 2^-56 apart. In row order the sum is 255
     // after row 0, and every later value is below half an ulp of it, so
-    // the mean is exactly 1/128; any later block folded first leaves its
-    // sum behind and lifts the mean above 1/128. Cluster 1 (3 members,
+    // the mean is exactly 1/128; any later row folded first leaves its sum
+    // behind and lifts the mean above 1/128. Cluster 1 (3 members,
     // 2^-8 apart) lies exactly 1/128 from the packed members. At a mean of
     // 1/128 neither condition holds; above it, condition 1 merges.
     std::vector<double> xs{2.0};
@@ -922,13 +922,18 @@ TEST(MergeLanes, ClusterStatsFoldInRowOrderWhicheverBlockFinishesFirst) {
                           std::to_string(lanes) + " lanes");
         EXPECT_EQ(lanes_started(recorder), lanes > 1) << lanes << " lanes";
     }
+    // The matrix itself reads rather than scores its rows, so its D(c)
+    // folds on one lane (and the link search is below the floor).
+    const obs::scoped_recorder recorder;
+    expect_same_merge(merge_clusters(dense, input, {}, {}, 4), want, "matrix at 4 lanes");
+    EXPECT_FALSE(lanes_started(recorder));
 }
 
 TEST(MergeLanes, ObservedLanesCountWhatTheUnobservedSerialPassScores) {
-    // Row-query counts are summed per lane block and published once; an
-    // observed two-lane pass must yield the serial unobserved labels, and
-    // dissim.sparse.ondemand_pairs_total must equal the pairs that pass
-    // scored.
+    // Row-query counts are summed per fan-out or lane block and published
+    // once; an observed two-lane pass must yield the serial unobserved
+    // labels, and dissim.sparse.ondemand_pairs_total must equal the pairs
+    // that pass scored.
     const auto values = population(1, 400, 91);
     dissim::sparse_build_options opts;
     opts.knn_cap = knn_k_max(values.size());
